@@ -1,4 +1,4 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
 Two kernels dominate runtime:
 
@@ -7,79 +7,93 @@ Two kernels dominate runtime:
 * ``enet_coordinate_descent`` — non-negative elastic-net coordinate descent
   over a Gram matrix, one regression per taxon column.
 
-The backend is chosen at import time: numba is used when importable unless
-the environment variable ``CORESPONSE_NUMBA`` is set to ``0``/``false``/
-``off``, in which case the numpy implementations run instead.  Both
-implementations are always defined so they can be benchmarked against each
-other (see ``benchmarks/bench_kernels.py``).
+``group_terms`` has two formulations of the same quadratic form.  The dense
+one multiplies the whole population through the Gram matrix, which costs
+O(m p^2) however few bits are set.  The gathered one reads only the Gram
+entries of each row's set bits, O(m k^2) for rows of at most k bits, and
+wins once the taxa outnumber a row's bits by :data:`GATHER_TAXA_PER_BIT`.
+The two agree to rounding, not bitwise, so the caller picks one per search
+(:func:`prefers_gathered`) and keeps it: a chromosome then scores the same in
+every generation.
 
-No ``fastmath`` is used: results must be deterministic for a fixed backend.
+No ``fastmath``-style reassociation is used: results are deterministic.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("CORESPONSE_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "off")
+BACKEND = "numpy"
 
-try:
-    if not _want_numba:
-        raise ImportError("numba disabled via CORESPONSE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+#: a size-capped search gathers once p >= GATHER_TAXA_PER_BIT * cap.  On a
+#: 2-vCPU Xeon with one BLAS thread and 200 chromosomes, gathering breaks
+#: even near 20 taxa per bit (p=200, k=10) and is 14x faster at p=1000,
+#: k=10; at p=60 it is slower for every k >= 2 (0.8x at k=2).  32 keeps
+#: every p=60 search dense and gathers every k <= 31 at p=1000.
+GATHER_TAXA_PER_BIT = 32
 
 
-def group_terms_numpy(pop, gram, cvec):
+def prefers_gathered(n_taxa: int, size_cap) -> bool:
+    """Whether a search over ``n_taxa`` with this size cap should gather.
+
+    Uncapped (``None``) searches carry wide rows and stay dense.
+    """
+    return size_cap is not None and n_taxa >= GATHER_TAXA_PER_BIT * size_cap
+
+
+def group_terms(pop, gram, cvec, gathered=False):
     """Objective terms for each row of a binary population matrix.
 
     Args:
         pop: (m, p) uint8 matrix of chromosomes (0/1 per taxon).
         gram: (p, p) symmetric matrix M0^T M0.
         cvec: (p,) vector M0^T y0.
+        gathered: use the gathered formulation (see the module docstring).
 
     Returns:
         (num, quad, size): per-row x.c, x.G.x and popcount, where num/quad
         are the numerator and squared denominator of the objective.
     """
-    xf = pop.astype(np.float64)
-    num = xf @ cvec
-    quad = np.einsum("ij,ij->i", xf @ gram, xf)
     size = pop.sum(axis=1).astype(np.int64)
+    if gathered:
+        num, quad = _gathered_terms(pop, gram, cvec)
+    else:
+        xf = pop.astype(np.float64)
+        num = xf @ cvec
+        quad = np.einsum("ij,ij->i", xf @ gram, xf)
     return num, quad, size
 
 
-def _group_terms_loop(pop, gram, cvec):
+def _gathered_terms(pop, gram, cvec):
+    """x.c and x.G.x from the set bits of each row only.
+
+    Each row's set bits fill one column of a (kmax, m) index array, padded
+    with index 0 at weight 0.  Both sums run over the leading axis, which
+    numpy adds element by element in order, so a row's result does not
+    depend on kmax or on the other rows: padding only adds exact zeros after
+    its own terms.  A sum along one contiguous run is pairwise instead, and
+    its grouping would change with kmax; that is why the padded axis leads
+    rather than trails, and why a single row gets an all-zero second column
+    (a (kmax, 1) array is one contiguous run).
+    """
     m, p = pop.shape
-    num = np.zeros(m)
-    quad = np.zeros(m)
-    size = np.zeros(m, np.int64)
-    idx = np.empty(p, np.int64)
-    for i in range(m):
-        k = 0
-        for j in range(p):
-            if pop[i, j] != 0:
-                idx[k] = j
-                k += 1
-        size[i] = k
-        s_num = 0.0
-        s_quad = 0.0
-        for a in range(k):
-            ja = idx[a]
-            s_num += cvec[ja]
-            s_quad += gram[ja, ja]
-            for b in range(a + 1, k):
-                s_quad += 2.0 * gram[ja, idx[b]]
-        num[i] = s_num
-        quad[i] = s_quad
-    return num, quad, size
+    width = max(m, 2)
+    flat = np.flatnonzero(pop.ravel() != 0)
+    rows, cols = np.divmod(flat, p)
+    counts = np.bincount(rows, minlength=m)
+    kmax = int(counts.max(initial=0))
+    slot = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.zeros((kmax, width), np.intp)
+    w = np.zeros((kmax, width))
+    idx[slot, rows] = cols
+    w[slot, rows] = pop.ravel()[flat]
+    num = (cvec[idx] * w).sum(axis=0)
+    pair = gram.ravel().take(idx[:, None, :] * p + idx[None, :, :])
+    pair *= w[:, None, :] * w[None, :, :]
+    quad = pair.reshape(kmax * kmax, width).sum(axis=0)
+    return num[:m], quad[:m]
 
 
-def enet_coordinate_descent_numpy(gram, mu1, mu2, max_iter, tol):
-    """Non-negative elastic net for every column at once, numpy fallback.
+def enet_coordinate_descent(gram, mu1, mu2, max_iter, tol):
+    """Non-negative elastic net for every column at once.
 
     Solves, for each target column j of the standardized data matrix X,
         min_{b >= 0, b_j = 0}  (1/2n)||x_j - X b||^2 + mu1 ||b||_1 + (mu2/2)||b||^2
@@ -110,51 +124,3 @@ def enet_coordinate_descent_numpy(gram, mu1, mu2, max_iter, tol):
         if delta.max() < tol:
             return B, last_delta, np.full(p, it + 1, np.int64)
     return B, last_delta, np.full(p, max_iter, np.int64)
-
-
-def _enet_coordinate_descent_loop(gram, mu1, mu2, max_iter, tol):
-    p = gram.shape[0]
-    B = np.zeros((p, p))
-    last_delta = np.zeros(p)
-    iterations = np.zeros(p, np.int64)
-    for j in range(p):
-        b = np.zeros(p)
-        delta = 0.0
-        for it in range(max_iter):
-            delta = 0.0
-            for k in range(p):
-                if k == j:
-                    continue
-                rho = gram[k, j]
-                for l in range(p):
-                    if l != k:
-                        rho -= gram[k, l] * b[l]
-                bk = (rho - mu1) / (gram[k, k] + mu2)
-                if bk < 0.0:
-                    bk = 0.0
-                d = abs(bk - b[k])
-                if d > delta:
-                    delta = d
-                b[k] = bk
-            iterations[j] = it + 1
-            if delta < tol:
-                break
-        last_delta[j] = delta
-        B[:, j] = b
-    return B, last_delta, iterations
-
-
-if HAVE_NUMBA:
-    group_terms_numba = njit(cache=True, nogil=True)(_group_terms_loop)
-    enet_coordinate_descent_numba = njit(cache=True, nogil=True)(
-        _enet_coordinate_descent_loop
-    )
-    group_terms = group_terms_numba
-    enet_coordinate_descent = enet_coordinate_descent_numba
-    BACKEND = "numba"
-else:
-    group_terms_numba = None
-    enet_coordinate_descent_numba = None
-    group_terms = group_terms_numpy
-    enet_coordinate_descent = enet_coordinate_descent_numpy
-    BACKEND = "numpy"

@@ -31,7 +31,7 @@ from .model_select import (DEFAULT_MU_GRID, mu_sweep, sweep_k, write_sweep)
 from .network import (NetworkInferenceConfig, infer_network, load_adjacency,
                       write_adjacency, write_edge_list)
 from .synth import SynthSpec, generate, write_bundle
-from .tables import fmt, read_table, write_table
+from .tables import fmt, parse_cell, read_table, write_table
 from .utils import child_int
 
 FORMAT_VERSION = 1
@@ -205,8 +205,12 @@ def cmd_evaluate(args) -> None:
         )
     if not methods:
         raise ValidationError("--methods must list at least one method")
-    needs_net = any(not tag.startswith("baseline") for tag in methods)
-    net = _load_network(args, abundance) if needs_net else None
+    graph_methods = [tag for tag in methods if not tag.startswith("baseline")]
+    if graph_methods and args.no_graph:
+        raise ValidationError(
+            f"method(s) {graph_methods} need a network; --no-graph allows "
+            "only the baseline methods")
+    net = _load_network(args, abundance) if graph_methods else None
 
     reports = []
     for tag in methods:
@@ -243,8 +247,14 @@ def cmd_analyze(args) -> None:
             f"{args.importance}: expected an importance node table "
             "(taxon, importance, ...)")
     labels = tuple(row[0] for row in rows)
-    ivec = np.array([float(row[1]) for row in rows])
-    mra = (np.array([float(row[2]) for row in rows])
+
+    def column(j):
+        return np.array([parse_cell(row[j], args.importance, row=i + 2,
+                                    col=j + 1)
+                         for i, row in enumerate(rows)])
+
+    ivec = column(1)
+    mra = (column(2)
            if len(header) > 2 and header[2] == "mean_relative_abundance"
            else None)
 
@@ -421,13 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Load key=value defaults from --config so explicit flags win."""
-    if "--config" not in argv:
+    """Load key=value defaults from --config so explicit flags win.
+
+    The file name is read by parsing ``argv`` once, so every spelling that
+    argparse accepts counts (``--config FILE``, ``--config=FILE``, a unique
+    prefix of ``--config``); usage errors exit here with code 2.
+    """
+    config = parser.parse_args(argv).config
+    if config is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv  # argparse will report the missing value
-    path = Path(argv[at + 1])
+    path = Path(config)
     if not path.exists():
         raise ParseError(f"config file not found: {path}")
     overrides = {}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import group_terms
+from ._kernels import group_terms, prefers_gathered
 from .errors import ValidationError
 from .utils import generator
 
@@ -99,6 +99,11 @@ class OptimizerConfig:
         if not 0.0 <= self.elite_fraction < 1.0:
             raise ValidationError("elite_fraction must be in [0, 1)")
 
+    @property
+    def size_cap(self) -> int | None:
+        """The hard group-size cap, or None in ``l1`` mode."""
+        return self.k_opt if self.mode == "size_cap" else None
+
 
 @dataclass(frozen=True)
 class FitnessEvaluation:
@@ -128,10 +133,12 @@ class Objective:
     """Precomputed quadratic form for batch fitness evaluation.
 
     Holds G = M0^T M0 (symmetrized), c = M0^T y0 and ||y0||; evaluates whole
-    populations through the active kernel backend.
+    populations through ``group_terms``.  Its dense or gathered formulation
+    is fixed here from the taxon count and ``size_cap``, so every population
+    of one search is scored the same way.
     """
 
-    def __init__(self, M0: np.ndarray, y0: np.ndarray):
+    def __init__(self, M0: np.ndarray, y0: np.ndarray, size_cap: int | None = None):
         M0 = np.asarray(M0, dtype=np.float64)
         y0 = np.asarray(y0, dtype=np.float64)
         if M0.ndim != 2 or y0.ndim != 1 or M0.shape[0] != y0.shape[0]:
@@ -141,10 +148,11 @@ class Objective:
         self.cvec = M0.T @ y0
         self.y_norm = float(np.sqrt(y0 @ y0))
         self.n_taxa = M0.shape[1]
+        self.gathered = prefers_gathered(self.n_taxa, size_cap)
 
     def terms(self, population: np.ndarray):
         pop = np.ascontiguousarray(population, dtype=np.uint8)
-        return group_terms(pop, self.gram, self.cvec)
+        return group_terms(pop, self.gram, self.cvec, self.gathered)
 
     def evaluate(self, population: np.ndarray, cfg: OptimizerConfig):
         """Return (raw, penalized, r, size) arrays for a population matrix."""
@@ -169,7 +177,7 @@ def evaluate_fitness(x, M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig) ->
     bits = x.bits if isinstance(x, GroupChromosome) else GroupChromosome(np.asarray(x)).bits
     if bits.shape[0] != M0.shape[1]:
         raise ValidationError("chromosome length does not match taxon count")
-    objective = Objective(M0, y0)
+    objective = Objective(M0, y0, cfg.size_cap)
     raw, pen, r, size = objective.evaluate(bits[None, :], cfg)
     return FitnessEvaluation(float(raw[0]), float(r[0]), float(pen[0]), int(size[0]))
 
@@ -207,7 +215,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
     per-generation history table with columns ``HISTORY_COLUMNS``.
     Deterministic given ``cfg.seed``.
     """
-    objective = Objective(M0, y0)
+    objective = Objective(M0, y0, cfg.size_cap)
     p = objective.n_taxa
     if p < 2:
         raise ValidationError("need at least 2 taxa to optimize over")

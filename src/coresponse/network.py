@@ -119,10 +119,15 @@ def _adjacency_from_matrix(path, header, rows, labels) -> np.ndarray:
     _check_label_match(path, file_cols, labels)
     order = {lab: i for i, lab in enumerate(file_cols)}
     perm = [order[lab] for lab in labels]
-    raw = np.empty((len(file_rows), len(file_cols)))
-    for i, cells in enumerate(rows):
-        for j, cell in enumerate(cells[1:]):
-            raw[i, j] = parse_cell(cell, path, row=i + 2, col=j + 2)
+    try:
+        raw = np.array([cells[1:] for cells in rows], dtype=np.float64)
+    except ValueError:
+        # numpy parses cells as float() does; go cell by cell only to name
+        # the first bad one
+        raw = np.array([[parse_cell(cell, path, row=i + 2, col=j + 2)
+                         for j, cell in enumerate(cells[1:])]
+                        for i, cells in enumerate(rows)])
+    raw = raw.reshape(len(file_rows), len(file_cols))
     return raw[np.ix_(perm, perm)]
 
 

@@ -108,6 +108,30 @@ class TestExitCodes:
         assert code == 4
         assert "psychic" in capsys.readouterr().err
 
+    def test_no_graph_with_graph_method_exits_4(self, tmp_path, capsys):
+        # the identity operator would run the baseline under the wrong label
+        data = make_bundle(tmp_path)
+        code = run(["evaluate", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--methods", "convolved", "--k", 2, "--repeats", 2,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        assert "convolved" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_non_numeric_importance_exits_3(self, tmp_path, capsys):
+        data = make_bundle(tmp_path)
+        labels = (data / "adjacency.csv").read_text().split("\n")[0]
+        labels = labels.split(",")[1:]
+        table = tmp_path / "importance.csv"
+        table.write_text("taxon,importance\n" + "".join(
+            f"{lab},{'high' if i == 3 else 0.5}\n"
+            for i, lab in enumerate(labels)))
+        code = run(["analyze", "--adjacency", data / "adjacency.csv",
+                    "--importance", table, "--out", tmp_path / "out"])
+        assert code == 3
+        assert "'high' at row 5, column 2" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_writes_bundle_and_snapshot(self, tmp_path):
@@ -145,6 +169,18 @@ class TestConfigFile:
         assert snapshot["n_samples"] == "30"   # from the config file
         assert snapshot["seed"] == "5"         # the explicit flag wins
         assert snapshot["noise_sigma"] == "0.1"
+
+    @pytest.mark.parametrize("spelling", ("--config={}", "--conf={}"))
+    def test_attached_and_abbreviated_forms_are_honoured(self, tmp_path,
+                                                         spelling):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n-samples=30\n")
+        out = tmp_path / "out"
+        code = run(["synth", spelling.format(cfg), "--planted", "0,1",
+                    "--out", out])
+        assert code == 0
+        snapshot = (out / "resolved_config.txt").read_text().splitlines()
+        assert "n_samples=30" in snapshot
 
     def test_unknown_key_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

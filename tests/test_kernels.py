@@ -1,63 +1,197 @@
-"""Backend consistency for the two hot kernels."""
-
-import os
-import subprocess
-import sys
+"""The two hot kernels: both group_terms formulations and coordinate descent."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coresponse import _kernels
+from coresponse import _kernels, ga
+from coresponse.ga import Objective, OptimizerConfig, run_ga
 
 
-def random_problem(seed, m=40, p=25):
+def random_problem(seed, m=40, p=25, n=60):
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(60, p))
+    X = rng.normal(size=(n, p))
     gram = X.T @ X
     gram = (gram + gram.T) / 2.0
-    cvec = X.T @ rng.normal(size=60)
+    cvec = X.T @ rng.normal(size=n)
     pop = (rng.random((m, p)) < 0.3).astype(np.uint8)
     return pop, gram, cvec
+
+
+def both(pop, gram, cvec):
+    return (_kernels.group_terms(pop, gram, cvec),
+            _kernels.group_terms(pop, gram, cvec, gathered=True))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 class TestGroupTerms:
     def test_matches_direct_quadratic_form(self):
         pop, gram, cvec = random_problem(1)
-        num, quad, size = _kernels.group_terms_numpy(pop, gram, cvec)
-        for i in range(pop.shape[0]):
-            x = pop[i].astype(np.float64)
-            np.testing.assert_allclose(num[i], x @ cvec, rtol=1e-12)
-            np.testing.assert_allclose(quad[i], x @ gram @ x, rtol=1e-12)
-            assert size[i] == int(pop[i].sum())
-
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend off")
-    def test_backends_agree(self):
-        for seed in range(5):
-            pop, gram, cvec = random_problem(seed)
-            ref = _kernels.group_terms_numpy(pop, gram, cvec)
-            fast = _kernels.group_terms_numba(pop, gram, cvec)
-            np.testing.assert_allclose(fast[0], ref[0], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(fast[1], ref[1], rtol=1e-12, atol=1e-9)
-            np.testing.assert_array_equal(fast[2], ref[2])
+        for num, quad, size in both(pop, gram, cvec):
+            for i in range(pop.shape[0]):
+                x = pop[i].astype(np.float64)
+                np.testing.assert_allclose(num[i], x @ cvec, rtol=1e-12)
+                np.testing.assert_allclose(quad[i], x @ gram @ x, rtol=1e-12)
+                assert size[i] == int(pop[i].sum())
 
     def test_empty_rows_are_zero(self):
         pop, gram, cvec = random_problem(2)
         pop[0] = 0
-        num, quad, size = _kernels.group_terms(pop, gram, cvec)
-        assert num[0] == 0.0 and quad[0] == 0.0 and size[0] == 0
+        for num, quad, size in both(pop, gram, cvec):
+            assert num[0] == 0.0 and quad[0] == 0.0 and size[0] == 0
+
+    def test_all_rows_empty(self):
+        pop, gram, cvec = random_problem(3)
+        pop[:] = 0
+        num, quad, size = _kernels.group_terms(pop, gram, cvec, gathered=True)
+        assert not num.any() and not quad.any() and not size.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**20), m=st.integers(1, 30),
+           p=st.integers(2, 80), density=st.floats(0.0, 1.0),
+           cap=st.integers(1, 10))
+    def test_gathered_matches_dense_and_direct(self, seed, m, p, density, cap):
+        rng = np.random.default_rng(seed)
+        _, gram, cvec = random_problem(seed, m=1, p=p, n=12)
+        # rows at most `cap` bits, plus an empty row and a full row above it
+        pop = np.zeros((m + 2, p), np.uint8)
+        for i in range(m):
+            k = min(rng.binomial(cap, density), p)
+            pop[i, rng.choice(p, k, replace=False)] = 1
+        pop[m + 1] = 1
+        dense, gathered = both(pop, gram, cvec)
+        X = pop.astype(np.float64)
+        direct = (X @ cvec, np.einsum("ij,jk,ik->i", X, gram, X))
+        # 1e-12 relative to the summed magnitudes, which bounds rounding
+        # even where the terms cancel
+        scale = (X @ np.abs(cvec) + 1e-300,
+                 np.einsum("ij,jk,ik->i", X, np.abs(gram), X) + 1e-300)
+        for term in range(2):
+            for other in (dense[term], direct[term]):
+                err = np.abs(gathered[term] - other) / scale[term]
+                assert err.max() <= 1e-12
+        np.testing.assert_array_equal(gathered[2], dense[2])
+        assert gathered[0][m] == 0.0 and gathered[1][m] == 0.0
+
+    def test_gathered_rows_do_not_depend_on_other_rows(self):
+        # a wider row pads every other row further; their sums must not move
+        rng = np.random.default_rng(7)
+        p, m = 400, 300
+        _, gram, cvec = random_problem(7, m=1, p=p)
+        pop = np.zeros((m, p), np.uint8)
+        for i in range(m):
+            pop[i, rng.choice(p, rng.integers(1, 12), replace=False)] = 1
+        num, quad, _ = _kernels.group_terms(pop, gram, cvec, gathered=True)
+        for width in (20, 90, p):
+            wider = pop.copy()
+            wider[5, :width] = 1
+            num2, quad2, _ = _kernels.group_terms(wider, gram, cvec,
+                                                  gathered=True)
+            keep = np.arange(m) != 5
+            np.testing.assert_array_equal(bits(num2[keep]), bits(num[keep]))
+            np.testing.assert_array_equal(bits(quad2[keep]), bits(quad[keep]))
+
+    def test_single_row_equals_its_row_in_a_population(self):
+        pop, gram, cvec = random_problem(8, m=50, p=300)
+        num, quad, _ = _kernels.group_terms(pop, gram, cvec, gathered=True)
+        for i in (0, 17, 49):
+            one = _kernels.group_terms(pop[i:i + 1], gram, cvec, gathered=True)
+            assert bits(one[0])[0] == bits(num)[i]
+            assert bits(one[1])[0] == bits(quad)[i]
+
+
+class TestFormulationChoice:
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_p60_searches_stay_dense(self, k):
+        assert not _kernels.prefers_gathered(60, k)
+
+    @pytest.mark.parametrize("k", (9, 10, 11))
+    def test_p1000_capped_searches_gather(self, k):
+        assert _kernels.prefers_gathered(1000, k)
+
+    def test_uncapped_searches_stay_dense(self):
+        assert not _kernels.prefers_gathered(100000, None)
+
+    def test_objective_fixes_the_choice_once(self):
+        rng = np.random.default_rng(0)
+        M0 = rng.normal(size=(20, 1000))
+        y0 = rng.normal(size=20)
+        cfg = OptimizerConfig(mode="size_cap", k_opt=10)
+        assert Objective(M0, y0, cfg.size_cap).gathered
+        assert not Objective(M0, y0).gathered
+        assert not Objective(M0, y0, OptimizerConfig(mode="l1").size_cap).gathered
+
+
+def scale_problem(seed, p=1000, n=100, planted=10):
+    rng = np.random.default_rng(seed)
+    M0 = rng.normal(size=(n, p))
+    M0 -= M0.mean(axis=0)
+    y0 = M0[:, :planted].sum(axis=1) + 0.5 * rng.normal(size=n)
+    return M0, y0 - y0.mean()
+
+
+class TestGaSearch:
+    def test_tiny_search_finds_planted_taxon(self):
+        rng = np.random.default_rng(0)
+        M0 = rng.normal(size=(30, 10))
+        M0 -= M0.mean(0)
+        y0 = M0[:, 2] + 0.01 * rng.normal(size=30)
+        y0 -= y0.mean()
+        res = run_ga(M0, y0, OptimizerConfig(mode="size_cap", k_opt=1,
+                                             max_generations=60, seed=1))
+        assert res.best.indices().tolist() == [2]
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_gathered_search_matches_dense_search(self, seed, monkeypatch):
+        M0, y0 = scale_problem(seed)
+        cfg = OptimizerConfig(mode="size_cap", k_opt=10, max_generations=80,
+                              seed=seed)
+        assert Objective(M0, y0, cfg.size_cap).gathered
+        gathered = run_ga(M0, y0, cfg)
+        monkeypatch.setattr(ga, "prefers_gathered", lambda p, cap: False)
+        dense = run_ga(M0, y0, cfg)
+        np.testing.assert_array_equal(gathered.best.bits, dense.best.bits)
+        assert len(gathered.history) == len(dense.history)
+        assert gathered.best_eval.pearson_r == pytest.approx(
+            dense.best_eval.pearson_r, abs=1e-12)
+
+
+def per_column_loop(gram, mu1, mu2, max_iter, tol):
+    """One coordinate-descent regression per target column, in scalars."""
+    p = gram.shape[0]
+    B = np.zeros((p, p))
+    for j in range(p):
+        b = np.zeros(p)
+        for _ in range(max_iter):
+            delta = 0.0
+            for k in range(p):
+                if k == j:
+                    continue
+                rho = gram[k, j] - sum(gram[k, l] * b[l]
+                                       for l in range(p) if l != k)
+                bk = max((rho - mu1) / (gram[k, k] + mu2), 0.0)
+                delta = max(delta, abs(bk - b[k]))
+                b[k] = bk
+            if delta < tol:
+                break
+        B[:, j] = b
+    return B
 
 
 class TestCoordinateDescent:
-    def test_backends_agree(self):
+    def test_matches_per_column_loop(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(80, 12))
         X = (X - X.mean(0)) / X.std(0)
         gram = X.T @ X / X.shape[0]
         gram = (gram + gram.T) / 2.0
-        ref = _kernels.enet_coordinate_descent_numpy(gram, 0.05, 0.01, 500, 1e-10)
-        if _kernels.HAVE_NUMBA:
-            fast = _kernels.enet_coordinate_descent_numba(gram, 0.05, 0.01, 500, 1e-10)
-            np.testing.assert_allclose(fast[0], ref[0], atol=1e-8)
+        B, _, _ = _kernels.enet_coordinate_descent(gram, 0.05, 0.01, 500, 1e-10)
+        ref = per_column_loop(gram, 0.05, 0.01, 500, 1e-10)
+        np.testing.assert_allclose(B, ref, atol=1e-8)
 
     def test_full_shrinkage_under_large_l1(self):
         rng = np.random.default_rng(4)
@@ -74,30 +208,3 @@ class TestCoordinateDescent:
         B, _, _ = _kernels.enet_coordinate_descent(gram, 0.01, 0.01, 500, 1e-10)
         assert (B >= 0).all()
         assert np.array_equal(np.diag(B), np.zeros(8))
-
-
-class TestBackendFlag:
-    def test_env_flag_selects_numpy(self):
-        code = ("import coresponse._kernels as k; "
-                "print(k.BACKEND); print(k.group_terms is k.group_terms_numpy)")
-        env = dict(os.environ, CORESPONSE_NUMBA="0")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["numpy", "True"]
-
-    def test_fallback_pipeline_runs(self):
-        # a tiny end-to-end search under the numpy backend
-        code = (
-            "import numpy as np\n"
-            "from coresponse.ga import OptimizerConfig, run_ga\n"
-            "rng = np.random.default_rng(0)\n"
-            "M0 = rng.normal(size=(30, 10)); M0 -= M0.mean(0)\n"
-            "y0 = M0[:, 2] + 0.01 * rng.normal(size=30); y0 -= y0.mean()\n"
-            "res = run_ga(M0, y0, OptimizerConfig(mode='size_cap', k_opt=1,"
-            " max_generations=60, seed=1))\n"
-            "print(res.best.indices().tolist())\n"
-        )
-        env = dict(os.environ, CORESPONSE_NUMBA="off")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[2]"

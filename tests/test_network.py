@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coresponse.errors import NumericError, ValidationError
+from coresponse.errors import NumericError, ParseError, ValidationError
 from coresponse.ingest import AbundanceMatrix
 from coresponse.network import (CoOccurrenceNetwork, NetworkInferenceConfig,
                                 convolution_operator, convolve, identity_network,
@@ -174,6 +174,14 @@ class TestAdjacencyIO:
         path.write_text("taxon,a,b\na,0,-0.2\nb,-0.2,0\n")
         with pytest.raises(ValidationError):
             load_adjacency(path, ("a", "b"))
+
+    def test_non_numeric_cell_names_row_and_column(self, tmp_path):
+        path = tmp_path / "adj.csv"
+        path.write_text("taxon,a,b,c\na,0,1,0\nb,1,0,x7\nc,0,x7,0\n")
+        with pytest.raises(ParseError) as exc:
+            load_adjacency(path, ("a", "b", "c"))
+        assert str(exc.value) == (
+            f"{path}: non-numeric cell 'x7' at row 3, column 4")
 
     def test_label_mismatch_lists_names(self, tmp_path):
         path = tmp_path / "adj.csv"
