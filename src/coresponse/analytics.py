@@ -2,11 +2,16 @@
 
 Clustering is Louvain over the weighted co-occurrence network, restarted
 with several seeds and keeping the partition whose modularity — recomputed
-here from its definition — is highest.  Shortest-path lengths use 1/weight
-(stronger co-occurrence means closer), and closeness is harmonic so
-disconnected networks stay finite.
+here from its definition — is highest.  The Louvain code is an in-package
+port of networkx 3.x's ``louvain_communities`` on plain lists and dicts: for
+the same graph, resolution and integer seed it returns the same partition,
+and the restarts share one level-0 set-up.  Shortest-path lengths use
+1/weight (stronger co-occurrence means closer), and closeness is harmonic
+so disconnected networks stay finite.
 """
 
+import math
+import random
 from dataclasses import dataclass
 
 import networkx as nx
@@ -101,25 +106,171 @@ def modularity(adjacency: np.ndarray, assignment: np.ndarray,
     return float(q)
 
 
-def _assignment_from_partition(partition, p: int) -> np.ndarray:
+def _assignment_from_labels(labels) -> np.ndarray:
     # contiguous ids ordered by each community's smallest member index
-    communities = sorted((sorted(c) for c in partition), key=lambda c: c[0])
-    assignment = np.full(p, -1, dtype=np.int64)
-    for cid, members in enumerate(communities):
-        assignment[members] = cid
-    if (assignment < 0).any():
-        raise ValidationError("partition does not cover all nodes")
-    return assignment
+    ids = {}
+    return np.array([ids.setdefault(c, len(ids)) for c in labels],
+                    dtype=np.int64)
 
 
-def _graph(net: CoOccurrenceNetwork) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(range(net.n_taxa))
-    ia, ja = np.nonzero(np.triu(net.adjacency, k=1))
-    graph.add_weighted_edges_from(
-        (int(i), int(j), float(net.adjacency[i, j])) for i, j in zip(ia, ja)
-    )
-    return graph
+def _level0(adjacency: np.ndarray) -> list:
+    """Neighbour dicts of the network: ascending neighbours, upper weights.
+
+    Row ``u`` maps each neighbour ``v`` to the weight stored at
+    ``adjacency[min(u, v), max(u, v)]``, in ascending ``v``, which is the
+    order networkx's graph of the same edges iterates in.
+    """
+    upper = np.triu(adjacency, k=1)
+    adj = [{} for _ in range(adjacency.shape[0])]
+    ia, ja = np.nonzero(upper)
+    for i, j, w in zip(ia.tolist(), ja.tolist(), upper[ia, ja].tolist()):
+        adj[i][j] = w
+        adj[j][i] = w
+    return adj
+
+
+def _degrees(adj: list) -> list:
+    # a self-loop counts twice, summed in neighbour order as networkx does
+    return [sum(row.values()) + row.get(u, 0) for u, row in enumerate(adj)]
+
+
+def _neighbours(adj: list) -> list:
+    return [[(v, w) for v, w in row.items() if v != u]
+            for u, row in enumerate(adj)]
+
+
+def _level_modularity(adj: list, degrees: list, com: list, k: int,
+                      resolution: float) -> float:
+    """Modularity of a level graph's partition; only steers the stop rule."""
+    deg_sum = sum(degrees)
+    inner = [0.0] * k
+    total = [0.0] * k
+    for u, row in enumerate(adj):
+        c = com[u]
+        total[c] += degrees[u]
+        for v, w in row.items():
+            if v >= u and com[v] == c:
+                inner[c] += w
+    m = deg_sum / 2
+    norm = 1 / deg_sum ** 2
+    return sum(e / m - resolution * d * d * norm
+               for e, d in zip(inner, total))
+
+
+def _move_nodes(nbrs: list, degrees: list, m: float, resolution: float,
+                rng: random.Random) -> tuple:
+    """One level of local moves; returns (community per node, moved).
+
+    Nodes are visited in one shuffled order, pass after pass, until a pass
+    moves nothing.  Candidate communities are tried in the order their first
+    neighbour appears and a move needs a strictly positive gain; every term
+    is evaluated as networkx evaluates it, so ties and rounding resolve the
+    same way.  networkx also tries the node's own community when no
+    neighbour is in it, but that gain is exactly 0 and never wins.
+    """
+    n = len(nbrs)
+    node2com = list(range(n))
+    stot = list(degrees)
+    order = list(range(n))
+    rng.shuffle(order)
+    two_m2 = 2 * m ** 2
+    moved = False
+    moves = 1
+    while moves:
+        moves = 0
+        for u in order:
+            own = node2com[u]
+            weights = {}
+            for v, w in nbrs[u]:
+                c = node2com[v]
+                weights[c] = weights.get(c, 0.0) + w
+            degree = degrees[u]
+            stot[own] -= degree
+            remove_cost = (-weights.get(own, 0.0) / m
+                           + resolution * (stot[own] * degree) / two_m2)
+            best_gain = 0
+            best = own
+            for c, wt in weights.items():
+                gain = (remove_cost + wt / m
+                        - resolution * (stot[c] * degree) / two_m2)
+                if gain > best_gain:
+                    best_gain = gain
+                    best = c
+            stot[best] += degree
+            if best != own:
+                node2com[u] = best
+                moves += 1
+                moved = True
+    return node2com, moved
+
+
+def _aggregate(adj: list, com: list, k: int) -> list:
+    """The graph of communities, edges summed in networkx's edge order.
+
+    Edges are visited ``u`` ascending, then ``u``'s neighbours in insertion
+    order, skipping ``v < u``; each community pair's neighbour entries are
+    inserted when the pair is first seen, a self-loop included.
+    """
+    out = [{} for _ in range(k)]
+    for u, row in enumerate(adj):
+        cu = com[u]
+        new_row = out[cu]
+        for v, w in row.items():
+            if v < u:
+                continue
+            cv = com[v]
+            total = w + new_row.get(cv, 0)
+            new_row[cv] = total
+            out[cv][cu] = total
+    return out
+
+
+class _Louvain:
+    """Louvain (Blondel et al. 2008) as networkx 3.x implements it.
+
+    The level-0 graph, its weighted degrees, ``m`` and the singleton
+    modularity are built once; :meth:`partition` runs one restart from
+    them with its own ``random.Random`` and returns the same partition as
+    ``nx.community.louvain_communities(G, seed=...)`` with that seed.
+    """
+
+    #: a level stops the descent when modularity rises by no more than this
+    THRESHOLD = 1e-7
+
+    def __init__(self, adjacency: np.ndarray, resolution: float):
+        self.resolution = resolution
+        self.adj = _level0(adjacency)
+        self.nbrs = _neighbours(self.adj)
+        self.degrees = _degrees(self.adj)
+        self.m = sum(self.degrees) / 2
+        n = len(self.adj)
+        if self.m:
+            # modularity of the singletons, the first level's baseline
+            self.mod0 = _level_modularity(self.adj, self.degrees,
+                                          list(range(n)), n, resolution)
+
+    def partition(self, rng: random.Random) -> list:
+        """Community of every node, labelled by some member's index."""
+        membership = list(range(len(self.adj)))
+        if not self.m:
+            return membership
+        adj, nbrs, degrees, mod = self.adj, self.nbrs, self.degrees, self.mod0
+        com, _ = _move_nodes(nbrs, degrees, self.m, self.resolution, rng)
+        while True:
+            labels = {c: i for i, c in enumerate(sorted(set(com)))}
+            com = [labels[c] for c in com]
+            membership = [com[c] for c in membership]
+            new_mod = _level_modularity(adj, degrees, com, len(labels),
+                                        self.resolution)
+            if new_mod - mod <= self.THRESHOLD:
+                return membership
+            mod = new_mod
+            adj = _aggregate(adj, com, len(labels))
+            nbrs, degrees = _neighbours(adj), _degrees(adj)
+            com, moved = _move_nodes(nbrs, degrees, self.m, self.resolution,
+                                     rng)
+            if not moved:
+                return membership
 
 
 def louvain(net: CoOccurrenceNetwork, resolution: float = 1.0,
@@ -127,17 +278,17 @@ def louvain(net: CoOccurrenceNetwork, resolution: float = 1.0,
     """Best-of-10 Louvain partitions by recomputed modularity.
 
     Louvain is order-sensitive, so it runs once per derived seed; ties keep
-    the earliest restart.
+    the earliest restart.  The restarts share the level-0 set-up.
     """
     if net.n_taxa == 0:
         raise ValidationError("cannot cluster an empty network")
-    graph = _graph(net)
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValidationError("resolution must be finite and > 0")
+    search = _Louvain(net.adjacency, resolution)
     best = None
     for s in range(LOUVAIN_RESTARTS):
-        partition = nx.community.louvain_communities(
-            graph, weight="weight", resolution=resolution,
-            seed=child_int(seed, s))
-        assignment = _assignment_from_partition(partition, net.n_taxa)
+        partition = search.partition(random.Random(child_int(seed, s)))
+        assignment = _assignment_from_labels(partition)
         q = modularity(net.adjacency, assignment, resolution)
         if best is None or q > best[0]:
             best = (q, assignment)

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage, 3 parse/input, 4 validation, 5 numeric.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -131,8 +132,7 @@ def cmd_select_k(args) -> None:
     M = convolved_matrix(abundance, net)
     cfg = _ga_config(args, "size_cap", k_opt=args.k_min)
     result = sweep_k(M, function.values, (args.k_min, args.k_max),
-                     args.repeats, cfg, threads=args.threads,
-                     paper_literal=args.literal_aic)
+                     args.repeats, cfg, threads=args.threads)
     write_sweep(result, out / "sweep.csv", delim)
     write_table(out / "sweep_summary.csv", ["k", "mean_aic"],
                 [[str(k), fmt(mean)] for k, _, mean in result.per_k], delim)
@@ -238,6 +238,8 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_analyze(args) -> None:
+    if not math.isfinite(args.min_weight):
+        raise ValidationError("--min-weight must be finite")
     out = _out_dir(args)
     delim = _delimiter(args)
 
@@ -357,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k-min", type=int, default=2)
     sub.add_argument("--k-max", type=int, default=50)
     sub.add_argument("--repeats", type=int, default=10)
-    sub.add_argument("--literal-aic", action="store_true",
-                     help="use the sign-flipped AIC variant")
     _add_ga_options(sub)
     _add_common(sub)
     sub.set_defaults(func=cmd_select_k)

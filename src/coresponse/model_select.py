@@ -71,15 +71,13 @@ class ModelSelectionResult:
                 )
 
 
-def aic_for_group(x, M: np.ndarray, y: np.ndarray, *, paper_literal: bool = False) -> float:
+def aic_for_group(x, M: np.ndarray, y: np.ndarray) -> float:
     """AIC of the regression y ~ intercept + slope * (M x).
 
-    The group size plays the role of the parameter count: the default score
-    is 2*size - 2*lnL with the Gaussian profile log-likelihood
-    lnL = -(n/2) (ln(2*pi*RSS/n) + 1).  ``paper_literal`` switches to the
-    alternative form -2*size - lnL, which rewards larger groups and is kept
-    only for comparison.  RSS is floored at 1e-12 * n * var(y) so perfect
-    fits stay finite.
+    The group size plays the role of the parameter count: the score is
+    2*size - 2*lnL with the Gaussian profile log-likelihood
+    lnL = -(n/2) (ln(2*pi*RSS/n) + 1).  RSS is floored at
+    1e-12 * n * var(y) so perfect fits stay finite.
     """
     bits = x.bits if isinstance(x, GroupChromosome) else GroupChromosome(np.asarray(x)).bits
     M = np.asarray(M, dtype=np.float64)
@@ -106,14 +104,12 @@ def aic_for_group(x, M: np.ndarray, y: np.ndarray, *, paper_literal: bool = Fals
     rss = yy - float(s0 @ y0) ** 2 / ss
     rss = max(rss, RSS_FLOOR * yy)
     lnl = -(n / 2.0) * (math.log(2.0 * math.pi * rss / n) + 1.0)
-    if paper_literal:
-        return -2.0 * k - lnl
     return 2.0 * k - 2.0 * lnl
 
 
 def sweep_k(M: np.ndarray, y: np.ndarray, k_range=DEFAULT_K_RANGE,
             repeats: int = DEFAULT_REPEATS, cfg: OptimizerConfig | None = None,
-            *, threads: int = 1, paper_literal: bool = False) -> ModelSelectionResult:
+            *, threads: int = 1) -> ModelSelectionResult:
     """Repeat the capped search for every k in ``k_range`` and pick by AIC.
 
     ``k_range`` is an inclusive (low, high) interval.  Each (k, repeat) run
@@ -140,7 +136,7 @@ def sweep_k(M: np.ndarray, y: np.ndarray, k_range=DEFAULT_K_RANGE,
         run_cfg = replace(cfg, mode="size_cap", k_opt=k,
                           seed=child_int(cfg.seed, k, rep))
         result = run_ga(M0, y0, run_cfg)
-        aic = aic_for_group(result.best, M, y, paper_literal=paper_literal)
+        aic = aic_for_group(result.best, M, y)
         return SweepRun(k, rep, aic, result.best_eval.pearson_r,
                         result.best.bits)
 

@@ -1,16 +1,24 @@
 """Clustering, centralities and group-location summaries on the network."""
 
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coresponse.analytics import (CentralityReport, ClusterResult,
-                                  LocationReport, centralities, locate_group,
-                                  louvain, modularity, write_annotated_graph,
+from coresponse.analytics import (LOUVAIN_RESTARTS, CentralityReport,
+                                  ClusterResult, LocationReport, _Louvain,
+                                  centralities, locate_group, louvain,
+                                  modularity, write_annotated_graph,
                                   write_centralities, write_clusters,
                                   write_location)
 from coresponse.errors import ValidationError
-from coresponse.network import CoOccurrenceNetwork
+from coresponse.ingest import css_normalize, filter_sparse_taxa
+from coresponse.network import CoOccurrenceNetwork, infer_network
+from coresponse.synth import SynthSpec, generate
+from coresponse.utils import child_int
 
 
 def net_from(A):
@@ -166,6 +174,102 @@ class TestLouvain:
         result = louvain(net_from(two_triangles(bridge=0.5)),
                          resolution=0.01, seed=0)
         assert result.n_clusters == 1
+
+
+    @pytest.mark.parametrize("resolution",
+                             [float("nan"), float("inf"), 0.0, -1.0])
+    def test_resolution_must_be_finite_positive(self, resolution):
+        with pytest.raises(ValidationError, match="resolution"):
+            louvain(net_from(two_blocks()), resolution=resolution, seed=0)
+
+
+def nx_graph(A):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(A.shape[0]))
+    ia, ja = np.nonzero(np.triu(A, k=1))
+    graph.add_weighted_edges_from(
+        (int(i), int(j), float(A[i, j])) for i, j in zip(ia, ja))
+    return graph
+
+
+def canonical(labels):
+    """Cluster ids 0, 1, ... in order of each cluster's first member."""
+    ids = {}
+    return [ids.setdefault(c, len(ids)) for c in labels]
+
+
+def nx_partition(graph, resolution, seed):
+    labels = [None] * graph.number_of_nodes()
+    for community in nx.community.louvain_communities(
+            graph, weight="weight", resolution=resolution, seed=seed):
+        for u in community:
+            labels[u] = min(community)
+    return canonical(labels)
+
+
+def nx_louvain(net, resolution=1.0, seed=0):
+    """Best-of-10 networkx Louvain: the implementation the port replaced."""
+    graph = nx_graph(net.adjacency)
+    best = None
+    for s in range(LOUVAIN_RESTARTS):
+        assignment = np.array(
+            nx_partition(graph, resolution, child_int(seed, s)))
+        q = modularity(net.adjacency, assignment, resolution)
+        if best is None or q > best[0]:
+            best = (q, assignment)
+    return best
+
+
+@st.composite
+def weighted_graphs(draw):
+    """p <= 80 nodes over a few components, some nodes isolated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = int(rng.integers(1, 81))
+    density = draw(st.floats(0.1, 0.6))
+    unit = draw(st.booleans())
+    components = rng.integers(0, draw(st.integers(1, 4)), size=p)
+    A = rng.random((p, p)) < density
+    A &= components[:, None] == components[None, :]
+    kept = rng.random(p) >= draw(st.floats(0.0, 0.2))
+    A &= kept[:, None] & kept[None, :]
+    A = np.triu(A, k=1) * (1.0 if unit else rng.uniform(0.01, 1.0, (p, p)))
+    return A + A.T
+
+
+class TestLouvainMatchesNetworkx:
+    """The in-package Louvain returns networkx 3.x's partitions bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(A=weighted_graphs(), seed=st.integers(0, 2**32 - 1),
+           resolution=st.sampled_from((0.5, 1.0, 2.0)))
+    def test_each_restart_matches_louvain_communities(self, A, seed,
+                                                      resolution):
+        port = _Louvain(A, resolution).partition(random.Random(seed))
+        assert canonical(port) == nx_partition(nx_graph(A), resolution, seed)
+
+    @pytest.mark.parametrize("case", ["blocks", "ties", "triangles"])
+    def test_best_of_restarts_matches_networkx(self, case):
+        A = {"blocks": two_blocks(intra=0.5, inter=0.2),
+             "ties": two_triangles(bridge=1.0),
+             "triangles": two_triangles(bridge=0.05)}[case]
+        net = net_from(A)
+        for seed in range(5):
+            result = louvain(net, seed=seed)
+            q, assignment = nx_louvain(net, seed=seed)
+            np.testing.assert_array_equal(result.assignment, assignment)
+            assert result.modularity_q == q
+
+    def test_inferred_p600_matches_networkx(self):
+        bundle = generate(SynthSpec(
+            n_samples=200, n_taxa=600, n_blocks=8, intra_block_weight=0.5,
+            planted_group=tuple(range(10)), noise_sigma=0.05, seed=1))
+        net = infer_network(css_normalize(filter_sparse_taxa(
+            bundle.raw_abundance)))
+        assert np.count_nonzero(net.adjacency) > 10 * net.n_taxa
+        result = louvain(net, seed=1)
+        q, assignment = nx_louvain(net, seed=1)
+        np.testing.assert_array_equal(result.assignment, assignment)
+        assert result.modularity_q == q
 
 
 class TestClusterResultValidation:

@@ -1,0 +1,82 @@
+"""What the benchmark harness under ``perfbench/`` needs from the package.
+
+The harness traces the package from outside: ``tracing.Tracer.install``
+looks up every traced function by module and attribute name, and
+``workloads.Chain`` builds each stage's command line.  A rename in the
+package breaks every benchmark run, so both are checked here.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import coresponse.cli as cli
+from coresponse.analytics import LOUVAIN_RESTARTS, louvain
+from coresponse.network import CoOccurrenceNetwork
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+    yield tracing, workloads
+    for name in ("tracing", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def package_attributes():
+    return {(name, attr): value
+            for name, module in sys.modules.items()
+            if name == "coresponse" or name.startswith("coresponse.")
+            for attr, value in vars(module).items() if callable(value)}
+
+
+class TestTracer:
+    def test_every_target_resolves_and_uninstall_restores(self, harness):
+        tracing, _ = harness
+        before = package_attributes()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert cli.louvain is not louvain
+        finally:
+            tracer.uninstall()
+        assert package_attributes() == before
+
+    def test_louvain_restarts_are_counted(self, harness):
+        tracing, _ = harness
+        A = np.zeros((6, 6))
+        for a, b in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]:
+            A[a, b] = A[b, a] = 1.0
+        net = CoOccurrenceNetwork(A, tuple(f"t{i}" for i in range(6)))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            cli.louvain(net, 1.0, seed=0)
+        finally:
+            tracer.uninstall()
+        metrics, _ = tracing.layer_metrics(tracer)
+        assert metrics["analytics.louvain_restarts"] == LOUVAIN_RESTARTS
+        assert metrics["analytics.edges"] == 7
+
+
+class TestWorkloadArguments:
+    @pytest.mark.parametrize("name", ["quickstart", "scale", "inferred"])
+    def test_every_stage_parses(self, harness, tmp_path, name):
+        _, workloads = harness
+        it = tmp_path / "it"
+        (it / "sweep").mkdir(parents=True)
+        (it / "sweep" / "chosen_k.txt").write_text("6\n")
+        chain = workloads.Chain(workloads.WORKLOADS[name], 1,
+                                tmp_path / "inp", it)
+        argvs = [make_argv() for _, make_argv in chain.stages()]
+        argvs += [chain.quality_sweep(), chain.rescore(1)]
+        parser = cli.build_parser()
+        for argv in argvs:
+            args = parser.parse_args(argv)
+            assert args.command == argv[0]

@@ -133,6 +133,35 @@ class TestExitCodes:
         assert "'high' at row 5, column 2" in capsys.readouterr().err
 
 
+    @staticmethod
+    def importance_table(tmp_path, data):
+        labels = (data / "adjacency.csv").read_text().split("\n")[0]
+        table = tmp_path / "importance.csv"
+        table.write_text("taxon,importance\n" + "".join(
+            f"{lab},0.5\n" for lab in labels.split(",")[1:]))
+        return table
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_resolution_exits_4(self, tmp_path, capsys, value):
+        data = make_bundle(tmp_path)
+        code = run(["analyze", "--adjacency", data / "adjacency.csv",
+                    "--importance", self.importance_table(tmp_path, data),
+                    f"--resolution={value}", "--out", tmp_path / "out"])
+        assert code == 4
+        assert "resolution" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "analysis_summary.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_min_weight_exits_4(self, tmp_path, capsys, value):
+        data = make_bundle(tmp_path)
+        code = run(["analyze", "--adjacency", data / "adjacency.csv",
+                    "--importance", self.importance_table(tmp_path, data),
+                    f"--min-weight={value}", "--out", tmp_path / "out"])
+        assert code == 4
+        assert "min-weight" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "analysis_summary.csv").exists()
+
+
 class TestSynthCommand:
     def test_writes_bundle_and_snapshot(self, tmp_path):
         out = make_bundle(tmp_path)
@@ -201,29 +230,29 @@ class TestConfigFile:
 
     def test_boolean_words(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("literal-aic=true\n")
+        cfg.write_text("no-graph=true\n")
         parser = build_parser()
         from coresponse.cli import _apply_config_file
-        argv = _apply_config_file(parser, ["select-k", "--abundance", "a",
+        argv = _apply_config_file(parser, ["discover", "--abundance", "a",
                                            "--function", "f",
                                            "--config", str(cfg)])
         args = parser.parse_args(argv)
-        assert args.literal_aic is True
+        assert args.no_graph is True
 
     def test_boolean_false_word(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("literal-aic=false\n")
+        cfg.write_text("no-graph=false\n")
         parser = build_parser()
         from coresponse.cli import _apply_config_file
-        argv = _apply_config_file(parser, ["select-k", "--abundance", "a",
+        argv = _apply_config_file(parser, ["discover", "--abundance", "a",
                                            "--function", "f",
                                            "--config", str(cfg)])
         args = parser.parse_args(argv)
-        assert args.literal_aic is False
+        assert args.no_graph is False
 
     def test_bad_boolean_exits_3(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("literal-aic=maybe\n")
+        cfg.write_text("no-graph=maybe\n")
         assert run(["synth", "--config", cfg,
                     "--out", tmp_path / "out"]) == 3
 
