@@ -1,12 +1,16 @@
-"""Benchmark the dense and gathered fitness formulations and the enet kernel.
+"""Benchmark the dense and gathered fitness formulations and the enet solve.
 
 Times ``group_terms`` both ways on populations shaped like the GA's: p=1000
 with ~9 set bits per row (a size-capped search at k=9..11) and p=600 with
 ~35 (an uncapped ``l1`` search), and reports the largest deviation between
-the two relative to the summed term magnitudes.  Also times the
-non-negative elastic-net coordinate descent.  Pin BLAS to one thread (for
-example ``OPENBLAS_NUM_THREADS=1``) for numbers comparable with the
-formulation switch in ``coresponse/_kernels.py``.
+the two relative to the summed term magnitudes.  Also compares two ways
+to solve the non-negative elastic net of network inference on synthetic
+p=600 abundance (the benchmark's inferred workload at seed 1): coordinate
+descent to a 1e-8 sweep tolerance, and the loose pass plus exact KKT
+finish that ``network.infer_network`` runs, with sweeps, solves and KKT
+residuals.  Pin BLAS to one thread (for example
+``OPENBLAS_NUM_THREADS=1``) for numbers comparable with the formulation
+switch in ``coresponse/_kernels.py``.
 
 Run from the repository root:
 
@@ -66,17 +70,58 @@ def bench_group_terms(args) -> None:
               f"(x{t_dense / t_gath:.1f}, max rel dev {dev:.1e})")
 
 
+def kkt_residuals(gram, B, mu1, mu2):
+    """Worst |stationarity| on the supports and worst violation off them."""
+    grad = gram - mu1 - gram @ B - mu2 * B
+    on = B > 0
+    off = ~on
+    np.fill_diagonal(off, False)
+    return (np.abs(grad[on]).max(initial=0.0),
+            grad[off].max(initial=-np.inf))
+
+
 def bench_enet(args) -> None:
-    rng = np.random.default_rng(1)
-    n, p = args.samples, args.enet_taxa
-    X = rng.normal(size=(n, p))
+    from coresponse.network import LOOSE_TOLERANCE
+    from coresponse.synth import SynthSpec, generate
+
+    # the abundance of the benchmark's inferred workload (seed 1),
+    # standardized as network.infer_network does
+    p = args.enet_taxa
+    X = generate(SynthSpec(n_samples=args.samples, n_taxa=p, n_blocks=8,
+                           planted_group=tuple(range(10)),
+                           seed=1)).abundance.values
     X = (X - X.mean(axis=0)) / X.std(axis=0)
-    gram = X.T @ X / n
+    gram = X.T @ X / X.shape[0]
     gram = (gram + gram.T) / 2.0
-    t = best_of(lambda: k.enet_coordinate_descent(gram, 0.05, 0.01, 200, 1e-8),
-                args.repeats)
-    print(f"enet_coordinate_descent ({p} taxa, {n} samples): "
-          f"{t * 1e3:8.2f} ms")
+    mu1, mu2, tol = 0.1, 0.01, 1e-8
+
+    def one_step():
+        return k.enet_coordinate_descent(gram, mu1, mu2, 500, tol)
+
+    def two_step():
+        B0, _, sweeps = k.enet_coordinate_descent(gram, mu1, mu2, 500,
+                                                  LOOSE_TOLERANCE)
+        B, rounds = k.enet_kkt_finish(gram, B0, mu1, mu2, tol)
+        return B, sweeps, rounds
+
+    t_one = best_of(one_step, args.repeats)
+    t_two = best_of(two_step, args.repeats)
+    B_one, _, sweeps_one = one_step()
+    B_two, sweeps_two, rounds = two_step()
+    print(f"non-negative elastic net ({p} taxa, {X.shape[0]} samples, "
+          f"mu1={mu1}, mu2={mu2}, {(B_two > 0).sum(axis=0).mean():.1f} "
+          f"nonzeros per column)")
+    for name, t, B, note in (
+            (f"CD to {tol:g}", t_one, B_one, f"{sweeps_one[0]} sweeps"),
+            ("two-step", t_two, B_two,
+             f"{sweeps_two[0]} sweeps to {LOOSE_TOLERANCE:g}, "
+             f"{rounds.max()} solves at most")):
+        on, off = kkt_residuals(gram, B, mu1, mu2)
+        print(f"  {name:10s}: {t * 1e3:8.2f} ms  ({note}; KKT residual on "
+              f"the supports {on:.1e}, worst violation off them {off:.1e})")
+    print(f"  same supports: {np.array_equal(B_one > 0, B_two > 0)}, "
+          f"max |dB| {np.abs(B_one - B_two).max():.1e}, "
+          f"x{t_one / t_two:.1f}")
 
 
 def main() -> None:
@@ -85,8 +130,8 @@ def main() -> None:
                         help="rows of the data matrices")
     parser.add_argument("--pop-rows", type=int, default=200,
                         help="chromosomes per group_terms call")
-    parser.add_argument("--enet-taxa", type=int, default=120,
-                        help="taxa for the coordinate-descent benchmark")
+    parser.add_argument("--enet-taxa", type=int, default=600,
+                        help="taxa for the elastic-net benchmark")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timed calls per kernel (best is reported)")
     args = parser.parse_args()

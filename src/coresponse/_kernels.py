@@ -5,7 +5,9 @@ Two kernels dominate runtime:
 * ``group_terms`` — per-chromosome objective terms for a whole population of
   binary membership vectors (the inner loop of the genetic search),
 * ``enet_coordinate_descent`` — non-negative elastic-net coordinate descent
-  over a Gram matrix, one regression per taxon column.
+  over a Gram matrix, one regression per taxon column.  Network inference
+  runs it loosely, to find each column's support, and then solves every
+  column exactly on its support with ``enet_kkt_finish``.
 
 ``group_terms`` has two formulations of the same quadratic form.  The dense
 one multiplies the whole population through the Gram matrix, which costs
@@ -124,3 +126,94 @@ def enet_coordinate_descent(gram, mu1, mu2, max_iter, tol):
         if delta.max() < tol:
             return B, last_delta, np.full(p, it + 1, np.int64)
     return B, last_delta, np.full(p, max_iter, np.int64)
+
+
+class FinishError(ArithmeticError):
+    """The exact finish failed on one column.
+
+    ``reason`` is ``"singular"`` (the support system has no unique solution)
+    or ``"unsettled"`` (the support still changed after the last round).
+    """
+
+    def __init__(self, column: int, reason: str):
+        super().__init__(f"column {column}: {reason}")
+        self.column = column
+        self.reason = reason
+
+
+def enet_kkt_finish(gram, B0, mu1, mu2, tol, max_rounds=None):
+    """Exact solution of every column's non-negative elastic net.
+
+    Same problem as :func:`enet_coordinate_descent`; ``gram`` must be
+    symmetric.  Column j starts from the support S of ``B0[:, j]``, which
+    must be non-negative with a zero diagonal (a loose coordinate-descent
+    pass gives a good one).  Each round solves
+        (G_SS + mu2 I) b_S = g_Sj - mu1
+    on the sorted support.  If a coefficient comes out <= 0, b moves from
+    the last feasible point toward that solution until the first
+    coefficient reaches 0, and only that one leaves S (Lawson & Hanson's
+    NNLS step; dropping every non-positive one at once can cycle).
+    Otherwise the worst KKT violator off the support,
+        argmax_{k not in S, k != j}  g_kj - G_kS b_S - mu1,
+    enters S if its violation exceeds ``tol``; if none does, the column is
+    done.  The final b_S is the solve on the sorted final support, so it
+    depends only on that support and not on ``B0``.  A column may take
+    ``max_rounds`` solves, by default 2p + 1: enough for every taxon to
+    enter and leave once.
+
+    Returns:
+        (B, rounds): the (p, p) coefficient matrix and the number of solves
+        per column.
+
+    Raises:
+        FinishError: on the first column whose support system is singular
+            or non-finite, or that is not done after ``max_rounds`` solves.
+    """
+    p = gram.shape[0]
+    if max_rounds is None:
+        max_rounds = 2 * p + 1
+    B = np.zeros((p, p))
+    rounds = np.zeros(p, np.int64)
+    for j in range(p):
+        B[:, j], rounds[j] = _finish_column(gram, j, B0[:, j], mu1, mu2, tol,
+                                            max_rounds)
+    return B, rounds
+
+
+def _finish_column(gram, j, b0, mu1, mu2, tol, max_rounds):
+    rhs = gram[j] - mu1
+    b = np.where(b0 > 0.0, b0, 0.0)
+    support = np.flatnonzero(b)
+    for rounds in range(1, max_rounds + 1):
+        system = gram[np.ix_(support, support)]
+        system.flat[::support.size + 1] += mu2
+        try:
+            z = np.linalg.solve(system, rhs[support])
+        except np.linalg.LinAlgError:
+            raise FinishError(j, "singular") from None
+        if not np.isfinite(z).all():
+            raise FinishError(j, "singular")
+        blocked = np.flatnonzero(z <= 0.0)
+        if blocked.size:
+            # step from the feasible b toward z until the first coefficient
+            # hits 0; a coefficient already at 0 blocks at once
+            bs = b[support]
+            gap = bs[blocked] - z[blocked]
+            ratio = np.divide(bs[blocked], gap, out=np.zeros_like(gap),
+                              where=gap > 0.0)
+            first = int(np.argmin(ratio))
+            b[support] = np.maximum(bs + ratio[first] * (z - bs), 0.0)
+            out = blocked[first]
+            b[support[out]] = 0.0
+            support = np.delete(support, out)
+            continue
+        b[:] = 0.0
+        b[support] = z
+        violation = rhs - z @ gram[support]
+        violation[support] = -np.inf
+        violation[j] = -np.inf
+        k = int(np.argmax(violation))
+        if not violation[k] > tol:
+            return b, rounds
+        support = np.insert(support, np.searchsorted(support, k), k)
+    raise FinishError(j, "unsettled")

@@ -243,6 +243,14 @@ class _Louvain:
         self.nbrs = _neighbours(self.adj)
         self.degrees = _degrees(self.adj)
         self.m = sum(self.degrees) / 2
+        # the gains divide by 2 m^2 and the level modularity by (2m)^2; with
+        # either out of float range Louvain would divide by 0 or overflow
+        if self.m and not (2 * self.m * self.m > 0.0
+                           and math.isfinite(4 * self.m * self.m)):
+            raise ValidationError(
+                f"edge weights are too small or too large to cluster: their "
+                f"total m = {self.m:.3g} puts 2 m^2 or (2m)^2 outside the "
+                f"float range")
         n = len(self.adj)
         if self.m:
             # modularity of the singletons, the first level's baseline

@@ -345,8 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--abundance", required=True)
     sub.add_argument("--mu1", type=float, default=0.1)
     sub.add_argument("--mu2", type=float, default=0.01)
-    sub.add_argument("--max-iterations", type=int, default=500)
-    sub.add_argument("--tolerance", type=float, default=1e-8)
+    sub.add_argument("--max-iterations", type=int, default=500,
+                     help="sweeps allowed to the loose coordinate-descent "
+                          "pass")
+    sub.add_argument("--tolerance", type=float, default=1e-8,
+                     help="KKT violation the exact finish allows off a "
+                          "column's support")
     _add_common(sub)
     sub.set_defaults(func=cmd_infer_net)
 

@@ -13,12 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import enet_coordinate_descent
+from ._kernels import FinishError, enet_coordinate_descent, enet_kkt_finish
 from .errors import NumericError, ParseError, ValidationError
 from .ingest import AbundanceMatrix
 from .tables import fmt, parse_cell, read_table, write_table
 
 SYMMETRY_TOL = 1e-12
+
+#: sweep tolerance of the coordinate-descent pass that finds each column's
+#: support before the exact finish.  At p=600 it takes 6-8 sweeps (1e-3
+#: takes 10-13, 1e-8 takes 29-46) and gives the final support on all but a
+#: few columns, which the finish repairs in a round or two.
+LOOSE_TOLERANCE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,12 @@ class CoOccurrenceNetwork:
 
 @dataclass(frozen=True)
 class NetworkInferenceConfig:
-    """Penalties and stopping rule for network inference."""
+    """Penalties and stopping rules for network inference.
+
+    ``max_iterations`` caps the sweeps of the loose coordinate-descent pass;
+    ``tolerance`` is the KKT violation the exact finish allows off a
+    column's support.
+    """
 
     mu1: float = 0.1
     mu2: float = 0.01
@@ -165,23 +176,29 @@ def _check_label_match(path, file_labels, labels) -> None:
 
 
 def write_adjacency(net: CoOccurrenceNetwork, path, delimiter: str = ",") -> None:
-    header = ["taxon", *net.taxon_labels]
-    rows = [
-        [lab, *(fmt(v) for v in net.adjacency[i])]
-        for i, lab in enumerate(net.taxon_labels)
-    ]
-    write_table(path, header, rows, delimiter)
+    # most inferred cells are +0.0, which fmt writes as "0"; only the others
+    # (-0.0 included, written "-0") go through fmt
+    A = net.adjacency
+    formatted = (A != 0.0) | np.signbit(A)
+    rows = []
+    for i, lab in enumerate(net.taxon_labels):
+        cells = ["0"] * net.n_taxa
+        for j in np.flatnonzero(formatted[i]).tolist():
+            cells[j] = fmt(A[i, j])
+        rows.append([lab, *cells])
+    write_table(path, ["taxon", *net.taxon_labels], rows, delimiter)
 
 
 def write_edge_list(net: CoOccurrenceNetwork, path, min_weight: float = 0.0, delimiter: str = ",") -> None:
-    """Write the upper-triangle edges with weight > min_weight (display export)."""
-    rows = []
-    p = net.n_taxa
-    for i in range(p):
-        for j in range(i + 1, p):
-            w = net.adjacency[i, j]
-            if w > min_weight:
-                rows.append([net.taxon_labels[i], net.taxon_labels[j], fmt(w)])
+    """Write the upper-triangle edges with weight > min_weight (display export).
+
+    Edges come in row-major order: by source index, then target index.
+    """
+    A = net.adjacency
+    src, dst = np.nonzero(np.triu(A > min_weight, k=1))
+    labels = net.taxon_labels
+    rows = [[labels[i], labels[j], fmt(w)]
+            for i, j, w in zip(src.tolist(), dst.tolist(), A[src, dst].tolist())]
     write_table(path, ["source", "target", "weight"], rows, delimiter)
 
 
@@ -190,12 +207,21 @@ def infer_network(m: AbundanceMatrix, cfg: NetworkInferenceConfig = NetworkInfer
 
     Each taxon column is regressed on all other columns with non-negative
     coefficients under an l1 penalty ``mu1`` and a squared-norm penalty
-    ``mu2`` (coordinate descent on the correlation-scale Gram matrix).  The
-    coefficient matrix is symmetrized as (B + B^T)/2.
+    ``mu2``, on the correlation-scale Gram matrix.  The regressions are
+    solved exactly: a coordinate-descent pass to ``LOOSE_TOLERANCE`` (at
+    most ``cfg.max_iterations`` sweeps) finds each column's support, and an
+    active-set finish solves the column on it until no coefficient off the
+    support violates the KKT conditions by more than ``cfg.tolerance``.
+    The coefficient matrix is symmetrized as (B + B^T)/2.
 
     Columns are standardized (zero mean, unit variance) first so the
     penalties act on partial-correlation scale regardless of the data's
     units; constant columns take no part and get zero weights.
+
+    Raises:
+        NumericError: the loose pass did not reach its tolerance, a column's
+            support system is singular (exactly collinear taxa with
+            ``mu2 = 0``), or a column's support did not settle.
     """
     n, p = m.values.shape
     if p < 2:
@@ -203,27 +229,50 @@ def infer_network(m: AbundanceMatrix, cfg: NetworkInferenceConfig = NetworkInfer
     X = m.values
     sd = X.std(axis=0)
     active = sd > 0.0
+    active_labels = [lab for lab, a in zip(m.taxon_labels, active) if a]
     Xs = (X[:, active] - X[:, active].mean(axis=0)) / sd[active]
     gram = Xs.T @ Xs / n
     gram = (gram + gram.T) / 2.0
-    B_act, last_delta, _ = enet_coordinate_descent(
-        gram, cfg.mu1, cfg.mu2, cfg.max_iterations, cfg.tolerance
-    )
-    bad = last_delta >= cfg.tolerance
-    if bad.any():
-        active_labels = [lab for lab, a in zip(m.taxon_labels, active) if a]
-        worst = int(np.argmax(last_delta))
-        raise NumericError(
-            f"network inference did not converge for {int(bad.sum())} column(s) "
-            f"after {cfg.max_iterations} iterations; worst residual change "
-            f"{last_delta[worst]:.3e} on column {active_labels[worst]!r}"
-        )
+    B_act = _solve_columns(gram, cfg, active_labels)
     B = np.zeros((p, p))
     idx = np.flatnonzero(active)
     B[np.ix_(idx, idx)] = B_act
     W = (B + B.T) / 2.0
     np.fill_diagonal(W, 0.0)
     return CoOccurrenceNetwork(W, m.taxon_labels)
+
+
+def _solve_columns(gram, cfg: NetworkInferenceConfig, labels) -> np.ndarray:
+    """Exact coefficient matrix: the loose pass, then the KKT finish.
+
+    The loose pass's matrix is freed on return, before the caller builds
+    the symmetrized weights.
+    """
+    B_loose, last_delta, _ = enet_coordinate_descent(
+        gram, cfg.mu1, cfg.mu2, cfg.max_iterations, LOOSE_TOLERANCE
+    )
+    bad = last_delta >= LOOSE_TOLERANCE
+    if bad.any():
+        worst = int(np.argmax(last_delta))
+        raise NumericError(
+            f"network inference did not converge for {int(bad.sum())} column(s) "
+            f"after {cfg.max_iterations} iterations; worst residual change "
+            f"{last_delta[worst]:.3e} on column {labels[worst]!r}"
+        )
+    try:
+        B, _ = enet_kkt_finish(gram, B_loose, cfg.mu1, cfg.mu2, cfg.tolerance)
+    except FinishError as exc:
+        label = labels[exc.column]
+        if exc.reason == "singular":
+            raise NumericError(
+                f"network inference: the support system of column {label!r} "
+                f"is singular (exactly collinear taxa); it needs --mu2 > 0"
+            ) from None
+        raise NumericError(
+            f"network inference did not converge on column {label!r}: its "
+            f"support did not settle in the exact finish"
+        ) from None
+    return B
 
 
 def convolution_operator(adjacency: np.ndarray) -> np.ndarray:

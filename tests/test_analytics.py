@@ -182,6 +182,21 @@ class TestLouvain:
         with pytest.raises(ValidationError, match="resolution"):
             louvain(net_from(two_blocks()), resolution=resolution, seed=0)
 
+    @pytest.mark.parametrize("weight", [1e-170, 1e300])
+    def test_extreme_weights_are_rejected(self, weight):
+        # 2 m^2 underflows to 0 below ~1e-154 and overflows near 1e300
+        A = np.zeros((4, 4))
+        for a in range(3):
+            A[a, a + 1] = A[a + 1, a] = weight
+        with pytest.raises(ValidationError, match="edge weights"):
+            louvain(net_from(A), seed=0)
+
+    @pytest.mark.parametrize("weight", [1e-150, 1e150])
+    def test_large_and_small_weights_that_fit_still_cluster(self, weight):
+        result = louvain(net_from(two_triangles(bridge=0.01) * weight),
+                         seed=0)
+        np.testing.assert_array_equal(result.assignment, [0, 0, 0, 1, 1, 1])
+
 
 def nx_graph(A):
     graph = nx.Graph()

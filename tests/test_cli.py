@@ -83,6 +83,40 @@ class TestExitCodes:
                     "--max-iterations", 1, "--out", tmp_path / "out"])
         assert code == 5
 
+    @staticmethod
+    def abundance_file(tmp_path, values):
+        ab = tmp_path / "ab.csv"
+        ab.write_text(f"sample,{','.join(f't{j}' for j in range(values.shape[1]))}\n"
+                      + "".join(f"s{i},{','.join(map(repr, row))}\n"
+                                for i, row in enumerate(values.tolist())))
+        return ab
+
+    def test_proportional_taxa_exit_0(self, tmp_path):
+        # columns b, 2b, b + noise and two noise columns, default penalties
+        rng = np.random.default_rng(0)
+        base = rng.uniform(1, 5, size=80)
+        values = np.column_stack([base, 2 * base,
+                                  base + rng.normal(0, 0.5, 80),
+                                  rng.uniform(1, 5, size=(80, 2))])
+        code = run(["infer-net", "--abundance",
+                    self.abundance_file(tmp_path, values),
+                    "--out", tmp_path / "out"])
+        assert code == 0
+        assert (tmp_path / "out" / "adjacency.csv").exists()
+
+    def test_singular_support_exits_5(self, tmp_path, capsys):
+        # four pairs of identical taxa, no ridge term
+        rng = np.random.default_rng(0)
+        u = rng.uniform(1, 5, size=(40, 4))
+        values = np.column_stack([u[:, [0, 0, 1, 1, 2, 2, 3, 3]],
+                                  u.sum(axis=1) + rng.normal(0, 0.5, 40)])
+        code = run(["infer-net", "--abundance",
+                    self.abundance_file(tmp_path, values), "--mu1", 0.01,
+                    "--mu2", 0, "--out", tmp_path / "out"])
+        assert code == 5
+        assert "--mu2 > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "adjacency.csv").exists()
+
     def test_missing_network_choice_exits_4(self, tmp_path, capsys):
         data = make_bundle(tmp_path)
         code = run(["discover", "--abundance", data / "abundance.csv",
@@ -159,6 +193,20 @@ class TestExitCodes:
                     f"--min-weight={value}", "--out", tmp_path / "out"])
         assert code == 4
         assert "min-weight" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "analysis_summary.csv").exists()
+
+    @pytest.mark.parametrize("weight", ["1e-170", "1e300"])
+    def test_extreme_edge_weights_exit_4(self, tmp_path, capsys, weight):
+        adj = tmp_path / "edges.csv"
+        adj.write_text("source,target,weight\n" + "".join(
+            f"t{a},t{a + 1},{weight}\n" for a in range(3)))
+        table = tmp_path / "importance.csv"
+        table.write_text("taxon,importance\n" + "".join(
+            f"t{a},0.5\n" for a in range(4)))
+        code = run(["analyze", "--adjacency", adj, "--importance", table,
+                    "--out", tmp_path / "out"])
+        assert code == 4
+        assert "edge weights" in capsys.readouterr().err
         assert not (tmp_path / "out" / "analysis_summary.csv").exists()
 
 

@@ -208,3 +208,101 @@ class TestCoordinateDescent:
         B, _, _ = _kernels.enet_coordinate_descent(gram, 0.01, 0.01, 500, 1e-10)
         assert (B >= 0).all()
         assert np.array_equal(np.diag(B), np.zeros(8))
+
+
+def standardized_gram(seed, n=80, p=12, mix=0.0):
+    """Correlation-scale Gram matrix; ``mix`` correlates the columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    X += mix * X @ rng.normal(size=(p, p))
+    X = (X - X.mean(0)) / X.std(0)
+    gram = X.T @ X / n
+    return (gram + gram.T) / 2.0
+
+
+def kkt_residuals(gram, B, mu1, mu2):
+    """Worst |stationarity| on the supports and worst violation off them."""
+    grad = gram - mu1 - gram @ B - mu2 * B
+    on = B > 0
+    off = ~on
+    np.fill_diagonal(off, False)
+    return (np.abs(grad[on]).max(initial=0.0),
+            grad[off].max(initial=-np.inf))
+
+
+def two_step(gram, mu1, mu2, loose=1e-2, tol=1e-12):
+    B0, _, _ = _kernels.enet_coordinate_descent(gram, mu1, mu2, 10000, loose)
+    return _kernels.enet_kkt_finish(gram, B0, mu1, mu2, tol, 1000)[0]
+
+
+class TestKktFinish:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**20), n=st.integers(5, 60),
+           p=st.integers(2, 30), mix=st.floats(0.0, 1.0),
+           mu1=st.floats(0.0, 0.5), mu2=st.floats(0.01, 1.0),
+           start=st.sampled_from(["loose", "zero", "all"]))
+    def test_kkt_conditions_hold(self, seed, n, p, mix, mu1, mu2, start):
+        gram = standardized_gram(seed, n, p, mix)
+        if start == "loose":
+            B0, _, _ = _kernels.enet_coordinate_descent(gram, mu1, mu2, 10000,
+                                                        1e-2)
+        else:
+            # every coefficient outside the solution must leave, or every
+            # one of the solution must enter
+            B0 = np.full((p, p), float(start == "all"))
+            np.fill_diagonal(B0, 0.0)
+        B, rounds = _kernels.enet_kkt_finish(gram, B0, mu1, mu2, 1e-12,
+                                             10 * p)
+        assert (B >= 0).all()
+        assert not np.diag(B).any()
+        assert (rounds >= 1).all()
+        on, off = kkt_residuals(gram, B, mu1, mu2)
+        assert on <= 1e-12
+        assert off <= 1e-12
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_result_does_not_depend_on_the_start(self, seed):
+        gram = standardized_gram(seed, n=100, p=60, mix=0.3)
+        finished = []
+        for loose in (1e-2, 1e-6, 1e-8):
+            B0, _, _ = _kernels.enet_coordinate_descent(gram, 0.1, 0.01, 1000,
+                                                        loose)
+            B, _ = _kernels.enet_kkt_finish(gram, B0, 0.1, 0.01, 1e-8, 200)
+            finished.append(B)
+        assert (finished[0] > 0).sum() > 60
+        for B in finished[1:]:
+            np.testing.assert_array_equal(bits(B), bits(finished[0]))
+
+    def test_matches_per_column_loop(self):
+        gram = standardized_gram(3)
+        B = two_step(gram, 0.05, 0.01)
+        ref = per_column_loop(gram, 0.05, 0.01, 5000, 1e-12)
+        np.testing.assert_allclose(B, ref, rtol=0, atol=1e-9)
+
+    def test_full_shrinkage_under_large_l1(self):
+        gram = standardized_gram(5, p=6)
+        B0 = np.ones((6, 6)) - np.eye(6)
+        B, _ = _kernels.enet_kkt_finish(gram, B0, 1e6, 0.0, 1e-12, 100)
+        assert np.array_equal(B, np.zeros_like(B))
+
+    def test_singular_support_names_the_column(self):
+        # predictors 0 and 1 are the same column: with mu2 = 0 a support
+        # holding both has no unique solution
+        gram = standardized_gram(6, p=4)
+        gram[1], gram[:, 1] = gram[0], gram[:, 0]
+        B0 = np.zeros((4, 4))
+        B0[[0, 1], 2] = 0.2
+        with pytest.raises(_kernels.FinishError) as exc:
+            _kernels.enet_kkt_finish(gram, B0, 0.01, 0.0, 1e-12, 100)
+        assert (exc.value.column, exc.value.reason) == (2, "singular")
+        # a ridge term makes the same system solvable
+        B, _ = _kernels.enet_kkt_finish(gram, B0, 0.01, 0.01, 1e-12, 100)
+        assert B[0, 2] > 0
+        assert B[1, 2] == pytest.approx(B[0, 2], rel=1e-12)
+
+    def test_round_cap_names_the_column(self):
+        gram = standardized_gram(7, p=5, mix=1.0)
+        with pytest.raises(_kernels.FinishError) as exc:
+            _kernels.enet_kkt_finish(gram, np.zeros((5, 5)), 0.0, 0.01, 1e-12,
+                                     1)
+        assert (exc.value.column, exc.value.reason) == (0, "unsettled")

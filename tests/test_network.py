@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from coresponse import _kernels, network
 from coresponse.errors import NumericError, ParseError, ValidationError
 from coresponse.ingest import AbundanceMatrix
 from coresponse.network import (CoOccurrenceNetwork, NetworkInferenceConfig,
                                 convolution_operator, convolve, identity_network,
                                 infer_network, load_adjacency, write_adjacency,
                                 write_edge_list)
+from coresponse.tables import fmt, write_table
 
 
 def toy_abundance(values):
@@ -36,6 +38,41 @@ def convolve_oracle(H, A):
                 acc += H[i, k] * op[k, j]
             out[i, j] = acc
     return out
+
+
+def adjacency_oracle(net, path, delimiter):
+    """The adjacency writer formatting every cell."""
+    rows = [[lab, *(fmt(v) for v in net.adjacency[i])]
+            for i, lab in enumerate(net.taxon_labels)]
+    write_table(path, ["taxon", *net.taxon_labels], rows, delimiter)
+
+
+def edge_list_oracle(net, path, min_weight, delimiter):
+    """The edge-list writer as a double loop over the upper triangle."""
+    rows = []
+    p = net.n_taxa
+    for i in range(p):
+        for j in range(i + 1, p):
+            w = net.adjacency[i, j]
+            if w > min_weight:
+                rows.append([net.taxon_labels[i], net.taxon_labels[j], fmt(w)])
+    write_table(path, ["source", "target", "weight"], rows, delimiter)
+
+
+def proportional_taxa(seed=0):
+    """b, 2b, b + noise and two noise columns over 80 samples."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(1, 5, size=80)
+    return np.column_stack([base, 2 * base, base + rng.normal(0, 0.5, 80),
+                            rng.uniform(1, 5, size=(80, 2))])
+
+
+def twin_taxa(seed=0):
+    """Four pairs of identical columns and a column near their sum."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(1, 5, size=(40, 4))
+    return np.column_stack([u[:, [0, 0, 1, 1, 2, 2, 3, 3]],
+                            u.sum(axis=1) + rng.normal(0, 0.5, 40)])
 
 
 class TestNetworkType:
@@ -183,6 +220,34 @@ class TestAdjacencyIO:
         assert str(exc.value) == (
             f"{path}: non-numeric cell 'x7' at row 3, column 4")
 
+    def test_writers_match_per_cell_writers(self, tmp_path):
+        rng = np.random.default_rng(14)
+        p = 9
+        upper = np.triu(rng.uniform(0, 1, size=(p, p)), k=1)
+        upper[upper < 0.5] = 0.0
+        upper[0, 3] = -0.0
+        upper[1, 4] = 5e-324
+        upper[2, 5] = 1e-300
+        upper[3, 6] = 1e300
+        upper[4, 8] = 0.123456789012345
+        A = upper + upper.T
+        A[3, 0] = -0.0
+        A[5, 5] = -0.0
+        net = CoOccurrenceNetwork(A, tuple(f"t{j}" for j in range(p)))
+        for delim in (",", "\t"):
+            write_adjacency(net, tmp_path / "adj.csv", delim)
+            adjacency_oracle(net, tmp_path / "adj_oracle.csv", delim)
+            assert ((tmp_path / "adj.csv").read_bytes()
+                    == (tmp_path / "adj_oracle.csv").read_bytes())
+            for min_weight in (0.0, 1e-310, 0.6, 1e301, -1.0):
+                write_edge_list(net, tmp_path / "e.csv", min_weight, delim)
+                edge_list_oracle(net, tmp_path / "e_oracle.csv", min_weight,
+                                 delim)
+                assert ((tmp_path / "e.csv").read_bytes()
+                        == (tmp_path / "e_oracle.csv").read_bytes())
+        text = (tmp_path / "adj.csv").read_text()
+        assert "\t-0\t" in text and "\t1e+300\t" in text
+
     def test_label_mismatch_lists_names(self, tmp_path):
         path = tmp_path / "adj.csv"
         path.write_text("taxon,a,q\na,0,0\nq,0,0\n")
@@ -231,3 +296,34 @@ class TestInferNetwork:
         # construction re-runs all invariant checks
         assert isinstance(net, CoOccurrenceNetwork)
         assert net.taxon_labels == m.taxon_labels
+
+    def test_proportional_taxa_converge_at_default_penalties(self):
+        # coordinate descent crawls along the collinear pair b, 2b; the
+        # exact finish splits the weight between them
+        net = infer_network(toy_abundance(proportional_taxa()))
+        W = net.adjacency
+        assert W[0, 1] > 0.4
+        assert W[0, 2] > 0.1
+        assert W[1, 2] == pytest.approx(W[0, 2], rel=1e-9)
+
+    def test_singular_support_names_column_and_mu2(self):
+        with pytest.raises(NumericError, match=r"'t8'.*--mu2 > 0"):
+            infer_network(toy_abundance(twin_taxa()),
+                          NetworkInferenceConfig(mu1=0.01, mu2=0.0))
+        # the ridge term makes the same problem well posed
+        infer_network(toy_abundance(twin_taxa()),
+                      NetworkInferenceConfig(mu1=0.01, mu2=0.01))
+
+    def test_unsettled_column_is_named(self, monkeypatch):
+        # finish from an empty support with one round allowed; the first
+        # active column is t1 because t0 is constant
+        finish = _kernels.enet_kkt_finish
+
+        def one_round(gram, B0, mu1, mu2, tol):
+            return finish(gram, np.zeros_like(B0), mu1, mu2, tol, 1)
+
+        monkeypatch.setattr(network, "enet_kkt_finish", one_round)
+        values = proportional_taxa()
+        values[:, 0] = 1.0
+        with pytest.raises(NumericError, match="did not converge on column 't1'"):
+            infer_network(toy_abundance(values))
