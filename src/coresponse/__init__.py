@@ -23,9 +23,8 @@ from .ingest import (AbundanceMatrix, FunctionalVariable, css_normalize,
                      filter_sparse_taxa, load_abundance, load_function)
 from .model_select import (ModelSelectionResult, aic_for_group, mu_sweep,
                            sweep_k, tune_mu)
-from .network import (CoOccurrenceNetwork, NetworkInferenceConfig,
-                      TopologicalAbundance, convolve, identity_network,
-                      infer_network, load_adjacency)
+from .network import (CoOccurrenceNetwork, NetworkInferenceConfig, convolve,
+                      identity_network, infer_network, load_adjacency)
 from .synth import SynthBundle, SynthSpec, generate
 
 __version__ = "1.0.0"
@@ -53,7 +52,6 @@ __all__ = [
     "SynthBundle",
     "SynthSpec",
     "TTestResult",
-    "TopologicalAbundance",
     "ValidationError",
     "aggregate_importance",
     "aic_for_group",

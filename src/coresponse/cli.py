@@ -25,7 +25,7 @@ from .evaluation import (convolved_matrix, evaluate_method, write_reports,
                          write_t_tests)
 from .ga import OptimizerConfig
 from .importance import (DISPLAY_THRESHOLD, discover_importance,
-                         mean_relative_abundance, write_group_network)
+                         write_group_network)
 from .ingest import (css_normalize, filter_sparse_taxa, load_abundance,
                      load_function, write_abundance, write_function)
 from .model_select import (DEFAULT_MU_GRID, mu_sweep, sweep_k, write_sweep)

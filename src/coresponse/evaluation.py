@@ -18,11 +18,11 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import ValidationError
-from .ga import OptimizerConfig, run_ga
+from .ga import OptimizerConfig, run_many
 from .ingest import AbundanceMatrix, FunctionalVariable
-from .model_select import DEFAULT_MU_GRID, tune_mu
+from .model_select import tune_mu
 from .network import CoOccurrenceNetwork, convolution_operator
-from .utils import child_int, generator, parallel_map, pearson
+from .utils import child_int, generator
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -202,25 +202,21 @@ def evaluate_method(H, A, y, cfg: OptimizerConfig, repeats: int = 100, *,
         method_tag = "baseline" if A is None else (
             "convolved_l1" if cfg.mode == "l1" else "convolved")
 
-    def one(i: int) -> float:
-        plan = stratified_split(yv, fraction, n_strata,
-                                seed=child_int(cfg.seed, i, 0))
-        Mtr = M_full[plan.train_indices]
-        ytr = yv[plan.train_indices]
+    plans = [stratified_split(yv, fraction, n_strata,
+                              seed=child_int(cfg.seed, i, 0))
+             for i in range(repeats)]
+    jobs = []
+    for i, plan in enumerate(plans):
         run_cfg = replace(cfg, seed=child_int(cfg.seed, i, 2))
         if cfg.mode == "l1" and mu_grid is not None:
-            mu = tune_mu(Mtr, ytr, mu_grid,
-                         replace(cfg, seed=child_int(cfg.seed, i, 1)),
-                         n_strata=n_strata, inner_repeats=inner_repeats)
+            mu = tune_mu(M_full[plan.train_indices], yv[plan.train_indices],
+                         mu_grid, replace(cfg, seed=child_int(cfg.seed, i, 1)),
+                         n_strata=n_strata, inner_repeats=inner_repeats,
+                         threads=threads)
             run_cfg = replace(run_cfg, mu=mu)
-        result = run_ga(Mtr - Mtr.mean(axis=0), ytr - ytr.mean(), run_cfg)
-        s_test = M_full[plan.test_indices][:, result.best.indices()].sum(axis=1)
-        try:
-            return pearson(s_test, yv[plan.test_indices])
-        except ValidationError:
-            return 0.0
+        jobs.append((run_cfg, plan.train_indices, plan.test_indices))
 
-    rs = parallel_map(one, range(repeats), threads)
+    rs = [score for _, score in run_many(M_full, yv, jobs, threads)]
     return EvaluationReport(np.asarray(rs, dtype=np.float64), method_tag)
 
 

@@ -10,7 +10,7 @@ crossover, single-bit mutation and elitism.  Selection depends only on the
 fitness ORDER of the population, so rescaling the functional variable by a
 positive constant leaves trajectories unchanged.  All randomness comes from
 per-generation streams derived from the config seed; runs are deterministic
-and thread-count independent.
+and thread-count independent.  Every repeated search goes through run_many.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import group_terms, prefers_gathered
 from .errors import ValidationError
-from .utils import generator
+from .utils import generator, parallel_map, pearson
 
 #: default hard-cap penalty weight: sqrt of the largest finite double
 ALPHA_DEFAULT = math.sqrt(sys.float_info.max)
@@ -86,10 +86,10 @@ class OptimizerConfig:
         if self.mode == "size_cap":
             if self.k_opt is None or self.k_opt < 1:
                 raise ValidationError("size_cap mode requires k_opt >= 1")
-        if self.mu < 0:
-            raise ValidationError("mu must be >= 0")
-        if self.alpha <= 0:
-            raise ValidationError("alpha must be > 0")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValidationError("mu must be finite and >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValidationError("alpha must be finite and > 0")
         if self.population_size < 2:
             raise ValidationError("population_size must be >= 2")
         if not 0.0 <= self.crossover_prob <= 1.0 or not 0.0 <= self.mutation_prob <= 1.0:
@@ -314,6 +314,47 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
         history=np.array(history),
         populations=tuple(populations) if record_populations else None,
     )
+
+
+def group_r(M: np.ndarray, y: np.ndarray, indices) -> float:
+    """Pearson r of the group effect ``M[:, indices].sum(1)`` with y.
+
+    A degenerate effect (empty group or zero variance) scores 0.0.
+    """
+    try:
+        return pearson(M[:, indices].sum(axis=1), y)
+    except ValidationError:
+        return 0.0
+
+
+def run_many(M: np.ndarray, y: np.ndarray, jobs, threads: int = 1) -> list:
+    """Run one search per ``(cfg, train, test)`` job; results in job order.
+
+    Each search runs on rows ``train`` (all rows when None), centered on
+    their own means; its best group gets the :func:`group_r` score on rows
+    ``test``, or None.  Seeds come only from each job's cfg, so the
+    ``(GAResult, score)`` pairs do not depend on ``threads``.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+
+    def centered(train):
+        Mt, yt = (M, y) if train is None else (M[train], y[train])
+        return Mt - Mt.mean(axis=0), yt - yt.mean()
+
+    jobs = list(jobs)
+    # every all-rows job searches the same centered copy
+    full = centered(None) if any(job[1] is None for job in jobs) else None
+
+    def one(job):
+        cfg, train, test = job
+        M0, y0 = full if train is None else centered(train)
+        result = run_ga(M0, y0, cfg)
+        if test is None:
+            return result, None
+        return result, group_r(M[test], y[test], result.best.indices())
+
+    return parallel_map(one, jobs, threads)
 
 
 def write_history(history: np.ndarray, path, delimiter: str = ",") -> None:

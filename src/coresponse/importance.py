@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .ga import GroupChromosome, OptimizerConfig, run_ga
-from .utils import child_int, parallel_map, pearson
+from .ga import GroupChromosome, OptimizerConfig, group_r, run_many
+from .utils import child_int
 
 DEFAULT_RUNS = 10
 
@@ -114,14 +114,11 @@ def discover_importance(H, A, y, cfg: OptimizerConfig, runs: int = DEFAULT_RUNS,
     yv = _as_vector(y)
     if yv.shape[0] != M.shape[0]:
         raise ValidationError("sample counts of abundance and y differ")
-    M0 = M - M.mean(axis=0)
-    y0 = yv - yv.mean()
-
-    def one(j: int):
-        result = run_ga(M0, y0, replace(cfg, seed=child_int(cfg.seed, j)))
-        return result.best, result.best_eval.pearson_r
-
-    importance = aggregate_importance(parallel_map(one, range(runs), threads))
+    jobs = [(replace(cfg, seed=child_int(cfg.seed, j)), None, None)
+            for j in range(runs)]
+    importance = aggregate_importance(
+        [(result.best, result.best_eval.pearson_r)
+         for result, _ in run_many(M, yv, jobs, threads)])
 
     if top_k is None:
         if cfg.mode == "size_cap":
@@ -130,12 +127,7 @@ def discover_importance(H, A, y, cfg: OptimizerConfig, runs: int = DEFAULT_RUNS,
             sizes = [x.size() for x, _ in importance.per_run]
             top_k = max(1, round(float(np.mean(sizes))))
     top = importance.top_indices(top_k)
-    s_top = M[:, top].sum(axis=1)
-    try:
-        top_r = pearson(s_top, yv)
-    except ValidationError:
-        top_r = 0.0
-    return DiscoveryReport(importance, int(top_k), top, top_r)
+    return DiscoveryReport(importance, int(top_k), top, group_r(M, yv, top))
 
 
 def mean_relative_abundance(H) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .ga import GroupChromosome, OptimizerConfig, run_ga
-from .utils import child_int, parallel_map, pearson
+from .ga import GroupChromosome, OptimizerConfig, run_many
+from .utils import child_int
 
 DEFAULT_K_RANGE = (2, 50)
 DEFAULT_REPEATS = 10
@@ -126,21 +126,14 @@ def sweep_k(M: np.ndarray, y: np.ndarray, k_range=DEFAULT_K_RANGE,
     if cfg is None:
         cfg = OptimizerConfig(mode="size_cap", k_opt=lo)
 
-    M0 = M - M.mean(axis=0)
-    y0 = y - y.mean()
-
-    jobs = [(k, rep) for k in range(lo, hi + 1) for rep in range(repeats)]
-
-    def one(job):
-        k, rep = job
-        run_cfg = replace(cfg, mode="size_cap", k_opt=k,
-                          seed=child_int(cfg.seed, k, rep))
-        result = run_ga(M0, y0, run_cfg)
-        aic = aic_for_group(result.best, M, y)
-        return SweepRun(k, rep, aic, result.best_eval.pearson_r,
-                        result.best.bits)
-
-    runs = parallel_map(one, jobs, threads)
+    coords = [(k, rep) for k in range(lo, hi + 1) for rep in range(repeats)]
+    jobs = [(replace(cfg, mode="size_cap", k_opt=k,
+                     seed=child_int(cfg.seed, k, rep)), None, None)
+            for k, rep in coords]
+    results = run_many(M, y, jobs, threads)
+    runs = [SweepRun(k, rep, aic_for_group(result.best, M, y),
+                     result.best_eval.pearson_r, result.best.bits)
+            for (k, rep), (result, _) in zip(coords, results)]
 
     per_k = []
     for k in range(lo, hi + 1):
@@ -165,8 +158,6 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
     """
     from .evaluation import stratified_split
 
-    M_train = np.asarray(M_train, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.float64)
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ValidationError("mu grid must not be empty")
@@ -181,23 +172,13 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
     for rep in range(inner_repeats):
         plan = stratified_split(y_train, inner_fraction, n_strata,
                                 seed=child_int(cfg.seed, rep, 0))
-        jobs.extend((rep, j, plan) for j in range(len(grid)))
+        jobs.extend((replace(cfg, mode="l1", mu=mu,
+                             seed=child_int(cfg.seed, rep, 1 + j)),
+                     plan.train_indices, plan.test_indices)
+                    for j, mu in enumerate(grid))
 
-    def one(job):
-        rep, j, plan = job
-        Mi, yi = M_train[plan.train_indices], y_train[plan.train_indices]
-        Mv, yv = M_train[plan.test_indices], y_train[plan.test_indices]
-        run_cfg = replace(cfg, mode="l1", mu=grid[j],
-                          seed=child_int(cfg.seed, rep, 1 + j))
-        result = run_ga(Mi - Mi.mean(axis=0), yi - yi.mean(), run_cfg)
-        s_val = Mv[:, result.best.indices()].sum(axis=1)
-        try:
-            return pearson(s_val, yv)
-        except ValidationError:
-            return 0.0
-
-    scores = np.array(parallel_map(one, jobs, threads)).reshape(inner_repeats,
-                                                                len(grid))
+    results = run_many(M_train, y_train, jobs, threads)
+    scores = np.array([s for _, s in results]).reshape(inner_repeats, len(grid))
     per_mu = tuple((grid[j], float(scores[:, j].mean()))
                    for j in range(len(grid)))
     chosen_mu = max(per_mu, key=lambda row: (row[1], row[0]))[0]

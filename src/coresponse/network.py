@@ -8,6 +8,7 @@ network with the symmetric-normalized operator built from the adjacency
 plus self-loops.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -75,20 +76,12 @@ class NetworkInferenceConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.mu1 < 0 or self.mu2 < 0:
-            raise ValidationError("penalties mu1 and mu2 must be >= 0")
+        if not all(math.isfinite(mu) and mu >= 0 for mu in (self.mu1, self.mu2)):
+            raise ValidationError("penalties mu1 and mu2 must be finite and >= 0")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be positive")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be > 0")
-
-
-@dataclass(frozen=True)
-class TopologicalAbundance:
-    """Convolved abundance matrix and its column-centered form."""
-
-    values: np.ndarray
-    centered: np.ndarray
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError("tolerance must be finite and > 0")
 
 
 def identity_network(labels) -> CoOccurrenceNetwork:
@@ -288,7 +281,7 @@ def convolution_operator(adjacency: np.ndarray) -> np.ndarray:
     return a_tilde * np.outer(inv_sqrt, inv_sqrt)
 
 
-def convolve(m: AbundanceMatrix, net: CoOccurrenceNetwork) -> TopologicalAbundance:
+def convolve(m: AbundanceMatrix, net: CoOccurrenceNetwork) -> np.ndarray:
     """Propagate abundances over the network: M = H (D^{-1/2} (A+I) D^{-1/2})."""
     if net.n_taxa != m.n_taxa:
         raise ValidationError(
@@ -296,7 +289,4 @@ def convolve(m: AbundanceMatrix, net: CoOccurrenceNetwork) -> TopologicalAbundan
         )
     if net.taxon_labels != m.taxon_labels:
         raise ValidationError("network taxon labels do not match abundance matrix")
-    op = convolution_operator(net.adjacency)
-    values = m.values @ op
-    centered = values - values.mean(axis=0)
-    return TopologicalAbundance(values, centered)
+    return m.values @ convolution_operator(net.adjacency)

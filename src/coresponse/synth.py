@@ -104,7 +104,7 @@ def generate(spec: SynthSpec) -> SynthBundle:
     )
 
     planted = np.array(spec.planted_group, dtype=np.int64)
-    signal = convolve(normalized, network).values[:, planted].sum(axis=1)
+    signal = convolve(normalized, network)[:, planted].sum(axis=1)
     sd = float(signal.std())
     if sd == 0.0:
         raise ValidationError("planted signal has zero variance")

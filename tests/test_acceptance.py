@@ -110,7 +110,7 @@ class TestAcceptanceGate:
                 values=H, sample_ids=tuple(f"s{i}" for i in range(n)),
                 taxon_labels=labels)
             net = CoOccurrenceNetwork(adjacency=A, taxon_labels=labels)
-            got = convolve(matrix, net).values
+            got = convolve(matrix, net)
             want = np.array(naive_convolve(H.tolist(), A.tolist()))
             worst = max(worst, float(np.max(np.abs(got - want))))
         elapsed = time.perf_counter() - start
@@ -127,7 +127,7 @@ class TestAcceptanceGate:
         H, y = bundle.abundance, bundle.function.values
         zero_net = CoOccurrenceNetwork(
             adjacency=np.zeros((12, 12)), taxon_labels=H.taxon_labels)
-        conv = convolve(H, zero_net).values
+        conv = convolve(H, zero_net)
 
         same_matrix = np.array_equal(conv, H.values)
 
@@ -177,7 +177,7 @@ class TestAcceptanceGate:
             bundle = generate(recovery_spec(
                 seed, n_samples=40, n_taxa=12, n_blocks=3,
                 planted_group=(0, 1, 2), noise_sigma=0.1))
-            M = convolve(bundle.abundance, bundle.network).values
+            M = convolve(bundle.abundance, bundle.network)
             y = bundle.function.values
             M0 = M - M.mean(axis=0)
             y0 = y - y.mean()
@@ -206,7 +206,7 @@ class TestAcceptanceGate:
         jaccards, planted_rs = [], []
         for seed in range(10):
             bundle = generate(recovery_spec(seed))
-            M = convolve(bundle.abundance, bundle.network).values
+            M = convolve(bundle.abundance, bundle.network)
             y = bundle.function.values
             cfg = OptimizerConfig(mode="l1", seed=child_int(seed, 17))
             mu = tune_mu(M, y, DEFAULT_MU_GRID, cfg)
@@ -250,7 +250,7 @@ class TestAcceptanceGate:
         chosen = []
         for seed in range(10):
             bundle = generate(recovery_spec(seed))
-            M = convolve(bundle.abundance, bundle.network).values
+            M = convolve(bundle.abundance, bundle.network)
             result = sweep_k(
                 M, bundle.function.values, (2, 12), repeats=3,
                 cfg=OptimizerConfig(mode="size_cap", k_opt=2,
@@ -291,7 +291,7 @@ class TestAcceptanceGate:
         bundle = generate(recovery_spec(
             3, n_samples=40, n_taxa=12, n_blocks=3,
             planted_group=(0, 1, 2), noise_sigma=0.1))
-        M = convolve(bundle.abundance, bundle.network).values
+        M = convolve(bundle.abundance, bundle.network)
         y = bundle.function.values
         M0 = M - M.mean(axis=0)
         y0 = y - y.mean()

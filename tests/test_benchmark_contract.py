@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import coresponse.cli as cli
+from coresponse import evaluation, importance, model_select
 from coresponse.analytics import LOUVAIN_RESTARTS, louvain
+from coresponse.ga import OptimizerConfig
 from coresponse.network import CoOccurrenceNetwork
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -63,6 +65,70 @@ class TestTracer:
         metrics, _ = tracing.layer_metrics(tracer)
         assert metrics["analytics.louvain_restarts"] == LOUVAIN_RESTARTS
         assert metrics["analytics.edges"] == 7
+
+
+def traced(tracing, call):
+    """Per-layer metrics of one call made with the tracer installed."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    return tracing.layer_metrics(tracer)[0]
+
+
+def search_data():
+    rng = np.random.default_rng(0)
+    M = rng.uniform(0, 3, size=(40, 8))
+    y = M[:, [1, 5]].sum(axis=1) + rng.normal(0, 0.3, size=40)
+    return M, y
+
+
+FAST = dict(population_size=20, max_generations=5, stagnation_limit=3)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+class TestRepeatedSearchCounts:
+    """Every repeated search goes through the traced run_ga and parallel_map,
+    so ga.runs, utils.parallel_items and model_select.mu_sweep_runs count
+    the jobs of each orchestrator."""
+
+    def check(self, metrics, runs, mu_sweep_runs=0):
+        assert metrics["ga.runs"] == runs
+        assert metrics["utils.parallel_items"] == runs
+        assert metrics["model_select.mu_sweep_runs"] == mu_sweep_runs
+
+    def test_sweep_k(self, harness, threads):
+        M, y = search_data()
+        cfg = OptimizerConfig(mode="size_cap", k_opt=2, **FAST)
+        metrics = traced(harness[0], lambda: model_select.sweep_k(
+            M, y, (2, 4), 2, cfg, threads=threads))
+        self.check(metrics, 3 * 2)
+
+    def test_mu_sweep(self, harness, threads):
+        M, y = search_data()
+        cfg = OptimizerConfig(mode="l1", **FAST)
+        metrics = traced(harness[0], lambda: model_select.mu_sweep(
+            M, y, (0.1, 0.05, 0.01), cfg, n_strata=4, inner_repeats=2,
+            threads=threads))
+        self.check(metrics, 3 * 2, 3 * 2)
+
+    def test_evaluate_method(self, harness, threads):
+        M, y = search_data()
+        cfg = OptimizerConfig(mode="l1", **FAST)
+        metrics = traced(harness[0], lambda: evaluation.evaluate_method(
+            M, None, y, cfg, 3, n_strata=4, mu_grid=(0.1, 0.01),
+            inner_repeats=2, threads=threads))
+        # per repeat: 2 mu x 2 inner splits to tune, then the held-out run
+        self.check(metrics, 3 * (2 * 2 + 1), 3 * 2 * 2)
+
+    def test_discover_importance(self, harness, threads):
+        M, y = search_data()
+        cfg = OptimizerConfig(mode="size_cap", k_opt=2, **FAST)
+        metrics = traced(harness[0], lambda: importance.discover_importance(
+            M, None, y, cfg, 4, threads=threads))
+        self.check(metrics, 4)
 
 
 class TestWorkloadArguments:

@@ -117,6 +117,28 @@ class TestExitCodes:
         assert "--mu2 > 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "adjacency.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--mu1", "--mu2", "--tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_inference_setting_exits_4(self, tmp_path, capsys,
+                                                   flag, value):
+        data = make_bundle(tmp_path)
+        code = run(["infer-net", "--abundance", data / "abundance.csv",
+                    f"{flag}={value}", "--out", tmp_path / "out"])
+        assert code == 4
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "out" / "adjacency.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_mu_exits_4(self, tmp_path, capsys, value):
+        data = make_bundle(tmp_path)
+        code = run(["discover", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--mode", "l1", f"--mu={value}", "--runs", 2,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        assert "mu" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "discovery_summary.csv").exists()
+
     def test_missing_network_choice_exits_4(self, tmp_path, capsys):
         data = make_bundle(tmp_path)
         code = run(["discover", "--abundance", data / "abundance.csv",

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from coresponse.errors import ValidationError
+from coresponse.evaluation import evaluate_method
 from coresponse.ga import (ALPHA_DEFAULT, HISTORY_COLUMNS, GroupChromosome,
                            Objective, OptimizerConfig, evaluate_fitness,
-                           run_ga, write_history)
+                           group_r, run_ga, run_many, write_history)
+from coresponse.utils import pearson
 
 
 def centered_problem(seed, n=40, p=10):
@@ -134,6 +136,16 @@ class TestConfigValidation:
     def test_negative_mu(self):
         with pytest.raises(ValidationError):
             OptimizerConfig(mode="l1", mu=-0.1)
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_mu(self, mu):
+        with pytest.raises(ValidationError, match="mu"):
+            OptimizerConfig(mode="l1", mu=mu)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            OptimizerConfig(mode="size_cap", k_opt=2, alpha=alpha)
 
     def test_tiny_population(self):
         with pytest.raises(ValidationError):
@@ -295,3 +307,78 @@ class TestRunGA:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(HISTORY_COLUMNS)
         assert len(lines) == result.history.shape[0] + 1
+
+
+def raw_problem(seed, n=50, p=10, members=(1, 4, 6)):
+    """Uncentered data with a planted group, as the orchestrators see it."""
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(0, 3, size=(n, p))
+    y = M[:, list(members)].sum(axis=1) + rng.normal(0, 0.3, size=n)
+    return M, y
+
+
+def assert_same_result(a, b):
+    np.testing.assert_array_equal(a.best.bits, b.best.bits)
+    assert a.best_eval == b.best_eval
+    np.testing.assert_array_equal(a.history, b.history)
+
+
+class TestRunMany:
+    def fast_cfg(self, seed, **kw):
+        kw.setdefault("mode", "size_cap")
+        kw.setdefault("k_opt", 3)
+        return OptimizerConfig(population_size=40, max_generations=25,
+                               stagnation_limit=10, seed=seed, **kw)
+
+    def test_all_rows_equal_direct_run_on_centered_data(self):
+        M, y = raw_problem(70)
+        cfg = self.fast_cfg(3)
+        [(result, score)] = run_many(M, y, [(cfg, None, None)])
+        assert score is None
+        assert_same_result(result, run_ga(M - M.mean(axis=0), y - y.mean(),
+                                          cfg))
+
+    def test_row_subset_equals_direct_run_and_scores_test_rows(self):
+        M, y = raw_problem(71)
+        train, test = np.arange(0, 50, 2), np.arange(1, 50, 2)
+        cfg = self.fast_cfg(4, mode="l1", k_opt=None, mu=0.05)
+        [(result, score)] = run_many(M, y, [(cfg, train, test)])
+        Mt, yt = M[train], y[train]
+        direct = run_ga(Mt - Mt.mean(axis=0), yt - yt.mean(), cfg)
+        assert_same_result(result, direct)
+        effect = M[test][:, direct.best.indices()].sum(axis=1)
+        assert score == pearson(effect, y[test])
+
+    def test_group_r_is_zero_on_a_constant_block(self):
+        M = np.ones((6, 4))
+        y = np.arange(6.0)
+        assert group_r(M, y, np.array([0, 2])) == 0.0
+        assert group_r(M, y, np.array([], dtype=np.int64)) == 0.0
+
+    def test_job_order_and_thread_count(self):
+        M, y = raw_problem(73)
+        halves = (np.arange(25), np.arange(25, 50))
+        jobs = [(self.fast_cfg(seed, k_opt=k), *rows)
+                for seed, k, rows in [(0, 2, halves), (1, 3, (None, None)),
+                                      (2, 4, halves[::-1]), (3, 2, halves)]]
+        serial = run_many(M, y, jobs)
+        for (cfg, train, test), (result, score) in zip(jobs, serial):
+            alone = run_many(M, y, [(cfg, train, test)])[0]
+            assert_same_result(result, alone[0])
+            assert score == alone[1]
+            assert result.best.size() <= cfg.k_opt
+        threaded = run_many(M, y, jobs, threads=3)
+        for (a, ra), (b, rb) in zip(serial, threaded):
+            assert_same_result(a, b)
+            assert ra == rb
+
+    def test_evaluate_l1_with_mu_grid_is_thread_independent(self):
+        M, y = raw_problem(74, n=60, p=8)
+        cfg = self.fast_cfg(5, mode="l1", k_opt=None)
+        reports = [evaluate_method(M, None, y, cfg, repeats=3,
+                                   mu_grid=(0.2, 0.05, 0.01), n_strata=5,
+                                   threads=threads)
+                   for threads in (1, 3)]
+        np.testing.assert_array_equal(reports[0].per_repeat_test_r,
+                                      reports[1].per_repeat_test_r)
+        assert reports[0].method_tag == reports[1].method_tag == "baseline"

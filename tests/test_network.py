@@ -97,13 +97,13 @@ class TestConvolve:
         m = toy_abundance([[1.0, 3.0]])
         net = CoOccurrenceNetwork(np.array([[0.0, 1.0], [1.0, 0.0]]), m.taxon_labels)
         out = convolve(m, net)
-        np.testing.assert_allclose(out.values, [[2.0, 2.0]], rtol=1e-15)
+        np.testing.assert_allclose(out, [[2.0, 2.0]], rtol=1e-15)
 
     def test_zero_adjacency_is_identity(self):
         rng = np.random.default_rng(0)
         m = toy_abundance(rng.uniform(0, 5, size=(7, 9)))
         out = convolve(m, identity_network(m.taxon_labels))
-        np.testing.assert_array_equal(out.values, m.values)
+        np.testing.assert_array_equal(out, m.values)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -116,7 +116,7 @@ class TestConvolve:
             np.fill_diagonal(A, 0.0)
             net = CoOccurrenceNetwork(A, tuple(f"t{j}" for j in range(p)))
             out = convolve(toy_abundance(H), net)
-            np.testing.assert_allclose(out.values, convolve_oracle(H, A),
+            np.testing.assert_allclose(out, convolve_oracle(H, A),
                                        atol=1e-12)
 
     def test_operator_symmetric(self):
@@ -134,7 +134,7 @@ class TestConvolve:
         A = (A + A.T) / 2
         np.fill_diagonal(A, 0.0)
         net = CoOccurrenceNetwork(A, tuple(f"t{j}" for j in range(6)))
-        assert (convolve(toy_abundance(H), net).values >= 0).all()
+        assert (convolve(toy_abundance(H), net) >= 0).all()
 
     def test_zero_fill_through_neighbors(self):
         # a zero entry becomes positive exactly when a positively weighted
@@ -144,15 +144,9 @@ class TestConvolve:
         A[0, 1] = A[1, 0] = 0.8
         m = toy_abundance(H)
         net = CoOccurrenceNetwork(A, m.taxon_labels)
-        out = convolve(m, net).values[0]
+        out = convolve(m, net)[0]
         assert out[0] > 0.0  # filled in from its neighbor
         assert out[2] == 0.0  # isolated taxon stays zero
-
-    def test_centered_columns(self):
-        rng = np.random.default_rng(4)
-        m = toy_abundance(rng.uniform(0, 3, size=(11, 5)))
-        out = convolve(m, identity_network(m.taxon_labels))
-        np.testing.assert_allclose(out.centered.mean(axis=0), 0.0, atol=1e-10)
 
     def test_dimension_mismatch(self):
         m = toy_abundance(np.ones((2, 3)))
@@ -253,6 +247,14 @@ class TestAdjacencyIO:
         path.write_text("taxon,a,q\na,0,0\nq,0,0\n")
         with pytest.raises(ValidationError, match="q"):
             load_adjacency(path, ("a", "b"))
+
+
+class TestInferenceConfig:
+    @pytest.mark.parametrize("field", ["mu1", "mu2", "tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            NetworkInferenceConfig(**{field: value})
 
 
 class TestInferNetwork:

@@ -95,7 +95,7 @@ class TestGenerate:
     def test_noiseless_signal_correlates_perfectly(self):
         bundle = generate(small_spec(noise_sigma=0.0))
         conv = convolve(bundle.abundance, bundle.network)
-        s = conv.values[:, list(bundle.planted)].sum(axis=1)
+        s = conv[:, list(bundle.planted)].sum(axis=1)
         np.testing.assert_allclose(pearson(s, bundle.function.values), 1.0,
                                    rtol=1e-12)
 
@@ -105,7 +105,7 @@ class TestGenerate:
             bundle = generate(small_spec(n_samples=400, noise_sigma=0.5,
                                          seed=seed))
             conv = convolve(bundle.abundance, bundle.network)
-            s = conv.values[:, list(bundle.planted)].sum(axis=1)
+            s = conv[:, list(bundle.planted)].sum(axis=1)
             rs.append(pearson(s, bundle.function.values))
         np.testing.assert_allclose(np.mean(rs),
                                    small_spec(noise_sigma=0.5).expected_r,
