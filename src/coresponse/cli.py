@@ -32,7 +32,7 @@ from .model_select import (DEFAULT_MU_GRID, mu_sweep, sweep_k, write_sweep)
 from .network import (NetworkInferenceConfig, infer_network, load_adjacency,
                       write_adjacency, write_edge_list)
 from .synth import SynthSpec, generate, write_bundle
-from .tables import fmt, parse_cell, read_table, write_table
+from .tables import fmt, parse_cell, read_table, read_text, write_table
 from .utils import child_int
 
 FORMAT_VERSION = 1
@@ -448,7 +448,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
     if not path.exists():
         raise ParseError(f"config file not found: {path}")
     overrides = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .tables import fmt, parse_cell, read_table, write_table
+from .tables import fmt, parse_cell, read_matrix, read_table, write_table
 
 ORIENTATIONS = ("samples-as-rows", "taxa-as-rows")
 
@@ -100,15 +100,9 @@ def load_abundance(path, orientation: str = "samples-as-rows") -> AbundanceMatri
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(f"unknown orientation {orientation!r}")
-    header, rows, _ = read_table(path)
-    if len(header) < 2 or not rows:
+    col_labels, row_labels, values = read_matrix(path)
+    if values.size == 0:
         raise ParseError(f"{path}: expected a labeled matrix with data rows")
-    col_labels = header[1:]
-    row_labels = [cells[0] for cells in rows]
-    values = np.empty((len(rows), len(col_labels)))
-    for i, cells in enumerate(rows):
-        for j, cell in enumerate(cells[1:]):
-            values[i, j] = parse_cell(cell, path, row=i + 2, col=j + 2)
     if orientation == "taxa-as-rows":
         values = values.T.copy()
         row_labels, col_labels = col_labels, row_labels

@@ -17,7 +17,8 @@ import numpy as np
 from ._kernels import FinishError, enet_coordinate_descent, enet_kkt_finish
 from .errors import NumericError, ParseError, ValidationError
 from .ingest import AbundanceMatrix
-from .tables import fmt, parse_cell, read_table, write_table
+from .tables import (fmt, parse_cell, read_header, read_matrix, read_table,
+                     write_table)
 
 SYMMETRY_TOL = 1e-12
 
@@ -99,11 +100,12 @@ def load_adjacency(path, labels) -> CoOccurrenceNetwork:
     with a warning.
     """
     labels = tuple(labels)
-    header, rows, _ = read_table(path)
+    header = read_header(path)
     if [h.strip().lower() for h in header] == ["source", "target", "weight"]:
+        _, rows, _ = read_table(path)
         adj = _adjacency_from_edges(path, rows, labels)
     else:
-        adj = _adjacency_from_matrix(path, header, rows, labels)
+        adj = _adjacency_from_matrix(path, labels)
     if np.abs(adj - adj.T).max(initial=0.0) > SYMMETRY_TOL:
         warnings.warn(f"{path}: asymmetric adjacency symmetrized as (A+A^T)/2")
     adj = (adj + adj.T) / 2.0
@@ -115,23 +117,13 @@ def load_adjacency(path, labels) -> CoOccurrenceNetwork:
     return CoOccurrenceNetwork(adj, labels)
 
 
-def _adjacency_from_matrix(path, header, rows, labels) -> np.ndarray:
-    file_cols = header[1:]
-    file_rows = [cells[0] for cells in rows]
+def _adjacency_from_matrix(path, labels) -> np.ndarray:
+    file_cols, file_rows, raw = read_matrix(path)
     if file_cols != file_rows:
         raise ParseError(f"{path}: matrix row labels do not match column labels")
     _check_label_match(path, file_cols, labels)
     order = {lab: i for i, lab in enumerate(file_cols)}
     perm = [order[lab] for lab in labels]
-    try:
-        raw = np.array([cells[1:] for cells in rows], dtype=np.float64)
-    except ValueError:
-        # numpy parses cells as float() does; go cell by cell only to name
-        # the first bad one
-        raw = np.array([[parse_cell(cell, path, row=i + 2, col=j + 2)
-                         for j, cell in enumerate(cells[1:])]
-                        for i, cells in enumerate(rows)])
-    raw = raw.reshape(len(file_rows), len(file_cols))
     return raw[np.ix_(perm, perm)]
 
 

@@ -61,6 +61,44 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_latin1_abundance_exits_3(self, tmp_path, capsys):
+        data = make_bundle(tmp_path)
+        bad = tmp_path / "latin1.csv"
+        text = (data / "abundance.csv").read_text()
+        bad.write_bytes(text.replace("sample_id", "\xe9chantillon", 1)
+                        .encode("latin-1"))
+        code = run(["ingest", "--abundance", bad,
+                    "--function", data / "function.csv",
+                    "--out", tmp_path / "out"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize("option", ["--abundance", "--adjacency"])
+    def test_directory_as_input_exits_3(self, tmp_path, capsys, option):
+        data = make_bundle(tmp_path)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        inputs = {"--abundance": data / "abundance.csv",
+                  "--adjacency": data / "adjacency.csv", option: folder}
+        code = run(["discover", "--function", data / "function.csv",
+                    "--k", 2, "--runs", 1, "--out", tmp_path / "out",
+                    *(x for pair in inputs.items() for x in pair)] + GA_FAST)
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: {folder}: ")
+
+    def test_latin1_adjacency_exits_3(self, tmp_path, capsys):
+        data = make_bundle(tmp_path)
+        bad = tmp_path / "latin1_adj.csv"
+        bad.write_bytes((data / "adjacency.csv").read_bytes() + b"\xe9\n")
+        code = run(["discover", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--adjacency", bad,
+                    "--k", 2, "--runs", 1, "--out", tmp_path / "out"]
+                   + GA_FAST)
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_negative_abundance_exits_4(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("sample,t1,t2\ns1,1.0,-2.0\ns2,2.0,1.0\n")
@@ -297,6 +335,26 @@ class TestConfigFile:
     def test_missing_config_file_exits_3(self, tmp_path):
         assert run(["synth", "--config", tmp_path / "ghost.cfg",
                     "--out", tmp_path / "out"]) == 3
+
+    def test_latin1_config_file_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# r\xe9glages\nn-samples=30\n".encode("latin-1"))
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+    def test_utf8_config_file_is_read(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# r\xe9glages\nn-samples=30\n".encode("utf-8"))
+        out = tmp_path / "out"
+        assert run(["synth", "--config", cfg, "--planted", "0,1",
+                    "--out", out]) == 0
+        snapshot = (out / "resolved_config.txt").read_text().splitlines()
+        assert "n_samples=30" in snapshot
+
+    def test_directory_as_config_file_exits_3(self, tmp_path, capsys):
+        assert run(["synth", "--config", tmp_path,
+                    "--out", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
 
     def test_boolean_words(self, tmp_path):
         cfg = tmp_path / "run.cfg"

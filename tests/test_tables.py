@@ -1,10 +1,19 @@
 """Delimited-table primitives: formatting, sniffing, error coordinates."""
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coresponse import tables
 from coresponse.errors import ParseError, ValidationError
-from coresponse.tables import fmt, parse_cell, read_table, sniff_delimiter, write_table
+from coresponse.tables import (fmt, parse_cell, read_header, read_matrix,
+                               read_table, read_text, sniff_delimiter,
+                               write_table)
 
 
 class TestFmt:
@@ -73,3 +82,195 @@ class TestParseCell:
 
     def test_parses_floats(self):
         assert parse_cell("1.25e-3", "f.csv", 1, 1) == 1.25e-3
+
+
+def cell_by_cell(path):
+    """The reader every matrix load used before ``read_matrix``: one
+    ``read_table`` row list, then ``parse_cell`` on each cell."""
+    header, rows, _ = read_table(path)
+    values = np.empty((len(rows), len(header) - 1))
+    for i, cells in enumerate(rows):
+        for j, cell in enumerate(cells[1:]):
+            values[i, j] = parse_cell(cell, path, row=i + 2, col=j + 2)
+    return header[1:], [cells[0] for cells in rows], values
+
+
+def outcome(reader, path):
+    """(labels, values as bits) or the ParseError message; loadtxt's
+    warnings are errors here, so a warning cannot go unnoticed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cols, rows, values = reader(path)
+        except ParseError as exc:
+            return str(exc)
+    assert values.dtype == np.float64
+    return cols, rows, values.shape, values.view(np.uint64).tolist()
+
+
+#: cells that float() and np.loadtxt may treat differently
+TRAP_CELLS = ("1_0", "\u0661\u0662", "\uff11", "1#2", "#", "nan", "-nan",
+              "inf", "-Infinity", "NaN", "-0", "+.5", "1e", "0x10", "",
+              " ", "x7", " 2.5 ", "\t3\t", "\xa04\u2003", "1e400",
+              "-1e-400", "4.9e-324", "1,5", "'1'", '"1"')
+
+numbers = st.floats(allow_nan=False, width=64).map(repr)
+clean_cells = st.one_of(numbers, numbers.map(lambda c: f" {c}  "))
+any_cells = st.one_of(clean_cells, st.sampled_from(TRAP_CELLS))
+
+
+@st.composite
+def matrix_texts(draw):
+    """A labeled matrix table with the layout faults seen in real inputs."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    cells = draw(st.sampled_from([clean_cells, any_cells]))
+    n_cols = draw(st.integers(0, 4))
+    header = ["id"] + [f"c{j}" for j in range(n_cols)]
+    lines = [delim.join(header)]
+    for i in range(draw(st.integers(0, 4))):
+        row = [f"r{i}"] + [draw(cells) for _ in range(n_cols)]
+        fault = draw(st.sampled_from(
+            ["none"] * 6 + ["extra", "short", "label-only", "blank-label",
+                            "whitespace-only"]))
+        if fault == "extra":
+            row.append(draw(cells))
+        elif fault == "short" and n_cols:
+            row.pop()
+        elif fault == "label-only":
+            row = row[:1]
+        elif fault == "blank-label":
+            row[0] = ""
+        elif fault == "whitespace-only":
+            row = ["   "]
+        lines.append(delim.join(row))
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append("")
+    if draw(st.booleans()):
+        extra = draw(cells)
+        lines[1:] = [ln + delim + extra for ln in lines[1:] if ln]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = newline if draw(st.booleans()) else ""
+    return newline.join(lines) + end
+
+
+class TestReadMatrix:
+    """``read_matrix`` gives the cell-by-cell reader's bits, labels and
+    messages."""
+
+    @staticmethod
+    def check(tmp_dir, text):
+        path = Path(tmp_dir) / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(cell_by_cell, path)
+        assert outcome(read_matrix, path) == expected
+        return expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=matrix_texts())
+    def test_matches_cell_by_cell_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            self.check(tmp_dir, text)
+
+    @pytest.mark.parametrize("cell", TRAP_CELLS)
+    @pytest.mark.parametrize("delim", [",", "\t"])
+    def test_trap_cell(self, tmp_path, cell, delim):
+        rows = [["a", "1", "2"], ["b", "3", cell], ["c", "5", "6"]]
+        text = "\n".join(delim.join(r) for r in [["id", "x", "y"], *rows])
+        self.check(tmp_path, text + "\n")
+
+    @pytest.mark.parametrize("text", [
+        "id,x\na,1,9\nb,2\n",            # extra cell on one row
+        "id,x\na,1,9\nb,2,9\n",          # extra cell on every row
+        "id,x,y\na,1,2\nb\nc,3,4\n",     # label-only row
+        "id,x,y\na,1,2\n   \nc,3,4\n",   # whitespace-only row
+        "id,x,y\na,1,2\nb,3\n",          # short row
+        "id,x,y\r\na,1,2\r\n\r\nb,3,4\r\n",   # CRLF and a blank line
+        "id\tx\ty\na\t1\t2\nb\t3\t4",     # tab, no final newline
+        "id,x,y\n",                      # header only
+        "id\na\nb\n",                    # no value columns
+        "id\na,1\n",                     # no value columns, ragged
+    ])
+    def test_layout_trap(self, tmp_path, text):
+        self.check(tmp_path, text)
+
+    def test_float_values_for_cells_loadtxt_rejects(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("id,x,y\na,1_0,\u0663.5\nb, 2 ,-0\n", encoding="utf-8")
+        cols, rows, values = read_matrix(path)
+        assert (cols, rows) == (["x", "y"], ["a", "b"])
+        assert values.tolist() == [[10.0, 3.5], [2.0, -0.0]]
+        assert np.signbit(values[1, 1])
+
+    def test_header_only_gives_empty_rows_without_warning(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("id,x,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols, rows, values = read_matrix(path)
+        assert (cols, rows, values.shape) == (["x", "y"], [], (0, 2))
+
+    def test_error_names_row_and_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("id,x,y\na,1,2\nb,3,oops\n")
+        with pytest.raises(ParseError) as exc:
+            read_matrix(path)
+        assert str(exc.value) == (
+            f"{path}: non-numeric cell 'oops' at row 3, column 3")
+
+    def test_clean_table_is_read_once(self, tmp_path, monkeypatch):
+        # the cell-by-cell reader runs only when np.loadtxt cannot read
+        # the table
+        def refuse(path):
+            raise AssertionError("fell back to the cell-by-cell reader")
+
+        path = tmp_path / "m.csv"
+        path.write_text("id,x,y\na,1.5,2\nb, 3 ,-4e-3\n")
+        monkeypatch.setattr(tables, "read_table", refuse)
+        assert read_matrix(path)[2].tolist() == [[1.5, 2.0], [3.0, -4e-3]]
+        path.write_text("id,x,y\na,1_5,2\nb,3,4\n")
+        with pytest.raises(AssertionError, match="fell back"):
+            read_matrix(path)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("reader", [read_table, read_matrix, read_header,
+                                        read_text])
+    def test_latin1_byte_is_a_parse_error(self, tmp_path, reader):
+        path = tmp_path / "m.csv"
+        path.write_bytes("id,x\n\xe9,1\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [read_table, read_matrix, read_header,
+                                        read_text])
+    def test_directory_is_a_parse_error(self, tmp_path, reader):
+        with pytest.raises(ParseError) as exc:
+            reader(tmp_path)
+        assert str(exc.value).startswith(f"{tmp_path}: cannot read")
+
+    @pytest.mark.parametrize("reader", [read_table, read_matrix, read_header,
+                                        read_text])
+    def test_missing_file_stays_file_not_found(self, tmp_path, reader):
+        with pytest.raises(FileNotFoundError):
+            reader(tmp_path / "ghost.csv")
+
+    def test_utf8_labels_are_read(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes("id,\u00e9\n\u00e9chantillon,1\n".encode("utf-8"))
+        assert read_matrix(path)[:2] == (["\u00e9"], ["\u00e9chantillon"])
+
+
+class TestReadHeader:
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n", "\n\r\n a\tb\n", "a,b", "a,b\r\nc,d\r\n",
+        "a\x0cb\n1\n"])
+    def test_matches_read_table_header(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_header(path) == read_table(path)[0]
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n\n")
+        with pytest.raises(ParseError, match="empty"):
+            read_header(path)
