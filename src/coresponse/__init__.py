@@ -22,7 +22,7 @@ from .importance import (DiscoveryReport, ImportanceResult,
 from .ingest import (AbundanceMatrix, FunctionalVariable, css_normalize,
                      filter_sparse_taxa, load_abundance, load_function)
 from .model_select import (ModelSelectionResult, aic_for_group, mu_sweep,
-                           sweep_k, tune_mu)
+                           sweep_k)
 from .network import (CoOccurrenceNetwork, NetworkInferenceConfig, convolve,
                       identity_network, infer_network, load_adjacency)
 from .synth import SynthBundle, SynthSpec, generate
@@ -76,6 +76,5 @@ __all__ = [
     "run_ga",
     "stratified_split",
     "sweep_k",
-    "tune_mu",
     "__version__",
 ]

@@ -333,19 +333,19 @@ def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def locate_group(net: CoOccurrenceNetwork, importance, top_k: int, *,
+def locate_group(net: CoOccurrenceNetwork, importance: np.ndarray,
+                 top_k: int, *,
                  clusters: ClusterResult | None = None,
                  cent: CentralityReport | None = None,
                  seed: int = 0) -> LocationReport:
     """Describe the network position of the top_k most important taxa.
 
-    Reports how many clusters they span, how many are directly linked to
-    another top taxon, how many other taxa neighbor at least two of them,
-    and their whole-network centrality ranks.
+    ``importance`` holds one score per taxon.  Reports how many clusters
+    the top taxa span, how many are directly linked to another top taxon,
+    how many other taxa neighbor at least two of them, and their
+    whole-network centrality ranks.
     """
-    ivec = (importance.taxon_importance
-            if hasattr(importance, "taxon_importance")
-            else np.asarray(importance, dtype=np.float64))
+    ivec = np.asarray(importance, dtype=np.float64)
     p = net.n_taxa
     if ivec.shape != (p,):
         raise ValidationError("importance length does not match the network")
@@ -396,16 +396,13 @@ def write_centralities(report: CentralityReport, labels, path,
     write_table(path, list(CENTRALITY_COLUMNS), rows, delimiter)
 
 
-def write_location(report: LocationReport, labels, importance, path,
-                   delimiter: str = ",") -> None:
+def write_location(report: LocationReport, labels, importance: np.ndarray,
+                   path, delimiter: str = ",") -> None:
     """One row per top taxon; the aggregate counts live in the report."""
     from .tables import fmt, write_table
 
-    ivec = (importance.taxon_importance
-            if hasattr(importance, "taxon_importance")
-            else np.asarray(importance, dtype=np.float64))
     rows = [
-        [str(labels[i]), fmt(ivec[i]), str(int(report.cluster_ids[pos])),
+        [str(labels[i]), fmt(importance[i]), str(int(report.cluster_ids[pos])),
          str(int(report.degree_ranks[pos])),
          str(int(report.closeness_ranks[pos])),
          "yes" if report.linked_flags[pos] else "no"]

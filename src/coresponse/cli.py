@@ -145,6 +145,7 @@ def cmd_discover(args) -> None:
     delim = _delimiter(args)
     abundance, function = _load_dataset(args)
     net = _load_network(args, abundance)
+    M = convolved_matrix(abundance, net)
 
     mu = args.mu
     if args.mode == "size_cap":
@@ -153,7 +154,6 @@ def cmd_discover(args) -> None:
         cfg = _ga_config(args, "size_cap", k_opt=args.k)
     else:
         if mu is None:
-            M = convolved_matrix(abundance, net)
             tune_cfg = _ga_config(args, "l1")
             tuned = mu_sweep(M, function.values, _parse_mu_grid(args.mu_grid),
                              replace(tune_cfg, seed=child_int(args.seed, 1)),
@@ -161,12 +161,11 @@ def cmd_discover(args) -> None:
             mu = tuned.chosen_mu
         cfg = _ga_config(args, "l1", mu=mu)
 
-    report = discover_importance(abundance, net, function, cfg,
-                                 runs=args.runs, top_k=args.top_k,
-                                 threads=args.threads)
+    report = discover_importance(M, function.values, cfg, runs=args.runs,
+                                 top_k=args.top_k, threads=args.threads)
     importance = report.importance
     labels = abundance.taxon_labels
-    write_group_network(importance, labels, abundance,
+    write_group_network(importance, labels, abundance.values,
                         out / "importance_nodes.csv",
                         out / "importance_edges.csv",
                         out / "group_graph.graphml",
@@ -212,9 +211,13 @@ def cmd_evaluate(args) -> None:
             "only the baseline methods")
     net = _load_network(args, abundance) if graph_methods else None
 
+    matrices = {}  # the searched matrix of each graph, convolved once
     reports = []
     for tag in methods:
-        A = None if tag.startswith("baseline") else net
+        baseline = tag.startswith("baseline")
+        if baseline not in matrices:
+            matrices[baseline] = convolved_matrix(abundance,
+                                                  None if baseline else net)
         if tag.endswith("_l1"):
             cfg = _ga_config(args, "l1",
                              mu=0.0 if args.mu is None else args.mu)
@@ -226,9 +229,9 @@ def cmd_evaluate(args) -> None:
             cfg = _ga_config(args, "size_cap", k_opt=args.k)
             grid = None
         reports.append(evaluate_method(
-            abundance, A, function, cfg, args.repeats,
-            fraction=args.fraction, n_strata=args.strata, mu_grid=grid,
-            inner_repeats=args.inner_repeats, method_tag=tag,
+            matrices[baseline], function.values, cfg, args.repeats,
+            method_tag=tag, fraction=args.fraction, n_strata=args.strata,
+            mu_grid=grid, inner_repeats=args.inner_repeats,
             threads=args.threads))
 
     write_reports(reports, out / "per_repeat.csv", out / "summary.csv", delim)
@@ -337,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("samples-as-rows", "taxa-as-rows"))
     sub.add_argument("--max-zero-fraction", type=float, default=0.80)
     sub.add_argument("--css-quantile", type=float, default=0.50)
-    sub.add_argument("--css-scale", type=float, default=1000.0)
+    sub.add_argument("--css-scale", type=float, default=1000.0,
+                     help="value each sample's cumulative sum at the "
+                          "quantile is scaled to; must be finite and > 0")
     _add_common(sub)
     sub.set_defaults(func=cmd_ingest)
 

@@ -3,10 +3,11 @@
 Splits are stratified on equal-frequency bins of the functional variable so
 train and test preserve its distribution.  Held-out performance is always
 the definitional Pearson correlation between the group effect on the test
-rows and the test responses.  The convolution operator is built once from
-the full-data adjacency and applied to train and test blocks separately;
-the network is treated as an input to the method, not re-inferred per
-split (a deliberate, documented leakage trade-off).
+rows and the test responses.  Each method searches one full-data matrix,
+convolved once from the full-data adjacency by ``convolved_matrix`` and
+split into train and test rows afterwards; the network is treated as an
+input to the method, not re-inferred per split (a deliberate, documented
+leakage trade-off).
 """
 
 import math
@@ -18,9 +19,9 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import ValidationError
-from .ga import OptimizerConfig, run_many
-from .ingest import AbundanceMatrix, FunctionalVariable
-from .model_select import tune_mu
+from .ga import OptimizerConfig, check_search_data, run_many
+from .ingest import AbundanceMatrix
+from .model_select import mu_sweep
 from .network import CoOccurrenceNetwork, convolution_operator
 from .utils import child_int, generator
 
@@ -110,8 +111,7 @@ def stratified_split(y, fraction: float = 0.5, n_strata: int = 10,
     share to the train side.  Bins with a single sample are assigned
     alternately (train first) with a warning.  Deterministic given seed.
     """
-    values = y.values if isinstance(y, FunctionalVariable) else np.asarray(
-        y, dtype=np.float64)
+    values = np.asarray(y, dtype=np.float64)
     if values.ndim != 1 or values.shape[0] < 2:
         raise ValidationError("need at least 2 samples to split")
     if not 0.0 < fraction < 1.0:
@@ -144,27 +144,16 @@ def stratified_split(y, fraction: float = 0.5, n_strata: int = 10,
                      fraction, n_strata, seed)
 
 
-def _as_matrix(H) -> np.ndarray:
-    if isinstance(H, AbundanceMatrix):
-        return H.values
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2:
-        raise ValidationError("abundance must be a 2-d matrix")
-    return H
-
-
-def _as_vector(y) -> np.ndarray:
-    if isinstance(y, FunctionalVariable):
-        return y.values
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValidationError("functional variable must be a 1-d vector")
-    return y
-
-
 def convolved_matrix(H, A) -> np.ndarray:
-    """Full-data topological abundance; A=None means the identity operator."""
-    values = _as_matrix(H)
+    """Full-data topological abundance; A=None means the identity operator.
+
+    ``H`` is an :class:`AbundanceMatrix` or a samples x taxa array, ``A`` a
+    :class:`CoOccurrenceNetwork`, a p x p adjacency array or None.
+    """
+    values = H.values if isinstance(H, AbundanceMatrix) else np.asarray(
+        H, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValidationError("abundance must be a 2-d matrix")
     if A is None:
         return values
     adjacency = A.adjacency if isinstance(A, CoOccurrenceNetwork) else np.asarray(
@@ -177,46 +166,41 @@ def convolved_matrix(H, A) -> np.ndarray:
     return values @ convolution_operator(adjacency)
 
 
-def evaluate_method(H, A, y, cfg: OptimizerConfig, repeats: int = 100, *,
-                    fraction: float = 0.5, n_strata: int = 10,
-                    mu_grid=None, inner_repeats: int = 1,
-                    method_tag: str | None = None,
+def evaluate_method(M: np.ndarray, y: np.ndarray, cfg: OptimizerConfig,
+                    repeats: int = 100, *, method_tag: str,
+                    fraction: float = 0.5, n_strata: int = 10, mu_grid=None,
+                    inner_repeats: int = 1,
                     threads: int = 1) -> EvaluationReport:
-    """Score one method over repeated stratified splits.
+    """Score one method over repeated stratified splits of ``(M, y)``.
 
-    Per repeat: split, search on the train block (centered on train means),
-    then correlate the chosen group's effect with y on the test block. A
-    degenerate test effect scores 0.0.  ``A=None`` runs the identity-graph
-    baseline on raw abundances.  In l1 mode a non-None ``mu_grid`` re-tunes
-    mu on every training set.  Split seeds depend only on (cfg.seed,
-    repeat), so methods sharing a config seed see identical splits and can
-    be compared pairwise.
+    ``M`` is the full-data matrix the method searches: the convolved
+    abundance, or the raw abundance for the identity-graph baseline.  Per
+    repeat: split, search on the train rows (centered on train means), then
+    correlate the chosen group's effect with y on the test rows.  A
+    degenerate test effect scores 0.0.  In l1 mode a non-None ``mu_grid``
+    re-tunes mu on every training set.  Split seeds depend only on
+    (cfg.seed, repeat), so methods sharing a config seed see identical
+    splits and can be compared pairwise.
     """
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
-    M_full = convolved_matrix(H, A)
-    yv = _as_vector(y)
-    if yv.shape[0] != M_full.shape[0]:
-        raise ValidationError("sample counts of abundance and y differ")
-    if method_tag is None:
-        method_tag = "baseline" if A is None else (
-            "convolved_l1" if cfg.mode == "l1" else "convolved")
+    M, y = check_search_data(M, y)
 
-    plans = [stratified_split(yv, fraction, n_strata,
+    plans = [stratified_split(y, fraction, n_strata,
                               seed=child_int(cfg.seed, i, 0))
              for i in range(repeats)]
     jobs = []
     for i, plan in enumerate(plans):
         run_cfg = replace(cfg, seed=child_int(cfg.seed, i, 2))
         if cfg.mode == "l1" and mu_grid is not None:
-            mu = tune_mu(M_full[plan.train_indices], yv[plan.train_indices],
-                         mu_grid, replace(cfg, seed=child_int(cfg.seed, i, 1)),
-                         n_strata=n_strata, inner_repeats=inner_repeats,
-                         threads=threads)
-            run_cfg = replace(run_cfg, mu=mu)
+            tuned = mu_sweep(M[plan.train_indices], y[plan.train_indices],
+                             mu_grid, replace(cfg, seed=child_int(cfg.seed, i, 1)),
+                             n_strata=n_strata, inner_repeats=inner_repeats,
+                             threads=threads)
+            run_cfg = replace(run_cfg, mu=tuned.chosen_mu)
         jobs.append((run_cfg, plan.train_indices, plan.test_indices))
 
-    rs = [score for _, score in run_many(M_full, yv, jobs, threads)]
+    rs = [score for _, score in run_many(M, y, jobs, threads)]
     return EvaluationReport(np.asarray(rs, dtype=np.float64), method_tag)
 
 

@@ -327,16 +327,34 @@ def group_r(M: np.ndarray, y: np.ndarray, indices) -> float:
         return 0.0
 
 
+def check_search_data(M, y) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(M, y)`` as float arrays after checking a search can use them.
+
+    ``M`` must be a samples x taxa matrix and ``y`` a vector with one entry
+    per row of ``M``, all finite.  Every repeated search checks here before
+    it indexes rows.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if M.ndim != 2:
+        raise ValidationError("M must be a 2-d samples x taxa matrix")
+    if y.ndim != 1 or y.shape[0] != M.shape[0]:
+        raise ValidationError("sample counts of M and y differ")
+    if not (np.isfinite(M).all() and np.isfinite(y).all()):
+        raise ValidationError("M and y must not contain non-finite entries")
+    return M, y
+
+
 def run_many(M: np.ndarray, y: np.ndarray, jobs, threads: int = 1) -> list:
     """Run one search per ``(cfg, train, test)`` job; results in job order.
 
     Each search runs on rows ``train`` (all rows when None), centered on
     their own means; its best group gets the :func:`group_r` score on rows
     ``test``, or None.  Seeds come only from each job's cfg, so the
-    ``(GAResult, score)`` pairs do not depend on ``threads``.
+    ``(GAResult, score)`` pairs do not depend on ``threads``.  The data are
+    checked by :func:`check_search_data`.
     """
-    M = np.asarray(M, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    M, y = check_search_data(M, y)
 
     def centered(train):
         Mt, yt = (M, y) if train is None else (M[train], y[train])
@@ -355,13 +373,3 @@ def run_many(M: np.ndarray, y: np.ndarray, jobs, threads: int = 1) -> list:
         return result, group_r(M[test], y[test], result.best.indices())
 
     return parallel_map(one, jobs, threads)
-
-
-def write_history(history: np.ndarray, path, delimiter: str = ",") -> None:
-    """Export a history table (one row per generation) for plotting."""
-    from .tables import fmt, write_table
-
-    rows = [
-        [str(int(row[0])), *(fmt(v) for v in row[1:])] for row in history
-    ]
-    write_table(path, list(HISTORY_COLUMNS), rows, delimiter)

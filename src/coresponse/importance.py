@@ -96,29 +96,25 @@ def aggregate_importance(runs) -> ImportanceResult:
     return ImportanceResult(I, L, t, tuple(runs))
 
 
-def discover_importance(H, A, y, cfg: OptimizerConfig, runs: int = DEFAULT_RUNS,
-                        *, top_k: int | None = None,
+def discover_importance(M: np.ndarray, y: np.ndarray, cfg: OptimizerConfig,
+                        runs: int = DEFAULT_RUNS, *, top_k: int | None = None,
                         threads: int = 1) -> DiscoveryReport:
-    """Repeat the full-data search and aggregate importances.
+    """Repeat the full-data search of ``(M, y)`` and aggregate importances.
 
-    Run j uses the seed derived from (cfg.seed, j).  ``top_k`` defaults to
-    the size cap when one is set, otherwise to the rounded mean size of the
-    per-run best groups.  The report includes the full-data correlation of
-    the top_k taxa taken together as a posthoc check (0.0 if degenerate).
+    ``M`` is the matrix searched: the convolved abundance, or the raw
+    abundance for the identity-graph baseline.  Run j uses the seed derived
+    from (cfg.seed, j).  ``top_k`` defaults to the size cap when one is set,
+    otherwise to the rounded mean size of the per-run best groups.  The
+    report includes the full-data correlation of the top_k taxa taken
+    together as a posthoc check (0.0 if degenerate).
     """
-    from .evaluation import _as_vector, convolved_matrix
-
     if runs < 1:
         raise ValidationError("runs must be >= 1")
-    M = convolved_matrix(H, A)
-    yv = _as_vector(y)
-    if yv.shape[0] != M.shape[0]:
-        raise ValidationError("sample counts of abundance and y differ")
     jobs = [(replace(cfg, seed=child_int(cfg.seed, j)), None, None)
             for j in range(runs)]
     importance = aggregate_importance(
         [(result.best, result.best_eval.pearson_r)
-         for result, _ in run_many(M, yv, jobs, threads)])
+         for result, _ in run_many(M, y, jobs, threads)])
 
     if top_k is None:
         if cfg.mode == "size_cap":
@@ -127,21 +123,19 @@ def discover_importance(H, A, y, cfg: OptimizerConfig, runs: int = DEFAULT_RUNS,
             sizes = [x.size() for x, _ in importance.per_run]
             top_k = max(1, round(float(np.mean(sizes))))
     top = importance.top_indices(top_k)
-    return DiscoveryReport(importance, int(top_k), top, group_r(M, yv, top))
+    return DiscoveryReport(importance, int(top_k), top, group_r(M, y, top))
 
 
-def mean_relative_abundance(H) -> np.ndarray:
-    """Per-taxon mean of the row-normalized abundance matrix."""
-    from .evaluation import _as_matrix
-
-    values = _as_matrix(H)
+def mean_relative_abundance(values: np.ndarray) -> np.ndarray:
+    """Per-taxon mean of the row-normalized samples x taxa abundance array."""
+    values = np.asarray(values, dtype=np.float64)
     row_sums = values.sum(axis=1)
     if (row_sums <= 0).any():
         raise ValidationError("relative abundance undefined for all-zero samples")
     return (values / row_sums[:, None]).mean(axis=0)
 
 
-def write_group_network(importance: ImportanceResult, labels, H,
+def write_group_network(importance: ImportanceResult, labels, values,
                         nodes_path, edges_path, graph_path=None, *,
                         display_threshold: float = DISPLAY_THRESHOLD,
                         delimiter: str = ",") -> None:
@@ -149,13 +143,15 @@ def write_group_network(importance: ImportanceResult, labels, H,
 
     Tables keep every taxon and every nonzero pair weight; the graph file
     drops edges with \\|L\\| below ``display_threshold`` (display-only cut).
+    ``values`` is the samples x taxa abundance array behind the node
+    tables' mean relative abundance.
     """
     from .tables import fmt, write_table
 
     labels = tuple(str(label) for label in labels)
     if len(labels) != importance.n_taxa:
         raise ValidationError("label count does not match importance length")
-    mra = mean_relative_abundance(H)
+    mra = mean_relative_abundance(values)
     I, L = importance.taxon_importance, importance.pair_importance
 
     node_rows = [[labels[i], fmt(I[i]), fmt(mra[i])]

@@ -5,6 +5,7 @@ The two domain objects defined here, :class:`AbundanceMatrix` and
 construction.  All operations are pure functions returning new objects.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +140,14 @@ def css_normalize(m: AbundanceMatrix, quantile: float = 0.50, scale: float = 100
 
     For each row, ``q`` is the given quantile of the row's nonzero values and
     the scale factor is the sum of all row values <= q; the row is divided by
-    that factor and multiplied by ``scale``.  Output rows are invariant to
-    positive rescaling of the raw row.
+    that factor and multiplied by ``scale``, which must be finite and
+    positive.  Output rows are invariant to positive rescaling of the raw
+    row.
     """
     if not 0.0 < quantile < 1.0:
         raise ValidationError("quantile must be in (0, 1)")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValidationError(f"scale must be finite and > 0, got {scale}")
     values = m.values
     out = np.empty_like(values)
     for i in range(values.shape[0]):

@@ -2,7 +2,7 @@
 
 ``sweep_k`` repeats the capped genetic search for every candidate group size
 and scores each run's best group with an AIC built from the simple
-regression of the functional variable on the group effect.  ``tune_mu``
+regression of the functional variable on the group effect.  ``mu_sweep``
 picks the l1 penalty weight on an inner stratified split of the training
 data.  All seeds derive from the config seed and the (k, repeat) or
 (repeat, grid-index) coordinates, so sweeps are reproducible and safe to
@@ -116,8 +116,6 @@ def sweep_k(M: np.ndarray, y: np.ndarray, k_range=DEFAULT_K_RANGE,
     uses the seed derived from (cfg.seed, k, repeat); the chosen k minimizes
     the mean AIC over repeats, ties going to the smaller k.
     """
-    M = np.asarray(M, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     lo, hi = int(k_range[0]), int(k_range[1])
     if lo < 1 or hi < lo:
         raise ValidationError("k_range must be an interval with 1 <= low <= high")
@@ -183,12 +181,6 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
                    for j in range(len(grid)))
     chosen_mu = max(per_mu, key=lambda row: (row[1], row[0]))[0]
     return ModelSelectionResult(per_mu=per_mu, chosen_mu=chosen_mu)
-
-
-def tune_mu(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
-            cfg: OptimizerConfig | None = None, **kwargs) -> float:
-    """Convenience wrapper around :func:`mu_sweep` returning only the mu."""
-    return mu_sweep(M_train, y_train, grid, cfg, **kwargs).chosen_mu
 
 
 def write_sweep(result: ModelSelectionResult, path, delimiter: str = ",") -> None:

@@ -24,7 +24,7 @@ from coresponse.ga import (GroupChromosome, OptimizerConfig,
                            evaluate_fitness, run_ga)
 from coresponse.importance import aggregate_importance
 from coresponse.ingest import AbundanceMatrix
-from coresponse.model_select import DEFAULT_MU_GRID, sweep_k, tune_mu
+from coresponse.model_select import DEFAULT_MU_GRID, mu_sweep, sweep_k
 from coresponse.network import CoOccurrenceNetwork, convolve, write_adjacency
 from coresponse.synth import SynthSpec, generate, write_bundle
 from coresponse.utils import child_int, pearson
@@ -209,7 +209,7 @@ class TestAcceptanceGate:
             M = convolve(bundle.abundance, bundle.network)
             y = bundle.function.values
             cfg = OptimizerConfig(mode="l1", seed=child_int(seed, 17))
-            mu = tune_mu(M, y, DEFAULT_MU_GRID, cfg)
+            mu = mu_sweep(M, y, DEFAULT_MU_GRID, cfg).chosen_mu
             result = run_ga(M - M.mean(axis=0), y - y.mean(),
                             replace(cfg, mu=mu))
             found = set(result.best.indices().tolist())
@@ -230,11 +230,13 @@ class TestAcceptanceGate:
         """Convolved columns carry the signal the raw baseline misses."""
         start = time.perf_counter()
         bundle = generate(recovery_spec(0))
-        H, A, y = bundle.abundance, bundle.network, bundle.function
+        H = bundle.abundance.values
+        M = convolve(bundle.abundance, bundle.network)
+        y = bundle.function.values
         cfg = OptimizerConfig(mode="size_cap", k_opt=6, seed=123)
-        base = evaluate_method(H, None, y, cfg, repeats=20, fraction=0.5,
+        base = evaluate_method(H, y, cfg, repeats=20, fraction=0.5,
                                n_strata=10, method_tag="baseline")
-        conv = evaluate_method(H, A, y, cfg, repeats=20, fraction=0.5,
+        conv = evaluate_method(M, y, cfg, repeats=20, fraction=0.5,
                                n_strata=10, method_tag="convolved")
         tt = paired_t_test(conv.per_repeat_test_r, base.per_repeat_test_r)
         elapsed = time.perf_counter() - start

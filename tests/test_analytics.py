@@ -401,7 +401,7 @@ class TestLocateGroup:
         net = net_from(two_blocks())
         runs = [(np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8), 0.9)]
         result = aggregate_importance(runs)
-        report = locate_group(net, result, 2, seed=0)
+        report = locate_group(net, result.taxon_importance, 2, seed=0)
         np.testing.assert_array_equal(np.sort(report.top_indices), [0, 1])
 
     def test_reuses_precomputed_parts(self):

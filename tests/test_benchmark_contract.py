@@ -118,8 +118,8 @@ class TestRepeatedSearchCounts:
         M, y = search_data()
         cfg = OptimizerConfig(mode="l1", **FAST)
         metrics = traced(harness[0], lambda: evaluation.evaluate_method(
-            M, None, y, cfg, 3, n_strata=4, mu_grid=(0.1, 0.01),
-            inner_repeats=2, threads=threads))
+            M, y, cfg, 3, method_tag="baseline_l1", n_strata=4,
+            mu_grid=(0.1, 0.01), inner_repeats=2, threads=threads))
         # per repeat: 2 mu x 2 inner splits to tune, then the held-out run
         self.check(metrics, 3 * (2 * 2 + 1), 3 * 2 * 2)
 
@@ -127,8 +127,43 @@ class TestRepeatedSearchCounts:
         M, y = search_data()
         cfg = OptimizerConfig(mode="size_cap", k_opt=2, **FAST)
         metrics = traced(harness[0], lambda: importance.discover_importance(
-            M, None, y, cfg, 4, threads=threads))
+            M, y, cfg, 4, threads=threads))
         self.check(metrics, 4)
+
+
+class TestOneConvolutionPerCommand:
+    """A command convolves its data once, however many searches read it."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--n-samples", "40", "--n-taxa", "12",
+                         "--n-blocks", "3", "--planted", "0,1",
+                         "--out", str(data)]) == 0
+        return ["--abundance", str(data / "abundance.csv"),
+                "--function", str(data / "function.csv"),
+                "--adjacency", str(data / "adjacency.csv")]
+
+    def convolve_calls(self, tracing, argv):
+        codes = []
+        metrics = traced(tracing, lambda: codes.append(cli.main(argv)))
+        assert codes == [0]
+        return metrics["network.convolve_calls"]
+
+    def test_discover_l1_with_mu_tuning(self, harness, bundle, tmp_path):
+        argv = ["discover", *bundle, "--mode", "l1", "--mu-grid", "0.1,0.05",
+                "--runs", "2", "--population-size", "20",
+                "--max-generations", "5", "--stagnation-limit", "3",
+                "--out", str(tmp_path / "discover")]
+        assert self.convolve_calls(harness[0], argv) == 1
+
+    def test_evaluate_two_graph_methods(self, harness, bundle, tmp_path):
+        argv = ["evaluate", *bundle, "--methods", "convolved,convolved_l1",
+                "--k", "2", "--mu-grid", "0.1,0.05", "--repeats", "2",
+                "--strata", "4", "--population-size", "20",
+                "--max-generations", "5", "--stagnation-limit", "3",
+                "--out", str(tmp_path / "evaluate")]
+        assert self.convolve_calls(harness[0], argv) == 1
 
 
 class TestWorkloadArguments:

@@ -108,6 +108,17 @@ class TestExitCodes:
                     "--out", tmp_path / "out"])
         assert code == 4
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_css_scale_exits_4(self, tmp_path, capsys, scale):
+        data = make_bundle(tmp_path)
+        out = tmp_path / "out"
+        code = run(["ingest", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv",
+                    "--css-scale", scale, "--out", out])
+        assert code == 4
+        assert "scale must be finite and > 0" in capsys.readouterr().err
+        assert not (out / "abundance_normalized.csv").exists()
+
     def test_non_convergence_exits_5(self, tmp_path):
         rng = np.random.default_rng(0)
         base = rng.uniform(1, 5, size=30)

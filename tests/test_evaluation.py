@@ -60,7 +60,7 @@ class TestStratifiedSplit:
     def test_accepts_functional_variable(self):
         y = np.random.default_rng(5).normal(size=24)
         fv = FunctionalVariable(y, "activity")
-        plan = stratified_split(fv, 0.5, 6, seed=0)
+        plan = stratified_split(fv.values, 0.5, 6, seed=0)
         assert plan.n_samples == 24
 
     def test_rounded_share_per_stratum(self):
@@ -252,7 +252,7 @@ class TestEvaluateMethod:
         H, y = planted(10)
         cfg = tiny_cfg(population_size=80, max_generations=40,
                        stagnation_limit=20)
-        report = evaluate_method(H, None, y, cfg, repeats=4)
+        report = evaluate_method(H, y, cfg, repeats=4, method_tag="baseline")
         assert report.method_tag == "baseline"
         assert report.mean_r > 0.9
         assert report.repeats == 4
@@ -261,30 +261,35 @@ class TestEvaluateMethod:
         # the identity operator makes the convolved method the baseline;
         # shared split seeds then produce bitwise-identical correlations
         H, y = planted(11)
-        base = evaluate_method(H, None, y, tiny_cfg(), repeats=3)
-        conv = evaluate_method(H, np.zeros((8, 8)), y, tiny_cfg(), repeats=3)
+        base = evaluate_method(H, y, tiny_cfg(), repeats=3,
+                               method_tag="baseline")
+        conv = evaluate_method(convolved_matrix(H, np.zeros((8, 8))), y,
+                               tiny_cfg(), repeats=3, method_tag="convolved")
         np.testing.assert_array_equal(base.per_repeat_test_r,
                                       conv.per_repeat_test_r)
         assert conv.method_tag == "convolved"
 
     def test_deterministic(self):
         H, y = planted(12)
-        a = evaluate_method(H, None, y, tiny_cfg(seed=4), repeats=3)
-        b = evaluate_method(H, None, y, tiny_cfg(seed=4), repeats=3)
+        a = evaluate_method(H, y, tiny_cfg(seed=4), repeats=3,
+                            method_tag="baseline")
+        b = evaluate_method(H, y, tiny_cfg(seed=4), repeats=3,
+                            method_tag="baseline")
         np.testing.assert_array_equal(a.per_repeat_test_r, b.per_repeat_test_r)
 
     def test_thread_count_invariant(self):
         H, y = planted(13)
-        serial = evaluate_method(H, None, y, tiny_cfg(), repeats=4)
-        threaded = evaluate_method(H, None, y, tiny_cfg(), repeats=4,
-                                   threads=4)
+        serial = evaluate_method(H, y, tiny_cfg(), repeats=4,
+                                 method_tag="baseline")
+        threaded = evaluate_method(H, y, tiny_cfg(), repeats=4,
+                                   method_tag="baseline", threads=4)
         np.testing.assert_array_equal(serial.per_repeat_test_r,
                                       threaded.per_repeat_test_r)
 
     def test_l1_with_inner_tuning(self):
         H, y = planted(14)
         cfg = tiny_cfg(mode="l1", k_opt=None)
-        report = evaluate_method(H, None, y, cfg, repeats=2,
+        report = evaluate_method(H, y, cfg, repeats=2,
                                  mu_grid=(0.5, 0.05),
                                  method_tag="baseline_l1")
         assert report.method_tag == "baseline_l1"
@@ -292,14 +297,15 @@ class TestEvaluateMethod:
 
     def test_explicit_tag_respected(self):
         H, y = planted(15)
-        report = evaluate_method(H, None, y, tiny_cfg(), repeats=2,
+        report = evaluate_method(H, y, tiny_cfg(), repeats=2,
                                  method_tag="custom")
         assert report.method_tag == "custom"
 
     def test_sample_mismatch(self):
         H, y = planted(16)
         with pytest.raises(ValidationError, match="sample counts"):
-            evaluate_method(H, None, y[:-1], tiny_cfg(), repeats=2)
+            evaluate_method(H, y[:-1], tiny_cfg(), repeats=2,
+                            method_tag="baseline")
 
 
 class TestExports:

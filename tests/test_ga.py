@@ -9,7 +9,7 @@ from coresponse.errors import ValidationError
 from coresponse.evaluation import evaluate_method
 from coresponse.ga import (ALPHA_DEFAULT, HISTORY_COLUMNS, GroupChromosome,
                            Objective, OptimizerConfig, evaluate_fitness,
-                           group_r, run_ga, run_many, write_history)
+                           check_search_data, group_r, run_ga, run_many)
 from coresponse.utils import pearson
 
 
@@ -297,17 +297,6 @@ class TestRunGA:
         with pytest.raises(ValidationError, match="at least 2"):
             run_ga(M0, y0, OptimizerConfig(mode="l1"))
 
-    def test_history_export(self, tmp_path):
-        M0, y0 = planted_problem(62)
-        cfg = OptimizerConfig(mode="l1", mu=0.05, seed=0, max_generations=10,
-                              stagnation_limit=10)
-        result = run_ga(M0, y0, cfg)
-        path = tmp_path / "history.csv"
-        write_history(result.history, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(HISTORY_COLUMNS)
-        assert len(lines) == result.history.shape[0] + 1
-
 
 def raw_problem(seed, n=50, p=10, members=(1, 4, 6)):
     """Uncentered data with a planted group, as the orchestrators see it."""
@@ -372,13 +361,30 @@ class TestRunMany:
             assert_same_result(a, b)
             assert ra == rb
 
+    @pytest.mark.parametrize("case, match", [
+        ("1-d M", "2-d"), ("short y", "sample counts"),
+        ("2-d y", "sample counts"), ("nan in M", "non-finite"),
+        ("inf in y", "non-finite")])
+    def test_unsearchable_data_is_rejected(self, case, match):
+        M, y = raw_problem(75)
+        M, y = {"1-d M": (M[:, 0], y), "short y": (M, y[:-1]),
+                "2-d y": (M, y[:, None]),
+                "nan in M": (np.where(M > 2.9, np.nan, M), y),
+                "inf in y": (M, np.where(y > y.max() - 1e-9, np.inf, y)),
+                }[case]
+        with pytest.raises(ValidationError, match=match):
+            check_search_data(M, y)
+        halves = (np.arange(25), np.arange(25, 50))
+        for rows in ((None, None), halves):
+            with pytest.raises(ValidationError, match=match):
+                run_many(M, y, [(self.fast_cfg(0), *rows)])
+
     def test_evaluate_l1_with_mu_grid_is_thread_independent(self):
         M, y = raw_problem(74, n=60, p=8)
         cfg = self.fast_cfg(5, mode="l1", k_opt=None)
-        reports = [evaluate_method(M, None, y, cfg, repeats=3,
+        reports = [evaluate_method(M, y, cfg, repeats=3, method_tag="baseline",
                                    mu_grid=(0.2, 0.05, 0.01), n_strata=5,
                                    threads=threads)
                    for threads in (1, 3)]
         np.testing.assert_array_equal(reports[0].per_repeat_test_r,
                                       reports[1].per_repeat_test_r)
-        assert reports[0].method_tag == reports[1].method_tag == "baseline"

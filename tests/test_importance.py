@@ -127,7 +127,7 @@ class TestDiscover:
 
     def test_planted_members_dominate(self):
         H, y = self.planted()
-        report = discover_importance(H, None, y, self.cfg(), runs=5)
+        report = discover_importance(H, y, self.cfg(), runs=5)
         assert isinstance(report, DiscoveryReport)
         np.testing.assert_array_equal(np.sort(report.top_indices), [2, 7])
         I = report.importance.taxon_importance
@@ -137,26 +137,26 @@ class TestDiscover:
 
     def test_top_k_defaults_to_cap(self):
         H, y = self.planted(1)
-        report = discover_importance(H, None, y, self.cfg(), runs=3)
+        report = discover_importance(H, y, self.cfg(), runs=3)
         assert report.top_k == 2
 
     def test_top_k_override(self):
         H, y = self.planted(2)
-        report = discover_importance(H, None, y, self.cfg(), runs=3, top_k=4)
+        report = discover_importance(H, y, self.cfg(), runs=3, top_k=4)
         assert report.top_k == 4
         assert report.top_indices.shape == (4,)
 
     def test_l1_top_k_from_mean_size(self):
         H, y = self.planted(3)
         cfg = self.cfg(mode="l1", k_opt=None, mu=0.05)
-        report = discover_importance(H, None, y, cfg, runs=3)
+        report = discover_importance(H, y, cfg, runs=3)
         sizes = [x.size() for x, _ in report.importance.per_run]
         assert report.top_k == max(1, round(float(np.mean(sizes))))
 
     def test_deterministic_and_thread_invariant(self):
         H, y = self.planted(4)
-        a = discover_importance(H, None, y, self.cfg(seed=9), runs=4)
-        b = discover_importance(H, None, y, self.cfg(seed=9), runs=4,
+        a = discover_importance(H, y, self.cfg(seed=9), runs=4)
+        b = discover_importance(H, y, self.cfg(seed=9), runs=4,
                                 threads=4)
         np.testing.assert_array_equal(a.importance.taxon_importance,
                                       b.importance.taxon_importance)
@@ -166,7 +166,7 @@ class TestDiscover:
     def test_runs_guard(self):
         H, y = self.planted(5)
         with pytest.raises(ValidationError, match="runs"):
-            discover_importance(H, None, y, self.cfg(), runs=0)
+            discover_importance(H, y, self.cfg(), runs=0)
 
 
 class TestMeanRelativeAbundance:

@@ -96,6 +96,11 @@ class TestCss:
         out = css_normalize(m)
         assert np.array_equal(out.values == 0.0, m.values == 0.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValidationError, match="scale must be finite"):
+            css_normalize(small_matrix(), scale=scale)
+
 
 class TestRoundTrip:
     def test_abundance_file_round_trip(self, tmp_path):

@@ -9,7 +9,7 @@ from coresponse.errors import ValidationError
 from coresponse.ga import OptimizerConfig
 from coresponse.model_select import (DEFAULT_MU_GRID, RSS_FLOOR, SWEEP_COLUMNS,
                                      ModelSelectionResult, aic_for_group,
-                                     mu_sweep, sweep_k, tune_mu, write_sweep)
+                                     mu_sweep, sweep_k, write_sweep)
 
 
 def aic_oracle(bits, M, y):
@@ -181,7 +181,7 @@ class TestTuneMu:
         y = M[:, 3] + rng.normal(0, 0.1, size=60)
         grid = (1.0 / 30, 1.0 / 60, 1.0 / 100)
         cfg = quick_cfg(mode="l1", k_opt=None, seed=5)
-        mu = tune_mu(M, y, grid, cfg)
+        mu = mu_sweep(M, y, grid, cfg).chosen_mu
         assert mu in grid
 
     def test_scores_every_mu(self):
@@ -230,3 +230,34 @@ class TestTuneMu:
         result = run_ga(M - M.mean(axis=0), y0, cfg)
         assert result.best.size() == 1
         np.testing.assert_array_equal(result.best.indices(), [6])
+
+
+class TestSearchDataChecks:
+    """Both sweeps reject data a search cannot use, before searching."""
+
+    def data(self):
+        rng = np.random.default_rng(30)
+        M = rng.uniform(0, 3, size=(40, 6))
+        return M, M[:, 2] + rng.normal(0, 0.2, size=40)
+
+    def with_nan(self, a, at):
+        a = a.copy()
+        a[at] = np.nan
+        return a
+
+    def test_mu_sweep_rejects_misaligned_rows(self):
+        M, y = self.data()
+        with pytest.raises(ValidationError, match="sample counts"):
+            mu_sweep(M, y[:-1], (0.1, 0.05), quick_cfg(mode="l1", k_opt=None),
+                     n_strata=4)
+
+    def test_sweep_k_rejects_nan_in_M(self):
+        M, y = self.data()
+        with pytest.raises(ValidationError, match="non-finite"):
+            sweep_k(self.with_nan(M, (3, 1)), y, (2, 2), 1, quick_cfg())
+
+    def test_mu_sweep_rejects_nan_in_y(self):
+        M, y = self.data()
+        with pytest.raises(ValidationError, match="non-finite"):
+            mu_sweep(M, self.with_nan(y, 5), (0.1, 0.05),
+                     quick_cfg(mode="l1", k_opt=None), n_strata=4)
