@@ -1,6 +1,6 @@
-"""Benchmark the numeric-table reads at the perfbench scale shape.
+"""Benchmark file I/O and start-up at the perfbench shapes.
 
-Writes a p=1000 adjacency and a 200 x 1000 abundance table of synthetic
+Table reads: writes a p=1000 adjacency and a 200 x 1000 abundance table of synthetic
 data with shortest-round-trip (``repr``) floats, as the perfbench scale
 workload does, then times ``network.load_adjacency`` and
 ``ingest.load_abundance`` two ways: with ``tables.read_matrix`` (one
@@ -10,13 +10,26 @@ row lists and converted them with one ``np.array`` call; the old
 abundance read called ``parse_cell`` on every cell.  Each read's peak
 Python heap comes from ``tracemalloc`` in a separate, untimed call.
 
-Run from the repository root:
+GraphML: infers the network of a p=600 dataset, the perfbench inferred
+shape, and writes its annotated graph (clusters, centralities, importance,
+abundance) with ``analytics.write_annotated_graph`` and with the networkx
+writer it used before, kept below; both files must hold the same bytes.
+This case needs networkx and is skipped without it.
+
+Start-up: the wall time of ``import coresponse.cli`` in a fresh
+interpreter, and of ``import numpy`` for reference.
+
+Every time is the best of ``--repeats`` calls or interpreter starts.  Run
+from the repository root:
 
     python3 benchmarks/bench_io.py
     python3 benchmarks/bench_io.py --taxa 300 --repeats 3
 """
 
 import argparse
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -25,9 +38,12 @@ from unittest import mock
 
 import numpy as np
 
-from coresponse import ingest, network
+import coresponse
+from coresponse import analytics, ingest, network
 from coresponse.synth import SynthSpec, generate
 from coresponse.tables import parse_cell, read_table
+
+GRAPHML_TAXA = 600
 
 
 def old_adjacency_reader(path):
@@ -51,6 +67,33 @@ def old_abundance_reader(path):
         for j, cell in enumerate(cells[1:]):
             values[i, j] = parse_cell(cell, path, row=i + 2, col=j + 2)
     return header[1:], [cells[0] for cells in rows], values
+
+
+def old_write_annotated_graph(net, path, *, clusters=None, cent=None,
+                              importance=None, mean_abundance=None,
+                              min_weight=0.0):
+    """The annotated graph built as an ``nx.Graph`` and written by networkx."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    for i, label in enumerate(net.taxon_labels):
+        attrs = {}
+        if clusters is not None:
+            attrs["cluster"] = int(clusters.assignment[i])
+        if cent is not None:
+            attrs["degree"] = float(cent.degree[i])
+            attrs["closeness"] = float(cent.closeness[i])
+        if importance is not None:
+            attrs["importance"] = float(importance[i])
+        if mean_abundance is not None:
+            attrs["mean_relative_abundance"] = float(mean_abundance[i])
+        graph.add_node(label, **attrs)
+    ia, ja = np.nonzero(np.triu(net.adjacency, k=1))
+    for i, j in zip(ia, ja):
+        w = float(net.adjacency[i, j])
+        if w >= min_weight and w > 0:
+            graph.add_edge(net.taxon_labels[i], net.taxon_labels[j], weight=w)
+    nx.write_graphml(graph, path)
 
 
 def write_repr_csv(path, header, labels, values) -> None:
@@ -80,14 +123,7 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--taxa", type=int, default=1000)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-
+def bench_tables(args) -> None:
     spec = SynthSpec(n_samples=args.samples, n_taxa=args.taxa, n_blocks=8,
                      intra_block_weight=0.5, planted_group=tuple(range(10)),
                      noise_sigma=0.05, seed=args.seed)
@@ -120,6 +156,71 @@ def main() -> None:
                       f"{path.stat().st_size / 1e6:>11.1f}"
                       f"{seconds:>9.4f}{peak:>9.1f}")
             print(f"{name:<16}bitwise equal: {np.array_equal(*bits)}")
+
+
+def bench_graphml(args) -> None:
+    try:
+        import networkx  # noqa: F401
+    except ImportError:
+        print("graphml: networkx is not installed; comparison skipped")
+        return
+    spec = SynthSpec(n_samples=200, n_taxa=GRAPHML_TAXA, n_blocks=8,
+                     intra_block_weight=0.5, planted_group=tuple(range(10)),
+                     noise_sigma=0.05, seed=args.seed)
+    bundle = generate(spec)
+    abundance = ingest.css_normalize(
+        ingest.filter_sparse_taxa(bundle.raw_abundance))
+    net = network.infer_network(abundance)
+    rng = np.random.default_rng(args.seed)
+    annotations = {
+        "clusters": analytics.louvain(net, seed=args.seed),
+        "cent": analytics.centralities(net),
+        "importance": rng.uniform(-0.2, 1.0, net.n_taxa),
+        "mean_abundance": rng.dirichlet(np.ones(net.n_taxa)),
+    }
+    n_edges = int(np.count_nonzero(np.triu(net.adjacency, k=1)))
+    print(f"\ngraphml: p={net.n_taxa}, {n_edges} edges")
+    print(f"{'writer':<14}{'best s':>9}{'MB':>7}")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for name, write in (("in-package", analytics.write_annotated_graph),
+                            ("networkx", old_write_annotated_graph)):
+            path = Path(tmp) / f"{name}.graphml"
+            seconds = best_of(lambda: write(net, path, **annotations),
+                              args.repeats)
+            files.append(path.read_bytes())
+            print(f"{name:<14}{seconds:>9.4f}{len(files[-1]) / 1e6:>7.2f}")
+    print(f"graphml bytes equal: {files[0] == files[1]}")
+
+
+def fresh_import_s(module: str, repeats: int) -> float:
+    """Best wall time of ``import module`` over fresh interpreter starts."""
+    src = str(Path(coresponse.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import time\nstart = time.perf_counter()\n"
+            f"import {module}\nprint(time.perf_counter() - start)")
+    return min(float(subprocess.run([sys.executable, "-c", code], env=env,
+                                    capture_output=True, text=True,
+                                    check=True).stdout)
+               for _ in range(repeats))
+
+
+def bench_start_up(args) -> None:
+    print(f"\n{'fresh import':<18}{'best s':>9}")
+    for module in ("numpy", "coresponse.cli"):
+        print(f"{module:<18}{fresh_import_s(module, args.repeats):>9.4f}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument("--taxa", type=int, default=1000)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    bench_tables(args)
+    bench_graphml(args)
+    bench_start_up(args)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import ValidationError
 from .network import CoOccurrenceNetwork
@@ -311,6 +308,9 @@ def centralities(net: CoOccurrenceNetwork) -> CentralityReport:
     d from shortest paths over edge lengths 1/weight; isolated nodes score
     0 on both.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     A = net.adjacency
     p = net.n_taxa
     degree = A.sum(axis=1)
@@ -417,8 +417,11 @@ def write_annotated_graph(net: CoOccurrenceNetwork, path, *,
                           importance=None, mean_abundance=None,
                           min_weight: float = 0.0) -> None:
     """GraphML of the full network with analysis attributes on nodes."""
-    graph = nx.Graph()
-    for i, label in enumerate(net.taxon_labels):
+    from .tables import write_graphml
+
+    labels = net.taxon_labels
+    nodes = []
+    for i, label in enumerate(labels):
         attrs = {}
         if clusters is not None:
             attrs["cluster"] = int(clusters.assignment[i])
@@ -429,10 +432,10 @@ def write_annotated_graph(net: CoOccurrenceNetwork, path, *,
             attrs["importance"] = float(importance[i])
         if mean_abundance is not None:
             attrs["mean_relative_abundance"] = float(mean_abundance[i])
-        graph.add_node(label, **attrs)
-    ia, ja = np.nonzero(np.triu(net.adjacency, k=1))
-    for i, j in zip(ia, ja):
-        w = float(net.adjacency[i, j])
-        if w >= min_weight and w > 0:
-            graph.add_edge(net.taxon_labels[i], net.taxon_labels[j], weight=w)
-    nx.write_graphml(graph, path)
+        nodes.append((label, attrs))
+    A = net.adjacency
+    ia, ja = np.nonzero(np.triu(A, k=1))
+    edges = [(labels[i], labels[j], {"weight": w})
+             for i, j, w in zip(ia.tolist(), ja.tolist(), A[ia, ja].tolist())
+             if w >= min_weight and w > 0]
+    write_graphml(path, nodes, edges)

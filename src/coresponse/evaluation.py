@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ValidationError
 from .ga import OptimizerConfig, check_search_data, run_many
@@ -211,6 +210,8 @@ def paired_t_test(a, b) -> TTestResult:
     t-distribution tail; ``significant`` applies the 0.05 threshold.
     Identical difference vectors (zero variance) are an error.
     """
+    from scipy.special import betainc
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.shape[0] < 2:

@@ -197,13 +197,13 @@ def _initial_population(cfg: OptimizerConfig, p: int, rng: np.random.Generator) 
 
 
 def _lexicographic_best(population: np.ndarray, candidates: np.ndarray) -> int:
-    best = candidates[0]
-    best_key = population[best].tobytes()
-    for idx in candidates[1:]:
-        key = population[idx].tobytes()
-        if key < best_key:
-            best, best_key = idx, key
-    return int(best)
+    """The candidate whose row has the smallest bytes; ties go to the first."""
+    if candidates.shape[0] == 1:
+        return int(candidates[0])
+    rows = np.ascontiguousarray(population[candidates])
+    # one raw-bytes item per row, which sorts as the row's tobytes() does
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
+    return int(candidates[np.argsort(keys.ravel(), kind="stable")[0]])
 
 
 def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,

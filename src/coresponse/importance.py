@@ -146,7 +146,7 @@ def write_group_network(importance: ImportanceResult, labels, values,
     ``values`` is the samples x taxa abundance array behind the node
     tables' mean relative abundance.
     """
-    from .tables import fmt, write_table
+    from .tables import fmt, write_graphml, write_table
 
     labels = tuple(str(label) for label in labels)
     if len(labels) != importance.n_taxa:
@@ -163,13 +163,10 @@ def write_group_network(importance: ImportanceResult, labels, values,
     write_table(edges_path, list(EDGE_COLUMNS), edge_rows, delimiter)
 
     if graph_path is not None:
-        import networkx as nx
-
-        graph = nx.Graph()
-        for i, label in enumerate(labels):
-            graph.add_node(label, importance=float(I[i]),
-                           mean_relative_abundance=float(mra[i]))
-        for i, j in zip(ia, ja):
-            if abs(L[i, j]) >= display_threshold:
-                graph.add_edge(labels[i], labels[j], weight=float(L[i, j]))
-        nx.write_graphml(graph, graph_path)
+        nodes = [(label, {"importance": i, "mean_relative_abundance": m})
+                 for label, i, m in zip(labels, I.tolist(), mra.tolist())]
+        edges = [(labels[i], labels[j], {"weight": w})
+                 for i, j, w in zip(ia.tolist(), ja.tolist(),
+                                    L[ia, ja].tolist())
+                 if abs(w) >= display_threshold]
+        write_graphml(graph_path, nodes, edges)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .ga import GroupChromosome, OptimizerConfig, run_many
+from .ga import GroupChromosome, OptimizerConfig, check_search_data, run_many
 from .utils import child_int
 
 DEFAULT_K_RANGE = (2, 50)
@@ -165,6 +165,7 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
         raise ValidationError("inner_repeats must be >= 1")
     if cfg is None:
         cfg = OptimizerConfig(mode="l1")
+    M_train, y_train = check_search_data(M_train, y_train)
 
     jobs = []
     for rep in range(inner_repeats):

@@ -1,4 +1,4 @@
-"""Plain delimited-table reading and writing.
+"""Plain delimited-table reading and writing, and the GraphML writer.
 
 All file formats in this package are simple delimited text in UTF-8: one
 mandatory header row, no quoting, decimal point '.'.  The delimiter is
@@ -7,6 +7,9 @@ Numeric cells are parsed exactly as Python's ``float()`` parses them,
 surrounding whitespace allowed.  Numeric output uses 12 significant digits,
 which round-trips any decimal input of up to 12 significant digits
 bit-exactly through a float64.
+
+Graph files are GraphML, written by :func:`write_graphml` in exactly the
+bytes networkx 3.x's ``write_graphml`` writes for the same graph.
 """
 
 from contextlib import contextmanager
@@ -159,3 +162,85 @@ def write_table(path, header: list[str], rows, delimiter: str = ",") -> None:
 def _check_label(label: str, delimiter: str) -> None:
     if delimiter in label or "\n" in label or "\r" in label:
         raise ValidationError(f"label {label!r} contains the delimiter or a newline")
+
+
+#: GraphML ``attr.type`` of each attribute value type, named as networkx does
+_GRAPHML_TYPES = {int: "long", float: "double"}
+
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
+    'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+    'xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns '
+    'http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">\n')
+
+
+def _xml_attr(text: str) -> str:
+    """Escape an XML attribute value as ElementTree does."""
+    for char, ref in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"),
+                      ('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"),
+                      ("\t", "&#09;")):
+        if char in text:
+            text = text.replace(char, ref)
+    return text
+
+
+def write_graphml(path, nodes, edges) -> None:
+    """Write an undirected graph as GraphML.
+
+    ``nodes`` yields ``(label, attrs)`` and ``edges`` ``(u, v, attrs)``
+    between labels of ``nodes``; attribute values are ints or floats.  The
+    file holds exactly the bytes networkx 3.x's ``write_graphml`` writes
+    for the ``nx.Graph`` built by adding them in order.  So a repeated
+    label or pair updates the attributes of its first occurrence, edges
+    come in node order, each from the endpoint that comes first, and key
+    ids number the (name, type, scope) triples in order of first use over
+    the nodes, then the edges.
+    """
+    node_attrs = {}
+    for label, attrs in nodes:
+        node_attrs.setdefault(label, {}).update(attrs)
+    adj = {label: {} for label in node_attrs}
+    for u, v, attrs in edges:
+        data = adj[u].get(v)
+        if data is None:
+            data = adj[u][v] = adj[v][u] = {}
+        data.update(attrs)
+
+    ids = {label: _xml_attr(str(label)) for label in node_attrs}
+    keys = {}  # (name, attr.type, scope) -> key id
+
+    def element(tag, ident, attrs):
+        if not attrs:
+            return [f"    <{tag} {ident} />\n"]
+        lines = [f"    <{tag} {ident}>\n"]
+        for name, value in attrs.items():
+            key = keys.setdefault((name, _GRAPHML_TYPES[type(value)], tag),
+                                  f"d{len(keys)}")
+            lines.append(f'      <data key="{key}">{value}</data>\n')
+        lines.append(f"    </{tag}>\n")
+        return lines
+
+    body = []
+    for label, attrs in node_attrs.items():
+        body += element("node", f'id="{ids[label]}"', attrs)
+    seen = set()
+    for u, row in adj.items():
+        for v, attrs in row.items():
+            if v not in seen:
+                body += element("edge", f'source="{ids[u]}" target="{ids[v]}"',
+                                attrs)
+        seen.add(u)
+
+    # networkx inserts each new key before the others: newest key first
+    head = [_GRAPHML_HEAD]
+    head += [f'  <key id="{key}" for="{scope}" attr.name="{_xml_attr(name)}" '
+             f'attr.type="{kind}" />\n'
+             for (name, kind, scope), key in reversed(keys.items())]
+    if body:
+        text = "".join(head + ['  <graph edgedefault="undirected">\n']
+                       + body + ["  </graph>\n</graphml>\n"])
+    else:
+        text = "".join(head + ['  <graph edgedefault="undirected" />\n'
+                               "</graphml>\n"])
+    Path(path).write_bytes(text.encode("utf-8", "xmlcharrefreplace"))

@@ -1,8 +1,14 @@
 """Command line behavior: exit codes, config handling, pipeline wiring."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import coresponse
 from coresponse.cli import build_parser, main
 
 GA_FAST = ["--population-size", "60", "--max-generations", "30",
@@ -41,6 +47,45 @@ class TestVersionAndUsage:
         with pytest.raises(SystemExit) as exc:
             main(["ingest"])
         assert exc.value.code == 2
+
+
+def optional_modules_after(code, cwd):
+    """The scipy and networkx modules a fresh interpreter holds after ``code``."""
+    script = (code + "\nimport sys\nprint(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('scipy', 'networkx')))")
+    src = str(Path(coresponse.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+class TestStartUp:
+    """Start-up needs numpy alone; scipy loads only in evaluate and analyze."""
+
+    def test_import_loads_neither_scipy_nor_networkx(self, tmp_path):
+        assert optional_modules_after(
+            "import coresponse, coresponse.cli", tmp_path) == "[]"
+
+    def test_numpy_only_commands_load_no_scipy(self, tmp_path):
+        fast = ", ".join(repr(a) for a in GA_FAST)
+        data = "'--abundance', 'd/abundance.csv', '--function', 'd/function.csv'"
+        code = f"""
+from coresponse.cli import main
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+run('synth', '--n-samples', '40', '--n-taxa', '12', '--n-blocks', '3',
+    '--planted', '0,1', '--out', 'd')
+run('ingest', {data}, '--out', 'i')
+run('infer-net', '--abundance', 'd/abundance.csv', '--out', 'n')
+run('select-k', {data}, '--adjacency', 'd/adjacency.csv', '--k-min', '1',
+    '--k-max', '2', '--repeats', '1', '--out', 's', {fast})
+run('discover', {data}, '--adjacency', 'd/adjacency.csv', '--k', '2',
+    '--runs', '2', '--out', 'k', {fast})
+run('discover', {data}, '--adjacency', 'd/adjacency.csv', '--mode', 'l1',
+    '--mu-grid', '0.1,0.05', '--runs', '2', '--out', 'l', {fast})
+"""
+        assert optional_modules_after(code, tmp_path) == "[]"
 
 
 class TestExitCodes:

@@ -4,12 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coresponse.errors import ValidationError
 from coresponse.evaluation import evaluate_method
 from coresponse.ga import (ALPHA_DEFAULT, HISTORY_COLUMNS, GroupChromosome,
-                           Objective, OptimizerConfig, evaluate_fitness,
-                           check_search_data, group_r, run_ga, run_many)
+                           Objective, OptimizerConfig, _lexicographic_best,
+                           evaluate_fitness, check_search_data, group_r,
+                           run_ga, run_many)
 from coresponse.utils import pearson
 
 
@@ -164,6 +167,52 @@ def planted_problem(seed, n=60, p=12, members=(2, 5, 9)):
     M0 = M - M.mean(axis=0)
     y0 = y - y.mean()
     return M0, y0
+
+
+def lexicographic_best_loop(population, candidates):
+    """The tie rule as a loop: the first candidate with the smallest bytes."""
+    best = candidates[0]
+    best_key = population[best].tobytes()
+    for idx in candidates[1:]:
+        key = population[idx].tobytes()
+        if key < best_key:
+            best, best_key = idx, key
+    return int(best)
+
+
+@st.composite
+def tied_populations(draw):
+    """A 0/1 population of few distinct rows, each copied and bit-flipped,
+    and a candidate subset of its indices in arbitrary order."""
+    p = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = rng.integers(0, 2, size=(draw(st.integers(1, 4)), p),
+                         dtype=np.uint8)
+    m = draw(st.integers(1, 60))
+    pop = bases[rng.integers(0, bases.shape[0], size=m)]
+    # near duplicates: flip one bit in some copies
+    flip = rng.random(m) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    pop[flip, rng.integers(0, p, size=int(flip.sum()))] ^= 1
+    size = draw(st.integers(1, m))
+    candidates = rng.permutation(m)[:size]
+    if draw(st.booleans()):
+        candidates = np.sort(candidates)
+    return pop, candidates
+
+
+class TestLexicographicBest:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_populations())
+    def test_matches_loop_oracle(self, case):
+        pop, candidates = case
+        assert (_lexicographic_best(pop, candidates)
+                == lexicographic_best_loop(pop, candidates))
+
+    def test_identical_rows_keep_first_candidate(self):
+        pop = np.array([[0, 1, 1], [0, 1, 0], [0, 1, 0]], dtype=np.uint8)
+        assert _lexicographic_best(pop, np.array([2, 0, 1])) == 2
+        assert _lexicographic_best(pop, np.array([1, 2])) == 1
+        assert _lexicographic_best(pop, np.array([0])) == 0
 
 
 class TestRunGA:

@@ -261,3 +261,9 @@ class TestSearchDataChecks:
         with pytest.raises(ValidationError, match="non-finite"):
             mu_sweep(M, self.with_nan(y, 5), (0.1, 0.05),
                      quick_cfg(mode="l1", k_opt=None), n_strata=4)
+
+    def test_mu_sweep_rejects_2d_y_before_splitting(self):
+        M, y = self.data()
+        with pytest.raises(ValidationError, match="sample counts"):
+            mu_sweep(M, y[:, None], (0.1,), quick_cfg(mode="l1", k_opt=None),
+                     n_strata=4)
