@@ -8,9 +8,12 @@ to solve the non-negative elastic net of network inference on synthetic
 p=600 abundance (the benchmark's inferred workload at seed 1): coordinate
 descent to a 1e-8 sweep tolerance, and the loose pass plus exact KKT
 finish that ``network.infer_network`` runs, with sweeps, solves and KKT
-residuals.  Pin BLAS to one thread (for example
-``OPENBLAS_NUM_THREADS=1``) for numbers comparable with the formulation
-switch in ``coresponse/_kernels.py``.
+residuals.  Times one ``run_ga`` generation on the perfbench workloads'
+shapes (quickstart p=60 capped at 6 and uncapped, scale p=1000 capped at
+10, inferred-sized p=600 uncapped), 60 generations with no stagnation
+stop, and the share of it spent in ``group_terms``.  Pin BLAS to one
+thread (for example ``OPENBLAS_NUM_THREADS=1``) for numbers comparable
+with the formulation switch in ``coresponse/_kernels.py``.
 
 Run from the repository root:
 
@@ -68,6 +71,59 @@ def bench_group_terms(args) -> None:
         print(f"  dense    : {t_dense * 1e3:8.3f} ms")
         print(f"  gathered : {t_gath * 1e3:8.3f} ms  "
               f"(x{t_dense / t_gath:.1f}, max rel dev {dev:.1e})")
+
+
+#: (samples, taxa, blocks, planted size, OptimizerConfig keywords)
+GA_CASES = (
+    (100, 60, 4, 6, dict(mode="size_cap", k_opt=6)),
+    (100, 60, 4, 6, dict(mode="l1", mu=0.02)),
+    (200, 1000, 8, 10, dict(mode="size_cap", k_opt=10)),
+    (200, 600, 8, 10, dict(mode="l1", mu=0.02)),
+)
+GA_GENERATIONS = 60
+
+
+def bench_run_ga(args) -> None:
+    from coresponse import ga
+    from coresponse.synth import SynthSpec, generate
+
+    kernel = ga.group_terms
+    kernel_s = 0.0
+
+    def timed_kernel(*a, **kw):
+        nonlocal kernel_s
+        start = time.perf_counter()
+        try:
+            return kernel(*a, **kw)
+        finally:
+            kernel_s += time.perf_counter() - start
+
+    print(f"run_ga, {GA_GENERATIONS} generations of 200 chromosomes, "
+          "no stagnation stop")
+    ga.group_terms = timed_kernel  # run_ga looks the kernel up here
+    try:
+        for n, p, blocks, planted, kw in GA_CASES:
+            bundle = generate(SynthSpec(n_samples=n, n_taxa=p, n_blocks=blocks,
+                                        planted_group=tuple(range(planted)),
+                                        seed=1))
+            M, y = bundle.abundance.values, bundle.function.values
+            M0, y0 = M - M.mean(axis=0), y - y.mean()
+            cfg = ga.OptimizerConfig(max_generations=GA_GENERATIONS,
+                                     stagnation_limit=GA_GENERATIONS + 1, **kw)
+            best, share = float("inf"), 0.0
+            for _ in range(args.repeats):
+                kernel_s = 0.0
+                start = time.perf_counter()
+                ga.run_ga(M0, y0, cfg)
+                took = time.perf_counter() - start
+                if took < best:
+                    best, share = took, kernel_s / took
+            search = ("uncapped" if cfg.size_cap is None
+                      else f"capped at {cfg.size_cap}")
+            print(f"  p={p:5d} {search:14s}: {best / GA_GENERATIONS * 1e3:7.3f} "
+                  f"ms per generation, {share:4.0%} in group_terms")
+    finally:
+        ga.group_terms = kernel
 
 
 def kkt_residuals(gram, B, mu1, mu2):
@@ -138,6 +194,7 @@ def main() -> None:
 
     print(f"backend: {k.BACKEND}")
     bench_group_terms(args)
+    bench_run_ga(args)
     bench_enet(args)
 
 

@@ -54,18 +54,19 @@ def group_terms(pop, gram, cvec, gathered=False):
         (num, quad, size): per-row x.c, x.G.x and popcount, where num/quad
         are the numerator and squared denominator of the objective.
     """
-    size = pop.sum(axis=1).astype(np.int64)
     if gathered:
-        num, quad = _gathered_terms(pop, gram, cvec)
-    else:
-        xf = pop.astype(np.float64)
-        num = xf @ cvec
-        quad = np.einsum("ij,ij->i", xf @ gram, xf)
+        return _gathered_terms(pop, gram, cvec)
+    xf = pop.astype(np.float64)
+    num = xf @ cvec
+    quad = np.einsum("ij,ij->i", xf @ gram, xf)
+    # a sum of ones is exact in float64, and one product is far cheaper
+    # than a uint8 reduction
+    size = (xf @ np.ones(pop.shape[1])).astype(np.int64)
     return num, quad, size
 
 
 def _gathered_terms(pop, gram, cvec):
-    """x.c and x.G.x from the set bits of each row only.
+    """x.c, x.G.x and the popcount from the set bits of each row only.
 
     Each row's set bits fill one column of a (kmax, m) index array, padded
     with index 0 at weight 0.  Both sums run over the leading axis, which
@@ -91,7 +92,7 @@ def _gathered_terms(pop, gram, cvec):
     pair = gram.ravel().take(idx[:, None, :] * p + idx[None, :, :])
     pair *= w[:, None, :] * w[None, :, :]
     quad = pair.reshape(kmax * kmax, width).sum(axis=0)
-    return num[:m], quad[:m]
+    return num[:m], quad[:m], counts
 
 
 def enet_coordinate_descent(gram, mu1, mu2, max_iter, tol):

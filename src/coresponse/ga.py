@@ -158,17 +158,15 @@ class Objective:
         """Return (raw, penalized, r, size) arrays for a population matrix."""
         num, quad, size = self.terms(population)
         ok = (size > 0) & (quad > DEGENERATE_QUAD)
-        raw = np.zeros(len(num))
-        raw[ok] = num[ok] / np.sqrt(quad[ok])
+        # degenerate rows keep raw = 0.0 and so r = 0.0
+        raw = np.sqrt(quad, out=np.zeros(len(num)), where=ok)
+        np.divide(num, raw, out=raw, where=ok)
         if cfg.mode == "size_cap":
-            excess = np.maximum(size - cfg.k_opt, 0).astype(np.float64)
-            pen = raw - cfg.alpha * excess
+            pen = raw - cfg.alpha * np.maximum(size - cfg.k_opt, 0)
         else:
-            pen = raw - cfg.mu * size.astype(np.float64)
+            pen = raw - cfg.mu * size
         pen[~ok] = -cfg.alpha
-        r = np.zeros(len(num))
-        if self.y_norm > 0:
-            r[ok] = raw[ok] / self.y_norm
+        r = raw / self.y_norm if self.y_norm > 0 else np.zeros(len(num))
         return raw, pen, r, size
 
 
@@ -206,6 +204,18 @@ def _lexicographic_best(population: np.ndarray, candidates: np.ndarray) -> int:
     return int(candidates[np.argsort(keys.ravel(), kind="stable")[0]])
 
 
+def _draw(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(len(probs), size, p=probs)`` without its argument checks.
+
+    This is numpy's own algorithm for that call (``Generator.choice`` with
+    replacement): the same cdf and the same uniforms give the same indices
+    and leave the stream in the same state.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
            record_populations: bool = False) -> GAResult:
     """Run the genetic search on centered data.
@@ -220,84 +230,82 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
     if p < 2:
         raise ValidationError("need at least 2 taxa to optimize over")
 
+    m = cfg.population_size
+    n_elite = math.ceil(cfg.elite_fraction * m)
+    n_off = m - n_elite
+    n_pairs = (n_off + 1) // 2
+    cols = np.arange(p)
+    # the selection probability of rank j (worst 1 ... best m) is j / sum
+    rank_probs = np.arange(1.0, m + 1)
+    rank_probs /= rank_probs.sum()
+    # generations fill two buffers in turn: elites first, then the children
+    # pair by pair; with an odd offspring count the last child falls past
+    # the population
+    buffers = [np.empty((n_elite + 2 * n_pairs, p), np.uint8) for _ in range(2)]
+    children = [buf[n_elite:].reshape(n_pairs, 2, p) for buf in buffers]
+
     pop = _initial_population(cfg, p, generator(cfg.seed, 0))
     raw, pen, r, size = objective.evaluate(pop, cfg)
 
     archive = None  # (pen, bits_bytes, bits, raw, r, size)
-    history = []
+    scores = [(pen, r, size)]
     populations = [pop.copy()] if record_populations else None
 
     def consider(pop, raw, pen, r, size):
         """Update the best-ever archive; True iff best fitness improved."""
         nonlocal archive
         if cfg.mode == "size_cap":
-            feasible = np.flatnonzero(size <= cfg.k_opt)
-            if feasible.size == 0:  # possible only without elitism
-                return False
-        else:
-            feasible = np.arange(len(pen))
-        best_pen = pen[feasible].max()
-        cand = feasible[pen[feasible] == best_pen]
-        idx = _lexicographic_best(pop, cand)
+            pen = np.where(size <= cfg.k_opt, pen, -np.inf)
+        best_pen = pen.max()
+        if best_pen == -np.inf:  # no feasible row, possible only without elitism
+            return False
+        if archive is not None and best_pen < archive[0]:
+            return False
+        idx = _lexicographic_best(pop, np.flatnonzero(pen == best_pen))
         key = pop[idx].tobytes()
         entry = (best_pen, key, pop[idx].copy(), raw[idx], r[idx], size[idx])
         if archive is None or best_pen > archive[0]:
             archive = entry
             return True
-        if best_pen == archive[0] and key < archive[1]:
+        if key < archive[1]:
             archive = entry
         return False
 
-    def record(gen, pen, r, size):
-        history.append(
-            (float(gen), pen.max(), pen.mean(), r.max(), r.mean(), size.mean())
-        )
-
     consider(pop, raw, pen, r, size)
-    record(0, pen, r, size)
-
-    n_elite = math.ceil(cfg.elite_fraction * cfg.population_size)
-    n_off = cfg.population_size - n_elite
-    n_pairs = (n_off + 1) // 2
     stagnation = 0
 
     for gen in range(1, cfg.max_generations + 1):
         if stagnation >= cfg.stagnation_limit:
             break
         rng = generator(cfg.seed, gen)
+        nxt = buffers[gen % 2]
+        if n_elite:
+            elite_order = np.argsort(-pen, kind="stable")[:n_elite]
+            np.take(pop, elite_order, axis=0, out=nxt[:n_elite])
 
-        # linear-rank selection probabilities (worst rank 1 ... best rank m)
-        order = np.argsort(pen, kind="stable")
-        ranks = np.empty(cfg.population_size)
-        ranks[order] = np.arange(1, cfg.population_size + 1)
-        probs = ranks / ranks.sum()
+        # linear-rank selection
+        probs = np.empty(m)
+        probs[np.argsort(pen, kind="stable")] = rank_probs
+        parents = _draw(rng, probs, 2 * n_pairs)
+        pairs = pop[parents].reshape(n_pairs, 2, p)  # mother, father
 
-        elite_order = np.argsort(-pen, kind="stable")[:n_elite]
-        elites = pop[elite_order].copy()
-
-        parents = rng.choice(cfg.population_size, size=2 * n_pairs, p=probs)
-        mothers = pop[parents[0::2]]
-        fathers = pop[parents[1::2]]
+        # single-point crossover: XOR both parents with the bits where they
+        # differ past the cut, which swaps their tails
         cross_points = rng.integers(1, p, size=n_pairs)
         do_cross = rng.random(n_pairs) < cfg.crossover_prob
-        tail = np.arange(p)[None, :] >= cross_points[:, None]
-        swap = tail & do_cross[:, None]
-        child_a = np.where(swap, fathers, mothers).astype(np.uint8)
-        child_b = np.where(swap, mothers, fathers).astype(np.uint8)
-        offspring = np.empty((2 * n_pairs, p), dtype=np.uint8)
-        offspring[0::2] = child_a
-        offspring[1::2] = child_b
-        offspring = offspring[:n_off]
+        diff = pairs[:, 0] ^ pairs[:, 1]
+        diff &= cols >= np.where(do_cross, cross_points, p)[:, None]
+        np.bitwise_xor(pairs, diff[:, None], out=children[gen % 2])
 
         do_mutate = rng.random(n_off) < cfg.mutation_prob
         flip_at = rng.integers(0, p, size=n_off)
         rows = np.flatnonzero(do_mutate)
-        offspring[rows, flip_at[rows]] ^= 1
+        nxt[n_elite + rows, flip_at[rows]] ^= 1
 
-        pop = np.concatenate([elites, offspring])
+        pop = nxt[:m]
         raw, pen, r, size = objective.evaluate(pop, cfg)
         improved = consider(pop, raw, pen, r, size)
-        record(gen, pen, r, size)
+        scores.append((pen, r, size))
         stagnation = 0 if improved else stagnation + 1
         if record_populations:
             populations.append(pop.copy())
@@ -308,10 +316,16 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
     best_eval = FitnessEvaluation(
         float(best_raw), float(best_r), float(best_pen), int(best_size)
     )
+    # each generation's summaries, reduced row by row as 1-d arrays would be
+    pens, rs, sizes = (np.stack(column) for column in zip(*scores))
+    history = np.column_stack([
+        np.arange(len(scores), dtype=np.float64), pens.max(axis=1),
+        pens.mean(axis=1), rs.max(axis=1), rs.mean(axis=1), sizes.mean(axis=1),
+    ])
     return GAResult(
         best=GroupChromosome(best_bits),
         best_eval=best_eval,
-        history=np.array(history),
+        history=history,
         populations=tuple(populations) if record_populations else None,
     )
 

@@ -34,7 +34,8 @@ class CoOccurrenceNetwork:
     """Weighted undirected co-occurrence graph over taxa.
 
     The adjacency is symmetric within 1e-12, has a zero diagonal and only
-    finite non-negative weights; labels are in abundance column order.
+    finite non-negative weights; labels are distinct and in abundance
+    column order.
     """
 
     adjacency: np.ndarray
@@ -48,6 +49,11 @@ class CoOccurrenceNetwork:
             raise ValidationError("adjacency must be square")
         if len(self.taxon_labels) != adj.shape[0]:
             raise ValidationError("taxon label count does not match adjacency size")
+        seen = set()
+        for label in self.taxon_labels:
+            if label in seen:
+                raise ValidationError(f"repeated taxon label {label!r}")
+            seen.add(label)
         if not np.isfinite(adj).all():
             raise ValidationError("adjacency contains non-finite weights")
         if (adj < 0).any():

@@ -311,6 +311,17 @@ class TestExitCodes:
         assert "min-weight" in capsys.readouterr().err
         assert not (tmp_path / "out" / "analysis_summary.csv").exists()
 
+    def test_repeated_taxon_label_exits_4(self, tmp_path, capsys):
+        adj = tmp_path / "adjacency.csv"
+        adj.write_text(",a,b\na,0,1\nb,1,0\n")
+        table = tmp_path / "importance.csv"
+        table.write_text("taxon,importance\na,0.5\nb,0.25\na,0.75\n")
+        code = run(["analyze", "--adjacency", adj, "--importance", table,
+                    "--out", tmp_path / "out"])
+        assert code == 4
+        assert "repeated taxon label 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "clusters.csv").exists()
+
     @pytest.mark.parametrize("weight", ["1e-170", "1e300"])
     def test_extreme_edge_weights_exit_4(self, tmp_path, capsys, weight):
         adj = tmp_path / "edges.csv"

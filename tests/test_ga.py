@@ -1,19 +1,23 @@
 """Genetic search: fitness arithmetic, penalties, determinism, optimality."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coresponse._kernels import group_terms
 from coresponse.errors import ValidationError
 from coresponse.evaluation import evaluate_method
-from coresponse.ga import (ALPHA_DEFAULT, HISTORY_COLUMNS, GroupChromosome,
-                           Objective, OptimizerConfig, _lexicographic_best,
+from coresponse.ga import (ALPHA_DEFAULT, DEGENERATE_QUAD, HISTORY_COLUMNS,
+                           FitnessEvaluation, GAResult, GroupChromosome,
+                           Objective, OptimizerConfig, _draw,
+                           _initial_population, _lexicographic_best,
                            evaluate_fitness, check_search_data, group_r,
                            run_ga, run_many)
-from coresponse.utils import pearson
+from coresponse.utils import generator, pearson
 
 
 def centered_problem(seed, n=40, p=10):
@@ -359,6 +363,222 @@ def assert_same_result(a, b):
     np.testing.assert_array_equal(a.best.bits, b.best.bits)
     assert a.best_eval == b.best_eval
     np.testing.assert_array_equal(a.history, b.history)
+
+
+def _reference_evaluate(objective, population, cfg):
+    """Objective.evaluate as masked gathers and scatters, sizes by a uint8 sum."""
+    pop = np.ascontiguousarray(population, dtype=np.uint8)
+    num, quad, _ = group_terms(pop, objective.gram, objective.cvec,
+                               objective.gathered)
+    size = pop.sum(axis=1).astype(np.int64)
+    ok = (size > 0) & (quad > DEGENERATE_QUAD)
+    raw = np.zeros(len(num))
+    raw[ok] = num[ok] / np.sqrt(quad[ok])
+    if cfg.mode == "size_cap":
+        excess = np.maximum(size - cfg.k_opt, 0).astype(np.float64)
+        pen = raw - cfg.alpha * excess
+    else:
+        pen = raw - cfg.mu * size.astype(np.float64)
+    pen[~ok] = -cfg.alpha
+    r = np.zeros(len(num))
+    if objective.y_norm > 0:
+        r[ok] = raw[ok] / objective.y_norm
+    return raw, pen, r, size
+
+
+def _reference_run_ga(M0, y0, cfg, record_populations=False):
+    """The genetic search written plainly: rng.choice for the parents,
+    np.where crossovers, per-generation history reductions and an archive
+    check on every generation.  run_ga must match it bit for bit."""
+    objective = Objective(M0, y0, cfg.size_cap)
+    p = objective.n_taxa
+    pop = _initial_population(cfg, p, generator(cfg.seed, 0))
+    raw, pen, r, size = _reference_evaluate(objective, pop, cfg)
+
+    archive = None
+    history = []
+    populations = [pop.copy()] if record_populations else None
+
+    def consider(pop, raw, pen, r, size):
+        nonlocal archive
+        if cfg.mode == "size_cap":
+            feasible = np.flatnonzero(size <= cfg.k_opt)
+            if feasible.size == 0:
+                return False
+        else:
+            feasible = np.arange(len(pen))
+        best_pen = pen[feasible].max()
+        cand = feasible[pen[feasible] == best_pen]
+        idx = lexicographic_best_loop(pop, cand)
+        key = pop[idx].tobytes()
+        entry = (best_pen, key, pop[idx].copy(), raw[idx], r[idx], size[idx])
+        if archive is None or best_pen > archive[0]:
+            archive = entry
+            return True
+        if best_pen == archive[0] and key < archive[1]:
+            archive = entry
+        return False
+
+    def record(gen, pen, r, size):
+        history.append(
+            (float(gen), pen.max(), pen.mean(), r.max(), r.mean(), size.mean())
+        )
+
+    consider(pop, raw, pen, r, size)
+    record(0, pen, r, size)
+
+    n_elite = math.ceil(cfg.elite_fraction * cfg.population_size)
+    n_off = cfg.population_size - n_elite
+    n_pairs = (n_off + 1) // 2
+    stagnation = 0
+
+    for gen in range(1, cfg.max_generations + 1):
+        if stagnation >= cfg.stagnation_limit:
+            break
+        rng = generator(cfg.seed, gen)
+
+        order = np.argsort(pen, kind="stable")
+        ranks = np.empty(cfg.population_size)
+        ranks[order] = np.arange(1, cfg.population_size + 1)
+        probs = ranks / ranks.sum()
+
+        elite_order = np.argsort(-pen, kind="stable")[:n_elite]
+        elites = pop[elite_order].copy()
+
+        parents = rng.choice(cfg.population_size, size=2 * n_pairs, p=probs)
+        mothers = pop[parents[0::2]]
+        fathers = pop[parents[1::2]]
+        cross_points = rng.integers(1, p, size=n_pairs)
+        do_cross = rng.random(n_pairs) < cfg.crossover_prob
+        tail = np.arange(p)[None, :] >= cross_points[:, None]
+        swap = tail & do_cross[:, None]
+        child_a = np.where(swap, fathers, mothers).astype(np.uint8)
+        child_b = np.where(swap, mothers, fathers).astype(np.uint8)
+        offspring = np.empty((2 * n_pairs, p), dtype=np.uint8)
+        offspring[0::2] = child_a
+        offspring[1::2] = child_b
+        offspring = offspring[:n_off]
+
+        do_mutate = rng.random(n_off) < cfg.mutation_prob
+        flip_at = rng.integers(0, p, size=n_off)
+        rows = np.flatnonzero(do_mutate)
+        offspring[rows, flip_at[rows]] ^= 1
+
+        pop = np.concatenate([elites, offspring])
+        raw, pen, r, size = _reference_evaluate(objective, pop, cfg)
+        improved = consider(pop, raw, pen, r, size)
+        record(gen, pen, r, size)
+        stagnation = 0 if improved else stagnation + 1
+        if record_populations:
+            populations.append(pop.copy())
+
+    best_pen, _, best_bits, best_raw, best_r, best_size = archive
+    best_eval = FitnessEvaluation(
+        float(best_raw), float(best_r), float(best_pen), int(best_size)
+    )
+    return GAResult(
+        best=GroupChromosome(best_bits),
+        best_eval=best_eval,
+        history=np.array(history),
+        populations=tuple(populations) if record_populations else None,
+    )
+
+
+def oracle_problem(p, seed, zero_y=False):
+    """Centered data of the benchmark's shape, planted on taxa 0..9."""
+    rng = np.random.default_rng(seed)
+    n = 100 if p <= 60 else 200
+    M = rng.lognormal(0.0, 1.0, size=(n, p))
+    y = M[:, :10].sum(axis=1) + rng.normal(0, 0.5, size=n)
+    if zero_y:
+        y = np.full(n, 3.0)
+    return M - M.mean(axis=0), y - y.mean()
+
+
+def oracle_cases():
+    """(p, data seed, zero y, OptimizerConfig keywords) for the bitwise oracle."""
+    cases = []
+    for p in (60, 300, 1000):
+        caps = {60: (2, 6, 12, 60), 300: (6, 10, 40, 300),
+                1000: (10, 40, 1000)}[p]
+        for seed in (0, 1):
+            gens = 30 if p == 60 else 12
+            for k in caps:
+                cases.append((p, seed, False, dict(
+                    mode="size_cap", k_opt=k, population_size=31 if seed else 200,
+                    max_generations=gens, seed=seed)))
+            for mu in (0.0, 0.02):
+                cases.append((p, seed, False, dict(
+                    mode="l1", mu=mu, population_size=17 if seed else 200,
+                    max_generations=gens, seed=seed + 5)))
+    # population, elitism and operator extremes at p=60
+    for m in (2, 3, 17, 31):
+        for elite in (0.0, 0.3):
+            for cross, mut in ((0.0, 0.0), (1.0, 1.0), (0.8, 0.1)):
+                for mode in (dict(mode="size_cap", k_opt=6),
+                             dict(mode="l1", mu=0.02)):
+                    cases.append((60, m, False, dict(
+                        mode, population_size=m, elite_fraction=elite,
+                        crossover_prob=cross, mutation_prob=mut,
+                        max_generations=40, stagnation_limit=15, seed=m)))
+    # a stagnation stop, and a functional variable that is all zero
+    cases.append((60, 2, False, dict(mode="size_cap", k_opt=3,
+                                     stagnation_limit=3, seed=1)))
+    for mode in (dict(mode="size_cap", k_opt=4), dict(mode="l1", mu=0.0),
+                 dict(mode="l1", mu=0.02)):
+        cases.append((60, 3, True, dict(mode, population_size=31,
+                                        max_generations=20, seed=2)))
+    return cases
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestRunGaOracle:
+    """run_ga draws the same numbers and does the same float arithmetic as
+    the plain loop above, so every search and its history keep their bits."""
+
+    @pytest.mark.parametrize("p, seed, zero_y, kw", [
+        pytest.param(*case, id="-".join(
+            [f"p{case[0]}", f"data{case[1]}"] + ["zero_y"] * case[2]
+            + [f"{key}={value}" for key, value in case[3].items()]))
+        for case in oracle_cases()])
+    def test_matches_reference_bit_for_bit(self, p, seed, zero_y, kw):
+        M0, y0 = oracle_problem(p, seed, zero_y)
+        cfg = OptimizerConfig(**kw)
+        got = run_ga(M0, y0, cfg, record_populations=True)
+        want = _reference_run_ga(M0, y0, cfg, record_populations=True)
+        np.testing.assert_array_equal(got.best.bits, want.best.bits)
+        a, b = got.best_eval, want.best_eval
+        np.testing.assert_array_equal(
+            float_bits([a.raw_objective, a.pearson_r, a.penalized_fitness]),
+            float_bits([b.raw_objective, b.pearson_r, b.penalized_fitness]))
+        assert a.group_size == b.group_size
+        assert got.history.dtype == want.history.dtype
+        assert got.history.shape == want.history.shape
+        assert got.history.tobytes() == want.history.tobytes()
+        assert len(got.populations) == len(want.populations)
+        for pa, pb in zip(got.populations, want.populations):
+            assert pa.dtype == pb.dtype and pa.shape == pb.shape
+            assert pa.tobytes() == pb.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 300),
+           size=st.integers(1, 400), rank_seed=st.integers(0, 2**32 - 1))
+    def test_draw_is_generator_choice(self, seed, m, size, rank_seed):
+        # the rank vectors of linear-rank selection, in any order
+        rank_probs = np.arange(1.0, m + 1)
+        rank_probs /= rank_probs.sum()
+        probs = np.empty(m)
+        probs[np.random.default_rng(rank_seed).permutation(m)] = rank_probs
+        ours, theirs = generator(seed, 1), generator(seed, 1)
+        got = _draw(ours, probs, size)
+        want = theirs.choice(m, size=size, p=probs)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        # both leave the stream at the same place
+        assert ours.random() == theirs.random()
 
 
 class TestRunMany:

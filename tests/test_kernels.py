@@ -77,6 +77,19 @@ class TestGroupTerms:
         np.testing.assert_array_equal(gathered[2], dense[2])
         assert gathered[0][m] == 0.0 and gathered[1][m] == 0.0
 
+    @pytest.mark.parametrize("m", (1, 2, 7))
+    @pytest.mark.parametrize("p", (2, 33, 300))
+    def test_size_is_the_int64_popcount(self, m, p):
+        rng = np.random.default_rng(m * p)
+        _, gram, cvec = random_problem(m * p, m=1, p=p, n=12)
+        pop = (rng.random((m, p)) < 0.2).astype(np.uint8)
+        pop[0] = 0
+        pop[-1] = 1  # with m=1 the row is all ones, not empty
+        for rows in (pop, np.zeros_like(pop)):
+            for _, _, size in both(rows, gram, cvec):
+                assert size.dtype == np.int64 and size.shape == (m,)
+                np.testing.assert_array_equal(size, rows.sum(axis=1))
+
     def test_gathered_rows_do_not_depend_on_other_rows(self):
         # a wider row pads every other row further; their sums must not move
         rng = np.random.default_rng(7)

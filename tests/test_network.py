@@ -91,6 +91,10 @@ class TestNetworkType:
         with pytest.raises(ValidationError):
             CoOccurrenceNetwork(A, ("a", "b"))
 
+    def test_rejects_repeated_label(self):
+        with pytest.raises(ValidationError, match="repeated taxon label 'b'"):
+            CoOccurrenceNetwork(np.zeros((4, 4)), ("a", "b", "c", "b"))
+
 
 class TestConvolve:
     def test_hand_example(self):
