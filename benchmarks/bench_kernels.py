@@ -8,12 +8,16 @@ to solve the non-negative elastic net of network inference on synthetic
 p=600 abundance (the benchmark's inferred workload at seed 1): coordinate
 descent to a 1e-8 sweep tolerance, and the loose pass plus exact KKT
 finish that ``network.infer_network`` runs, with sweeps, solves and KKT
-residuals.  Times one ``run_ga`` generation on the perfbench workloads'
-shapes (quickstart p=60 capped at 6 and uncapped, scale p=1000 capped at
-10, inferred-sized p=600 uncapped), 60 generations with no stagnation
-stop, and the share of it spent in ``group_terms``.  Pin BLAS to one
+residuals.  Prints the dense-vs-gathered table that the formulation rule in
+``coresponse/_kernels.py`` is fitted to: both formulations timed on rows of
+exactly w bits for p in ``TABLE_TAXA`` and w = 2..60, the largest w at
+which gathering wins, and the largest w that the rule gathers.  Times one
+``run_ga`` generation on the perfbench workloads' shapes (quickstart p=60
+capped at 6 and uncapped, scale p=1000 capped at 10, inferred-sized p=600
+uncapped), 60 generations with no stagnation stop, the share of it spent
+in ``group_terms`` and the rows it scores per generation.  Pin BLAS to one
 thread (for example ``OPENBLAS_NUM_THREADS=1``) for numbers comparable
-with the formulation switch in ``coresponse/_kernels.py``.
+with the rule.
 
 Run from the repository root:
 
@@ -73,6 +77,48 @@ def bench_group_terms(args) -> None:
               f"(x{t_dense / t_gath:.1f}, max rel dev {dev:.1e})")
 
 
+#: taxon counts and row widths of the dense-vs-gathered table
+TABLE_TAXA = (60, 120, 200, 300, 600, 1000, 2000)
+TABLE_WIDTHS = range(2, 61)
+#: widths printed as columns; the break-even uses every width
+TABLE_SHOWN = (2, 5, 10, 15, 20, 25, 30, 40, 50, 60)
+
+
+def bench_table(args) -> None:
+    rng = np.random.default_rng(0)
+    m = args.pop_rows
+    print(f"dense / gathered time, {m} chromosomes of exactly w bits "
+          "(>1 means gathering wins)")
+    print("     p  dense ms  " + "".join(f"w={w:<5d}" for w in TABLE_SHOWN)
+          + "  wins to w  rule to w")
+    for p in TABLE_TAXA:
+        X = rng.normal(size=(args.samples, p))
+        gram = X.T @ X
+        gram = (gram + gram.T) / 2.0
+        cvec = X.T @ rng.normal(size=args.samples)
+        ratios = {}
+        t_dense = None
+        for w in TABLE_WIDTHS:
+            if w > p:
+                break
+            order = rng.random((m, p)).argsort(axis=1)[:, :w]
+            pop = np.zeros((m, p), np.uint8)
+            np.put_along_axis(pop, order, 1, axis=1)
+            if t_dense is None:  # the dense cost does not follow w
+                t_dense = best_of(lambda: k.group_terms(pop, gram, cvec),
+                                  args.repeats)
+            ratios[w] = t_dense / best_of(
+                lambda: k.group_terms(pop, gram, cvec, gathered=True),
+                args.repeats)
+        wins = max((w for w, ratio in ratios.items() if ratio > 1.0),
+                   default=0)
+        rule = max((w for w in TABLE_WIDTHS if k.prefers_gathered(p, w)),
+                   default=0)
+        cells = "".join(f"{ratios[w]:<7.2f}" if w in ratios else " " * 7
+                        for w in TABLE_SHOWN)
+        print(f"  {p:4d}  {t_dense * 1e3:8.3f}  {cells}  {wins:9d}  {rule:9d}")
+
+
 #: (samples, taxa, blocks, planted size, OptimizerConfig keywords)
 GA_CASES = (
     (100, 60, 4, 6, dict(mode="size_cap", k_opt=6)),
@@ -88,10 +134,11 @@ def bench_run_ga(args) -> None:
     from coresponse.synth import SynthSpec, generate
 
     kernel = ga.group_terms
-    kernel_s = 0.0
+    kernel_s, kernel_rows = 0.0, 0
 
     def timed_kernel(*a, **kw):
-        nonlocal kernel_s
+        nonlocal kernel_s, kernel_rows
+        kernel_rows += a[0].shape[0]
         start = time.perf_counter()
         try:
             return kernel(*a, **kw)
@@ -112,16 +159,18 @@ def bench_run_ga(args) -> None:
                                      stagnation_limit=GA_GENERATIONS + 1, **kw)
             best, share = float("inf"), 0.0
             for _ in range(args.repeats):
-                kernel_s = 0.0
+                kernel_s, kernel_rows = 0.0, 0
                 start = time.perf_counter()
-                ga.run_ga(M0, y0, cfg)
+                generations = len(ga.run_ga(M0, y0, cfg).history)
                 took = time.perf_counter() - start
                 if took < best:
                     best, share = took, kernel_s / took
             search = ("uncapped" if cfg.size_cap is None
                       else f"capped at {cfg.size_cap}")
             print(f"  p={p:5d} {search:14s}: {best / GA_GENERATIONS * 1e3:7.3f} "
-                  f"ms per generation, {share:4.0%} in group_terms")
+                  f"ms per generation, {share:4.0%} in group_terms, "
+                  f"{kernel_rows / generations:5.1f} of "
+                  f"{cfg.population_size} rows scored per generation")
     finally:
         ga.group_terms = kernel
 
@@ -194,6 +243,7 @@ def main() -> None:
 
     print(f"backend: {k.BACKEND}")
     bench_group_terms(args)
+    bench_table(args)
     bench_run_ga(args)
     bench_enet(args)
 

@@ -12,11 +12,14 @@ Two kernels dominate runtime:
 ``group_terms`` has two formulations of the same quadratic form.  The dense
 one multiplies the whole population through the Gram matrix, which costs
 O(m p^2) however few bits are set.  The gathered one reads only the Gram
-entries of each row's set bits, O(m k^2) for rows of at most k bits, and
-wins once the taxa outnumber a row's bits by :data:`GATHER_TAXA_PER_BIT`.
+entries of each row's set bits, O(m w^2) for rows of w bits plus a fixed
+cost per call, and wins once p clears the line in :func:`prefers_gathered`.
 The two agree to rounding, not bitwise, so the caller picks one per search
-(:func:`prefers_gathered`) and keeps it: a chromosome then scores the same in
-every generation.
+and keeps it: a chromosome then scores the same in every generation.  A
+gathered row's sums do not depend on the other rows of its batch, so the
+genetic search scores only the rows a generation changed and copies the
+rest.  A dense BLAS product may round a row differently in a batch of
+another size, so a dense search scores the whole population every time.
 
 No ``fastmath``-style reassociation is used: results are deterministic.
 """
@@ -25,20 +28,30 @@ import numpy as np
 
 BACKEND = "numpy"
 
-#: a size-capped search gathers once p >= GATHER_TAXA_PER_BIT * cap.  On a
-#: 2-vCPU Xeon with one BLAS thread and 200 chromosomes, gathering breaks
-#: even near 20 taxa per bit (p=200, k=10) and is 14x faster at p=1000,
-#: k=10; at p=60 it is slower for every k >= 2 (0.8x at k=2).  32 keeps
-#: every p=60 search dense and gathers every k <= 31 at p=1000.
-GATHER_TAXA_PER_BIT = 32
+#: the expected set bits of an uncapped (``l1``) row: the first generation
+#: sets each bit with probability min(0.5, L1_START_BITS / p)
+L1_START_BITS = 25
+
+#: a search over p taxa with rows of w bits gathers once p >=
+#: GATHER_TAXA_PER_BIT * w + GATHER_MIN_TAXA.  On a 2-vCPU Xeon with one BLAS
+#: thread and 200 chromosomes of w bits (the table that
+#: ``benchmarks/bench_kernels.py`` prints), gathering wins up to w~8 at
+#: p=120, w~15 at p=200, w~22 at p=300 and w~50 at p=600, for every w <= 60
+#: from p=1000, and for no w >= 2 at p=60.  The line stays on the dense side
+#: of each of those points, keeps every p=60 search dense, and gathers an
+#: ``l1`` search from p=464 and a capped one at p=1000 up to w=58.
+GATHER_TAXA_PER_BIT = 16
+GATHER_MIN_TAXA = 64
 
 
 def prefers_gathered(n_taxa: int, size_cap) -> bool:
     """Whether a search over ``n_taxa`` with this size cap should gather.
 
-    Uncapped (``None``) searches carry wide rows and stay dense.
+    The row width is the cap, or :data:`L1_START_BITS` for an uncapped
+    (``None``) search.
     """
-    return size_cap is not None and n_taxa >= GATHER_TAXA_PER_BIT * size_cap
+    width = L1_START_BITS if size_cap is None else size_cap
+    return n_taxa >= GATHER_TAXA_PER_BIT * width + GATHER_MIN_TAXA
 
 
 def group_terms(pop, gram, cvec, gathered=False):

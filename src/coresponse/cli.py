@@ -141,6 +141,8 @@ def cmd_select_k(args) -> None:
 
 
 def cmd_discover(args) -> None:
+    if not math.isfinite(args.display_threshold):
+        raise ValidationError("--display-threshold must be finite")
     out = _out_dir(args)
     delim = _delimiter(args)
     abundance, function = _load_dataset(args)
@@ -514,6 +516,8 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise ValidationError("--threads must be >= 1")
         args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import group_terms, prefers_gathered
+from ._kernels import L1_START_BITS, group_terms, prefers_gathered
 from .errors import ValidationError
 from .utils import generator, parallel_map, pearson
 
@@ -132,10 +132,12 @@ class GAResult:
 class Objective:
     """Precomputed quadratic form for batch fitness evaluation.
 
-    Holds G = M0^T M0 (symmetrized), c = M0^T y0 and ||y0||; evaluates whole
+    Holds G = M0^T M0 (symmetrized), c = M0^T y0 and ||y0||; evaluates
     populations through ``group_terms``.  Its dense or gathered formulation
     is fixed here from the taxon count and ``size_cap``, so every population
-    of one search is scored the same way.
+    of one search is scored the same way.  A gathered row scores the same
+    bits in any batch, so :func:`run_ga` scores only the rows a generation
+    changed when ``gathered`` is set.
     """
 
     def __init__(self, M0: np.ndarray, y0: np.ndarray, size_cap: int | None = None):
@@ -189,7 +191,7 @@ def _initial_population(cfg: OptimizerConfig, p: int, rng: np.random.Generator) 
         rows = np.repeat(np.arange(cfg.population_size), k)
         pop[rows, order[:, :k].ravel()] = 1
     else:
-        prob = min(0.5, 25.0 / p)
+        prob = min(0.5, L1_START_BITS / p)
         pop[:] = rng.random((cfg.population_size, p)) < prob
     return pop
 
@@ -216,6 +218,19 @@ def _draw(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
     return cdf.searchsorted(rng.random(size), side="right")
 
 
+def _rescore(objective, pop, cfg, scores, source, changed):
+    """(raw, penalized, r, size) of ``pop``, whose row i is row
+    ``source[i]`` of the last generation, with ``scores`` its arrays, unless
+    ``changed[i]``: only the changed rows go through the kernel."""
+    raw, pen, r, size = (values[source] for values in scores)
+    rows = np.flatnonzero(changed)
+    if rows.size:
+        fresh = objective.evaluate(pop[rows], cfg)
+        for values, new in zip((raw, pen, r, size), fresh):
+            values[rows] = new
+    return raw, pen, r, size
+
+
 def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
            record_populations: bool = False) -> GAResult:
     """Run the genetic search on centered data.
@@ -223,7 +238,8 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
     Returns the best chromosome ever seen (elitist archive; ties broken
     toward the lexicographically smallest bit vector), its evaluation, and a
     per-generation history table with columns ``HISTORY_COLUMNS``.
-    Deterministic given ``cfg.seed``.
+    Deterministic given ``cfg.seed``.  A gathered search scores only the
+    rows that are not exact copies of a row of the previous generation.
     """
     objective = Objective(M0, y0, cfg.size_cap)
     p = objective.n_taxa
@@ -243,6 +259,10 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
     # the population
     buffers = [np.empty((n_elite + 2 * n_pairs, p), np.uint8) for _ in range(2)]
     children = [buf[n_elite:].reshape(n_pairs, 2, p) for buf in buffers]
+    # the row of the last generation that each row copies (elites, then
+    # each child's own parent), and whether crossover or mutation changed it
+    source = np.empty(m, np.intp)
+    changed = np.zeros(m, bool)
 
     pop = _initial_population(cfg, p, generator(cfg.seed, 0))
     raw, pen, r, size = objective.evaluate(pop, cfg)
@@ -303,7 +323,19 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
         nxt[n_elite + rows, flip_at[rows]] ^= 1
 
         pop = nxt[:m]
-        raw, pen, r, size = objective.evaluate(pop, cfg)
+        # a gathered row scores the same bits in any batch, so copies keep
+        # their scores; a dense product may round a row differently in a
+        # smaller batch, so a dense search scores every row
+        if objective.gathered:
+            if n_elite:
+                source[:n_elite] = elite_order
+            source[n_elite:] = parents[:n_off]
+            changed[n_elite:] = np.repeat(diff.any(axis=1), 2)[:n_off]
+            changed[n_elite:] |= do_mutate
+            raw, pen, r, size = _rescore(objective, pop, cfg,
+                                         (raw, pen, r, size), source, changed)
+        else:
+            raw, pen, r, size = objective.evaluate(pop, cfg)
         improved = consider(pop, raw, pen, r, size)
         scores.append((pen, r, size))
         stagnation = 0 if improved else stagnation + 1

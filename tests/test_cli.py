@@ -311,6 +311,54 @@ class TestExitCodes:
         assert "min-weight" in capsys.readouterr().err
         assert not (tmp_path / "out" / "analysis_summary.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_display_threshold_exits_4(self, tmp_path, capsys,
+                                                  monkeypatch, value):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr("coresponse.cli.discover_importance", no_search)
+        data = make_bundle(tmp_path)
+        code = run(["discover", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--k", 2, "--runs", 2, f"--display-threshold={value}",
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        assert "display-threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "group_graph.graphml").exists()
+
+    # every command's required options; the files need not exist, because
+    # the thread count is checked before anything is read
+    REQUIRED = {
+        "ingest": ["--abundance", "a.csv", "--function", "f.csv"],
+        "infer-net": ["--abundance", "a.csv"],
+        "select-k": ["--abundance", "a.csv", "--function", "f.csv"],
+        "discover": ["--abundance", "a.csv", "--function", "f.csv"],
+        "evaluate": ["--abundance", "a.csv", "--function", "f.csv"],
+        "analyze": ["--adjacency", "adj.csv", "--importance", "i.csv"],
+        "synth": [],
+    }
+
+    def test_every_command_is_checked(self):
+        assert set(self.REQUIRED) == set(build_parser().subcommands)
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_bad_thread_count_exits_4(self, tmp_path, capsys, command,
+                                      threads):
+        code = run([command, *self.REQUIRED[command], f"--threads={threads}",
+                    "--out", tmp_path / "out"])
+        assert code == 4
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_thread_count_from_config_exits_4(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("threads=0\n")
+        code = run(["synth", "--config", config, "--out", tmp_path / "out"])
+        assert code == 4
+        assert "--threads" in capsys.readouterr().err
+
     def test_repeated_taxon_label_exits_4(self, tmp_path, capsys):
         adj = tmp_path / "adjacency.csv"
         adj.write_text(",a,b\na,0,1\nb,1,0\n")

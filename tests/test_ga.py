@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coresponse import ga
 from coresponse._kernels import group_terms
 from coresponse.errors import ValidationError
 from coresponse.evaluation import evaluate_method
@@ -521,6 +522,17 @@ def oracle_cases():
                         mode, population_size=m, elite_fraction=elite,
                         crossover_prob=cross, mutation_prob=mut,
                         max_generations=40, stagnation_limit=15, seed=m)))
+    # the same extremes for gathered searches, whose copied rows keep their
+    # scores: every child a copy (0/0) or every child changed (1/1)
+    for p, mode in ((300, dict(mode="size_cap", k_opt=6)),
+                    (1000, dict(mode="l1", mu=0.02))):
+        for m in (2, 3, 17):
+            for elite in (0.0, 0.3):
+                for cross, mut in ((0.0, 0.0), (1.0, 1.0)):
+                    cases.append((p, m, False, dict(
+                        mode, population_size=m, elite_fraction=elite,
+                        crossover_prob=cross, mutation_prob=mut,
+                        max_generations=25, stagnation_limit=15, seed=m)))
     # a stagnation stop, and a functional variable that is all zero
     cases.append((60, 2, False, dict(mode="size_cap", k_opt=3,
                                      stagnation_limit=3, seed=1)))
@@ -563,6 +575,14 @@ class TestRunGaOracle:
             assert pa.dtype == pb.dtype and pa.shape == pb.shape
             assert pa.tobytes() == pb.tobytes()
 
+    def test_operator_extremes_above_p60_run_gathered(self):
+        extremes = [case for case in oracle_cases()
+                    if case[0] > 60 and "crossover_prob" in case[3]]
+        assert len(extremes) == 24
+        for p, _, _, kw in extremes:
+            assert Objective(np.zeros((2, p)), np.zeros(2),
+                             OptimizerConfig(**kw).size_cap).gathered
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 300),
            size=st.integers(1, 400), rank_seed=st.integers(0, 2**32 - 1))
@@ -579,6 +599,49 @@ class TestRunGaOracle:
         np.testing.assert_array_equal(got, want)
         # both leave the stream at the same place
         assert ours.random() == theirs.random()
+
+
+class TestRowsScored:
+    """A gathered search scores only the rows a generation changed; a dense
+    one scores every row of every generation."""
+
+    @staticmethod
+    def rows_scored(monkeypatch, M0, y0, cfg):
+        rows = []
+        kernel = ga.group_terms
+
+        def counting(pop, *args):
+            rows.append(pop.shape[0])
+            return kernel(pop, *args)
+
+        monkeypatch.setattr(ga, "group_terms", counting)
+        result = run_ga(M0, y0, cfg)
+        return sum(rows), cfg.population_size * len(result.history)
+
+    def test_gathered_search_skips_copied_rows(self, monkeypatch):
+        M0, y0 = oracle_problem(300, 0)
+        cfg = OptimizerConfig(mode="size_cap", k_opt=6, max_generations=20,
+                              seed=3)
+        assert Objective(M0, y0, cfg.size_cap).gathered
+        scored, every = self.rows_scored(monkeypatch, M0, y0, cfg)
+        assert scored < every
+
+    def test_gathered_search_scores_every_changed_row(self, monkeypatch):
+        # with no elites and every child mutated, no row is a copy
+        M0, y0 = oracle_problem(300, 0)
+        cfg = OptimizerConfig(mode="size_cap", k_opt=6, max_generations=20,
+                              elite_fraction=0.0, crossover_prob=1.0,
+                              mutation_prob=1.0, seed=3)
+        scored, every = self.rows_scored(monkeypatch, M0, y0, cfg)
+        assert scored == every
+
+    def test_dense_search_scores_every_row(self, monkeypatch):
+        M0, y0 = oracle_problem(60, 0)
+        cfg = OptimizerConfig(mode="size_cap", k_opt=6, max_generations=20,
+                              seed=3)
+        assert not Objective(M0, y0, cfg.size_cap).gathered
+        scored, every = self.rows_scored(monkeypatch, M0, y0, cfg)
+        assert scored == every
 
 
 class TestRunMany:

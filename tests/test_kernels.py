@@ -118,16 +118,22 @@ class TestGroupTerms:
 
 
 class TestFormulationChoice:
-    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("k", [*range(1, 61), None])
     def test_p60_searches_stay_dense(self, k):
         assert not _kernels.prefers_gathered(60, k)
 
-    @pytest.mark.parametrize("k", (9, 10, 11))
+    def test_p600_uncapped_search_gathers(self):
+        assert _kernels.prefers_gathered(600, None)
+
+    @pytest.mark.parametrize("k", range(9, 51))
     def test_p1000_capped_searches_gather(self, k):
         assert _kernels.prefers_gathered(1000, k)
 
-    def test_uncapped_searches_stay_dense(self):
-        assert not _kernels.prefers_gathered(100000, None)
+    @pytest.mark.parametrize("cap, first", ((10, 224), (58, 992), (None, 464)))
+    def test_threshold_edges(self, cap, first):
+        # p >= 16 w + 64, with w = 25 for an uncapped search
+        assert _kernels.prefers_gathered(first, cap)
+        assert not _kernels.prefers_gathered(first - 1, cap)
 
     def test_objective_fixes_the_choice_once(self):
         rng = np.random.default_rng(0)
@@ -135,8 +141,9 @@ class TestFormulationChoice:
         y0 = rng.normal(size=20)
         cfg = OptimizerConfig(mode="size_cap", k_opt=10)
         assert Objective(M0, y0, cfg.size_cap).gathered
-        assert not Objective(M0, y0).gathered
-        assert not Objective(M0, y0, OptimizerConfig(mode="l1").size_cap).gathered
+        assert not Objective(M0, y0, 60).gathered
+        assert Objective(M0, y0, OptimizerConfig(mode="l1").size_cap).gathered
+        assert not Objective(M0[:, :400], y0).gathered
 
 
 def scale_problem(seed, p=1000, n=100, planted=10):
