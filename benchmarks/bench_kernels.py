@@ -186,7 +186,7 @@ def kkt_residuals(gram, B, mu1, mu2):
 
 
 def bench_enet(args) -> None:
-    from coresponse.network import LOOSE_TOLERANCE
+    from coresponse.network import LOOSE_MAX_SWEEPS, LOOSE_TOLERANCE
     from coresponse.synth import SynthSpec, generate
 
     # the abundance of the benchmark's inferred workload (seed 1),
@@ -204,7 +204,8 @@ def bench_enet(args) -> None:
         return k.enet_coordinate_descent(gram, mu1, mu2, 500, tol)
 
     def two_step():
-        B0, _, sweeps = k.enet_coordinate_descent(gram, mu1, mu2, 500,
+        B0, _, sweeps = k.enet_coordinate_descent(gram, mu1, mu2,
+                                                  LOOSE_MAX_SWEEPS,
                                                   LOOSE_TOLERANCE)
         B, rounds = k.enet_kkt_finish(gram, B0, mu1, mu2, tol)
         return B, sweeps, rounds

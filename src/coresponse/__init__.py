@@ -16,7 +16,7 @@ from .errors import (CoresponseError, NumericError, ParseError,
 from .evaluation import (EvaluationReport, SplitPlan, TTestResult,
                          evaluate_method, paired_t_test, stratified_split)
 from .ga import (FitnessEvaluation, GAResult, GroupChromosome,
-                 OptimizerConfig, evaluate_fitness, run_ga)
+                 OptimizerConfig, run_ga)
 from .importance import (DiscoveryReport, ImportanceResult,
                          aggregate_importance, discover_importance)
 from .ingest import (AbundanceMatrix, FunctionalVariable, css_normalize,
@@ -24,7 +24,7 @@ from .ingest import (AbundanceMatrix, FunctionalVariable, css_normalize,
 from .model_select import (ModelSelectionResult, aic_for_group, mu_sweep,
                            sweep_k)
 from .network import (CoOccurrenceNetwork, NetworkInferenceConfig, convolve,
-                      identity_network, infer_network, load_adjacency)
+                      infer_network, load_adjacency)
 from .synth import SynthBundle, SynthSpec, generate
 
 __version__ = "1.0.0"
@@ -59,11 +59,9 @@ __all__ = [
     "convolve",
     "css_normalize",
     "discover_importance",
-    "evaluate_fitness",
     "evaluate_method",
     "filter_sparse_taxa",
     "generate",
-    "identity_network",
     "infer_network",
     "load_abundance",
     "load_adjacency",

@@ -334,15 +334,14 @@ def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def locate_group(net: CoOccurrenceNetwork, importance: np.ndarray,
-                 top_k: int, *,
-                 clusters: ClusterResult | None = None,
-                 cent: CentralityReport | None = None,
-                 seed: int = 0) -> LocationReport:
+                 top_k: int, *, clusters: ClusterResult,
+                 cent: CentralityReport) -> LocationReport:
     """Describe the network position of the top_k most important taxa.
 
-    ``importance`` holds one score per taxon.  Reports how many clusters
-    the top taxa span, how many are directly linked to another top taxon,
-    how many other taxa neighbor at least two of them, and their
+    ``importance`` holds one score per taxon; ``clusters`` and ``cent`` are
+    the whole network's partition and centralities.  Reports how many
+    clusters the top taxa span, how many are directly linked to another top
+    taxon, how many other taxa neighbor at least two of them, and their
     whole-network centrality ranks.
     """
     ivec = np.asarray(importance, dtype=np.float64)
@@ -351,10 +350,6 @@ def locate_group(net: CoOccurrenceNetwork, importance: np.ndarray,
         raise ValidationError("importance length does not match the network")
     if not 1 <= top_k <= p:
         raise ValidationError("top_k must be in [1, n_taxa]")
-    if clusters is None:
-        clusters = louvain(net, seed=seed)
-    if cent is None:
-        cent = centralities(net)
 
     top = np.argsort(-ivec, kind="stable")[:top_k]
     is_top = np.zeros(p, dtype=bool)

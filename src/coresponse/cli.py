@@ -116,8 +116,8 @@ def cmd_infer_net(args) -> None:
     out = _out_dir(args)
     delim = _delimiter(args)
     abundance = load_abundance(args.abundance)
-    cfg = NetworkInferenceConfig(args.mu1, args.mu2, args.max_iterations,
-                                 args.tolerance)
+    cfg = NetworkInferenceConfig(mu1=args.mu1, mu2=args.mu2,
+                                 tolerance=args.tolerance)
     net = infer_network(abundance, cfg)
     write_adjacency(net, out / "adjacency.csv", delim)
     write_edge_list(net, out / "edge_list.csv", delimiter=delim)
@@ -204,8 +204,14 @@ def cmd_evaluate(args) -> None:
         raise ValidationError(
             f"unknown method(s) {unknown}; choose from {list(_METHOD_TAGS)}"
         )
+    repeated = sorted({tag for tag in methods if methods.count(tag) > 1})
+    if repeated:
+        raise ValidationError(f"repeated method(s) {repeated} in --methods")
     if not methods:
         raise ValidationError("--methods must list at least one method")
+    if len(methods) > 1 and args.repeats < 2:
+        raise ValidationError(
+            "the paired t-test between methods needs --repeats >= 2")
     graph_methods = [tag for tag in methods if not tag.startswith("baseline")]
     if graph_methods and args.no_graph:
         raise ValidationError(
@@ -352,9 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--abundance", required=True)
     sub.add_argument("--mu1", type=float, default=0.1)
     sub.add_argument("--mu2", type=float, default=0.01)
-    sub.add_argument("--max-iterations", type=int, default=500,
-                     help="sweeps allowed to the loose coordinate-descent "
-                          "pass")
     sub.add_argument("--tolerance", type=float, default=1e-8,
                      help="KKT violation the exact finish allows off a "
                           "column's support")

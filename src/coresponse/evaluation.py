@@ -12,7 +12,7 @@ leakage trade-off).
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -37,17 +37,10 @@ class SplitPlan:
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    fraction: float = 0.5
-    n_strata: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         train = np.asarray(self.train_indices, dtype=np.int64)
         test = np.asarray(self.test_indices, dtype=np.int64)
-        if not 0.0 < self.fraction < 1.0:
-            raise ValidationError("fraction must be strictly between 0 and 1")
-        if self.n_strata < 1:
-            raise ValidationError("n_strata must be >= 1")
         union = np.concatenate([train, test])
         n = union.shape[0]
         if n == 0 or not np.array_equal(np.sort(union), np.arange(n)):
@@ -66,29 +59,23 @@ class SplitPlan:
 class EvaluationReport:
     """Held-out correlations across repeats for one method.
 
-    ``std_r`` is the sample standard deviation (ddof=1), 0.0 for a single
-    repeat.  Both summary fields are recomputed from the vector; passing
-    inconsistent values (beyond 1e-12) is an error.
+    ``mean_r`` and ``std_r`` are derived from the vector; ``std_r`` is the
+    sample standard deviation (ddof=1), 0.0 for a single repeat.
     """
 
     per_repeat_test_r: np.ndarray
     method_tag: str
-    mean_r: float | None = None
-    std_r: float | None = None
+    mean_r: float = field(init=False)
+    std_r: float = field(init=False)
 
     def __post_init__(self):
         r = np.asarray(self.per_repeat_test_r, dtype=np.float64)
         if r.ndim != 1 or r.shape[0] < 1:
             raise ValidationError("per_repeat_test_r must be a non-empty vector")
-        mean = float(r.mean())
-        std = float(r.std(ddof=1)) if r.shape[0] > 1 else 0.0
-        for given, computed, name in ((self.mean_r, mean, "mean_r"),
-                                      (self.std_r, std, "std_r")):
-            if given is not None and abs(given - computed) > 1e-12:
-                raise ValidationError(f"{name} inconsistent with the r vector")
         object.__setattr__(self, "per_repeat_test_r", r)
-        object.__setattr__(self, "mean_r", mean)
-        object.__setattr__(self, "std_r", std)
+        object.__setattr__(self, "mean_r", float(r.mean()))
+        object.__setattr__(self, "std_r",
+                           float(r.std(ddof=1)) if r.shape[0] > 1 else 0.0)
 
     @property
     def repeats(self) -> int:
@@ -139,30 +126,17 @@ def stratified_split(y, fraction: float = 0.5, n_strata: int = 10,
             "split produced an empty side; adjust fraction or strata"
         )
     return SplitPlan(np.sort(np.asarray(train, dtype=np.int64)),
-                     np.sort(np.asarray(test, dtype=np.int64)),
-                     fraction, n_strata, seed)
+                     np.sort(np.asarray(test, dtype=np.int64)))
 
 
-def convolved_matrix(H, A) -> np.ndarray:
-    """Full-data topological abundance; A=None means the identity operator.
-
-    ``H`` is an :class:`AbundanceMatrix` or a samples x taxa array, ``A`` a
-    :class:`CoOccurrenceNetwork`, a p x p adjacency array or None.
-    """
-    values = H.values if isinstance(H, AbundanceMatrix) else np.asarray(
-        H, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValidationError("abundance must be a 2-d matrix")
-    if A is None:
-        return values
-    adjacency = A.adjacency if isinstance(A, CoOccurrenceNetwork) else np.asarray(
-        A, dtype=np.float64)
-    if adjacency.shape != (values.shape[1], values.shape[1]):
-        raise ValidationError("adjacency dimension does not match taxon count")
-    if isinstance(H, AbundanceMatrix) and isinstance(A, CoOccurrenceNetwork):
-        if H.taxon_labels != A.taxon_labels:
-            raise ValidationError("abundance and network taxon labels differ")
-    return values @ convolution_operator(adjacency)
+def convolved_matrix(m: AbundanceMatrix,
+                     net: CoOccurrenceNetwork | None) -> np.ndarray:
+    """Full-data topological abundance; ``net=None`` means the identity operator."""
+    if net is None:
+        return m.values
+    if net.taxon_labels != m.taxon_labels:
+        raise ValidationError("abundance and network taxon labels differ")
+    return m.values @ convolution_operator(net.adjacency)
 
 
 def evaluate_method(M: np.ndarray, y: np.ndarray, cfg: OptimizerConfig,

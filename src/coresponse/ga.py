@@ -172,16 +172,6 @@ class Objective:
         return raw, pen, r, size
 
 
-def evaluate_fitness(x, M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig) -> FitnessEvaluation:
-    """Evaluate one chromosome against centered data (see :class:`Objective`)."""
-    bits = x.bits if isinstance(x, GroupChromosome) else GroupChromosome(np.asarray(x)).bits
-    if bits.shape[0] != M0.shape[1]:
-        raise ValidationError("chromosome length does not match taxon count")
-    objective = Objective(M0, y0, cfg.size_cap)
-    raw, pen, r, size = objective.evaluate(bits[None, :], cfg)
-    return FitnessEvaluation(float(raw[0]), float(r[0]), float(pen[0]), int(size[0]))
-
-
 def _initial_population(cfg: OptimizerConfig, p: int, rng: np.random.Generator) -> np.ndarray:
     pop = np.zeros((cfg.population_size, p), dtype=np.uint8)
     if cfg.mode == "size_cap":

@@ -20,8 +20,7 @@ import numpy as np
 from coresponse.analytics import centralities, louvain, modularity
 from coresponse.cli import main
 from coresponse.evaluation import evaluate_method, paired_t_test
-from coresponse.ga import (GroupChromosome, OptimizerConfig,
-                           evaluate_fitness, run_ga)
+from coresponse.ga import Objective, OptimizerConfig, run_ga
 from coresponse.importance import aggregate_importance
 from coresponse.ingest import AbundanceMatrix
 from coresponse.model_select import DEFAULT_MU_GRID, mu_sweep, sweep_k
@@ -184,13 +183,14 @@ class TestAcceptanceGate:
             cfg = OptimizerConfig(mode="size_cap", k_opt=3,
                                   seed=child_int(seed, 7))
             found = run_ga(M0, y0, cfg).best_eval.penalized_fitness
+            objective = Objective(M0, y0, cfg.size_cap)
             best = -np.inf
             for size in (1, 2, 3):
                 for combo in itertools.combinations(range(12), size):
                     bits = np.zeros(12, dtype=np.uint8)
                     bits[list(combo)] = 1
-                    ev = evaluate_fitness(GroupChromosome(bits), M0, y0, cfg)
-                    best = max(best, ev.penalized_fitness)
+                    _, pen, _, _ = objective.evaluate(bits[None], cfg)
+                    best = max(best, pen[0])
             if abs(found - best) <= 1e-9:
                 hits += 1
         elapsed = time.perf_counter() - start
@@ -277,10 +277,10 @@ class TestAcceptanceGate:
         bits = (rng.random((1000, p)) < 0.3).astype(np.uint8)
         empty = bits.sum(axis=1) == 0
         bits[empty, rng.integers(0, p, size=int(empty.sum()))] = 1
+        objective = Objective(M0, y0, cfg.size_cap)
         worst = 0.0
         for row in bits:
-            surrogate = evaluate_fitness(
-                GroupChromosome(row), M0, y0, cfg).pearson_r
+            surrogate = objective.evaluate(row[None], cfg)[2][0]
             definitional = float(np.corrcoef(M @ row, y)[0, 1])
             worst = max(worst, abs(surrogate - definitional))
         ok = worst <= 1e-10

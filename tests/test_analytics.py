@@ -358,12 +358,18 @@ class TestCentralities:
         assert after[6] == 0.0
 
 
+def locate(net, importance, top_k):
+    """``locate_group`` with the partition and centralities analyze passes."""
+    return locate_group(net, importance, top_k,
+                        clusters=louvain(net, seed=0), cent=centralities(net))
+
+
 class TestLocateGroup:
     def test_top_group_inside_one_block(self):
         net = net_from(two_blocks(inter=0.0))
         importance = np.zeros(8)
         importance[[0, 1, 2]] = [0.9, 0.8, 0.7]
-        report = locate_group(net, importance, 3, seed=0)
+        report = locate(net, importance, 3)
         np.testing.assert_array_equal(report.top_indices, [0, 1, 2])
         assert report.n_clusters_spanned == 1
         assert report.n_linked_to_top == 3
@@ -377,7 +383,7 @@ class TestLocateGroup:
         importance = np.zeros(8)
         importance[0] = 0.9
         importance[5] = 0.8
-        report = locate_group(net, importance, 2, seed=0)
+        report = locate(net, importance, 2)
         assert report.n_clusters_spanned == 2
         assert report.n_linked_to_top == 0
         np.testing.assert_array_equal(report.linked_flags, [False, False])
@@ -390,7 +396,7 @@ class TestLocateGroup:
         A[2, 3] = A[3, 2] = 1.0
         net = net_from(A)
         importance = np.array([0.1, 0.0, 0.0, 0.9])
-        report = locate_group(net, importance, 2, seed=0)
+        report = locate(net, importance, 2)
         np.testing.assert_array_equal(report.top_indices, [3, 0])
         # the end nodes have the two lowest degrees; ties break by index
         np.testing.assert_array_equal(report.degree_ranks, [4, 3])
@@ -401,7 +407,7 @@ class TestLocateGroup:
         net = net_from(two_blocks())
         runs = [(np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8), 0.9)]
         result = aggregate_importance(runs)
-        report = locate_group(net, result.taxon_importance, 2, seed=0)
+        report = locate(net, result.taxon_importance, 2)
         np.testing.assert_array_equal(np.sort(report.top_indices), [0, 1])
 
     def test_reuses_precomputed_parts(self):
@@ -417,11 +423,11 @@ class TestLocateGroup:
     def test_bounds(self):
         net = net_from(two_blocks())
         with pytest.raises(ValidationError, match="top_k"):
-            locate_group(net, np.zeros(8), 0)
+            locate(net, np.zeros(8), 0)
         with pytest.raises(ValidationError, match="top_k"):
-            locate_group(net, np.zeros(8), 9)
+            locate(net, np.zeros(8), 9)
         with pytest.raises(ValidationError, match="length"):
-            locate_group(net, np.zeros(5), 2)
+            locate(net, np.zeros(5), 2)
 
 
 class TestExports:
@@ -446,7 +452,7 @@ class TestExports:
         net = net_from(two_blocks(inter=0.0))
         importance = np.zeros(8)
         importance[[0, 1]] = [0.9, 0.8]
-        report = locate_group(net, importance, 2, seed=0)
+        report = locate(net, importance, 2)
         path = tmp_path / "location.csv"
         write_location(report, [f"t{i}" for i in range(8)], importance, path)
         lines = path.read_text().strip().splitlines()

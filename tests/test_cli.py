@@ -164,18 +164,19 @@ class TestExitCodes:
         assert "scale must be finite and > 0" in capsys.readouterr().err
         assert not (out / "abundance_normalized.csv").exists()
 
-    def test_non_convergence_exits_5(self, tmp_path):
-        rng = np.random.default_rng(0)
-        base = rng.uniform(1, 5, size=30)
-        lines = ["sample,t1,t2,t3"]
-        for i in range(30):
-            lines.append(
-                f"s{i},{base[i]},{2 * base[i]},{3 * base[i]}")
-        ab = tmp_path / "ab.csv"
-        ab.write_text("\n".join(lines) + "\n")
-        code = run(["infer-net", "--abundance", ab, "--mu1", 0, "--mu2", 0,
-                    "--max-iterations", 1, "--out", tmp_path / "out"])
-        assert code == 5
+    def test_max_iterations_is_not_an_option(self, tmp_path):
+        # the loose pass's sweep cap is fixed: the finish's result does
+        # not depend on where the pass stopped
+        ab = self.abundance_file(
+            tmp_path, np.random.default_rng(0).uniform(1, 5, (30, 3)))
+        with pytest.raises(SystemExit) as exc:
+            run(["infer-net", "--abundance", ab, "--max-iterations", 1,
+                 "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        config = tmp_path / "run.cfg"
+        config.write_text("max_iterations=1\n")
+        assert run(["infer-net", "--abundance", ab, "--config", config,
+                    "--out", tmp_path / "out"]) == 3
 
     @staticmethod
     def abundance_file(tmp_path, values):
@@ -257,6 +258,44 @@ class TestExitCodes:
                     "--out", tmp_path / "out"] + GA_FAST)
         assert code == 4
         assert "psychic" in capsys.readouterr().err
+
+    def test_repeated_method_exits_4(self, tmp_path, capsys):
+        # a method compared with itself gives no paired t-test
+        data = make_bundle(tmp_path)
+        code = run(["evaluate", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--methods", "baseline,baseline_l1,baseline", "--k", 2,
+                    "--mu", 0.01, "--repeats", 2,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "repeated" in err and "'baseline'" in err
+        assert "baseline_l1" not in err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_single_repeat_with_two_methods_exits_4_before_searching(
+            self, tmp_path, capsys):
+        # the paired t-test needs two repeats; the searches must not run
+        # first only to fail at the test
+        data = make_bundle(tmp_path)
+        code = run(["evaluate", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--methods", "baseline,baseline_l1", "--k", 2,
+                    "--mu", 0.01, "--repeats", 1,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        assert "--repeats" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "per_repeat.csv").exists()
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_single_repeat_with_one_method_runs(self, tmp_path):
+        data = make_bundle(tmp_path)
+        code = run(["evaluate", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--methods", "baseline", "--k", 2, "--repeats", 1,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 0
+        assert not (tmp_path / "out" / "ttest.csv").exists()
 
     def test_no_graph_with_graph_method_exits_4(self, tmp_path, capsys):
         # the identity operator would run the baseline under the wrong label

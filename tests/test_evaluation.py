@@ -14,7 +14,8 @@ from coresponse.evaluation import (EvaluationReport, SplitPlan, TTestResult,
                                    paired_t_test, stratified_split,
                                    write_reports, write_t_tests)
 from coresponse.ga import OptimizerConfig
-from coresponse.ingest import FunctionalVariable
+from coresponse.ingest import AbundanceMatrix, FunctionalVariable
+from coresponse.network import CoOccurrenceNetwork
 
 
 class TestStratifiedSplit:
@@ -203,14 +204,6 @@ class TestEvaluationReport:
         rep = EvaluationReport(np.array([0.7]), "convolved")
         assert rep.std_r == 0.0
 
-    def test_inconsistent_summary_rejected(self):
-        with pytest.raises(ValidationError, match="mean_r"):
-            EvaluationReport(np.array([0.4, 0.6]), "baseline", mean_r=0.9)
-
-    def test_consistent_summary_accepted(self):
-        rep = EvaluationReport(np.array([0.4, 0.6]), "baseline", mean_r=0.5)
-        assert rep.mean_r == 0.5
-
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             EvaluationReport(np.array([]), "baseline")
@@ -230,21 +223,34 @@ def tiny_cfg(**kw):
     return OptimizerConfig(**base)
 
 
+def abundance(H):
+    n, p = H.shape
+    return AbundanceMatrix(H, tuple(f"s{i}" for i in range(n)),
+                           tuple(f"t{j}" for j in range(p)))
+
+
+def zero_graph(labels):
+    return CoOccurrenceNetwork(np.zeros((len(labels), len(labels))), labels)
+
+
 class TestConvolvedMatrix:
     def test_none_is_passthrough(self):
         H, _ = planted(0)
-        out = convolved_matrix(H, None)
+        out = convolved_matrix(abundance(H), None)
         np.testing.assert_array_equal(out, H)
 
     def test_zero_adjacency_matches_passthrough(self):
         H, _ = planted(1)
-        out = convolved_matrix(H, np.zeros((8, 8)))
+        m = abundance(H)
+        out = convolved_matrix(m, zero_graph(m.taxon_labels))
         np.testing.assert_array_equal(out, H)
 
-    def test_dimension_check(self):
+    def test_label_mismatch(self):
         H, _ = planted(2)
-        with pytest.raises(ValidationError, match="dimension"):
-            convolved_matrix(H, np.zeros((5, 5)))
+        m = abundance(H)
+        for labels in (m.taxon_labels[::-1], m.taxon_labels[:5]):
+            with pytest.raises(ValidationError, match="labels"):
+                convolved_matrix(m, zero_graph(labels))
 
 
 class TestEvaluateMethod:
@@ -263,8 +269,10 @@ class TestEvaluateMethod:
         H, y = planted(11)
         base = evaluate_method(H, y, tiny_cfg(), repeats=3,
                                method_tag="baseline")
-        conv = evaluate_method(convolved_matrix(H, np.zeros((8, 8))), y,
-                               tiny_cfg(), repeats=3, method_tag="convolved")
+        m = abundance(H)
+        conv = evaluate_method(convolved_matrix(m, zero_graph(m.taxon_labels)),
+                               y, tiny_cfg(), repeats=3,
+                               method_tag="convolved")
         np.testing.assert_array_equal(base.per_repeat_test_r,
                                       conv.per_repeat_test_r)
         assert conv.method_tag == "convolved"

@@ -16,8 +16,7 @@ from coresponse.ga import (ALPHA_DEFAULT, DEGENERATE_QUAD, HISTORY_COLUMNS,
                            FitnessEvaluation, GAResult, GroupChromosome,
                            Objective, OptimizerConfig, _draw,
                            _initial_population, _lexicographic_best,
-                           evaluate_fitness, check_search_data, group_r,
-                           run_ga, run_many)
+                           check_search_data, group_r, run_ga, run_many)
 from coresponse.utils import generator, pearson
 
 
@@ -28,6 +27,14 @@ def centered_problem(seed, n=40, p=10):
     M0 = M - M.mean(axis=0)
     y0 = y - y.mean()
     return M0, y0
+
+
+def score_one(bits, M0, y0, cfg):
+    """Score one chromosome as the search scores a population of one."""
+    objective = Objective(M0, y0, cfg.size_cap)
+    raw, pen, r, size = objective.evaluate(np.asarray(bits)[None], cfg)
+    return FitnessEvaluation(float(raw[0]), float(r[0]), float(pen[0]),
+                             int(size[0]))
 
 
 def raw_oracle(bits, M0, y0):
@@ -45,7 +52,7 @@ class TestFitness:
             bits = (rng.random(10) < 0.4).astype(np.uint8)
             if not bits.any():
                 continue
-            ev = evaluate_fitness(bits, M0, y0, cfg)
+            ev = score_one(bits, M0, y0, cfg)
             np.testing.assert_allclose(ev.raw_objective,
                                        raw_oracle(bits, M0, y0), rtol=1e-12)
 
@@ -53,7 +60,7 @@ class TestFitness:
         M0, y0 = centered_problem(2)
         bits = np.zeros(10, dtype=np.uint8)
         bits[[1, 4, 7]] = 1
-        ev = evaluate_fitness(bits, M0, y0, OptimizerConfig(mode="l1"))
+        ev = score_one(bits, M0, y0, OptimizerConfig(mode="l1"))
         g = M0 @ bits.astype(np.float64)
         np.testing.assert_allclose(ev.pearson_r, np.corrcoef(g, y0)[0, 1],
                                    rtol=1e-12)
@@ -62,7 +69,7 @@ class TestFitness:
         M0, y0 = centered_problem(3)
         bits = np.ones(10, dtype=np.uint8)
         cfg = OptimizerConfig(mode="size_cap", k_opt=4, alpha=100.0)
-        ev = evaluate_fitness(bits, M0, y0, cfg)
+        ev = score_one(bits, M0, y0, cfg)
         expected = raw_oracle(bits, M0, y0) - 100.0 * (10 - 4)
         np.testing.assert_allclose(ev.penalized_fitness, expected, rtol=1e-12)
 
@@ -71,20 +78,20 @@ class TestFitness:
         bits = np.zeros(10, dtype=np.uint8)
         bits[:3] = 1
         cfg = OptimizerConfig(mode="size_cap", k_opt=4)
-        ev = evaluate_fitness(bits, M0, y0, cfg)
+        ev = score_one(bits, M0, y0, cfg)
         assert ev.penalized_fitness == ev.raw_objective
 
     def test_l1_penalty(self):
         M0, y0 = centered_problem(5)
         bits = np.zeros(10, dtype=np.uint8)
         bits[[0, 3, 6, 9]] = 1
-        ev = evaluate_fitness(bits, M0, y0, OptimizerConfig(mode="l1", mu=0.2))
+        ev = score_one(bits, M0, y0, OptimizerConfig(mode="l1", mu=0.2))
         expected = raw_oracle(bits, M0, y0) - 0.2 * 4
         np.testing.assert_allclose(ev.penalized_fitness, expected, rtol=1e-12)
 
     def test_empty_group_sentinel(self):
         M0, y0 = centered_problem(6)
-        ev = evaluate_fitness(np.zeros(10, dtype=np.uint8), M0, y0,
+        ev = score_one(np.zeros(10, dtype=np.uint8), M0, y0,
                               OptimizerConfig(mode="l1"))
         assert ev.raw_objective == 0.0
         assert ev.pearson_r == 0.0
@@ -97,14 +104,8 @@ class TestFitness:
         M0[:, 2] = 0.0  # a centered constant column
         bits = np.zeros(10, dtype=np.uint8)
         bits[2] = 1
-        ev = evaluate_fitness(bits, M0, y0, OptimizerConfig(mode="l1"))
+        ev = score_one(bits, M0, y0, OptimizerConfig(mode="l1"))
         assert ev.penalized_fitness == -ALPHA_DEFAULT
-
-    def test_length_mismatch(self):
-        M0, y0 = centered_problem(8)
-        with pytest.raises(ValidationError, match="length"):
-            evaluate_fitness(np.ones(4, dtype=np.uint8), M0, y0,
-                             OptimizerConfig(mode="l1"))
 
     def test_batch_matches_single(self):
         M0, y0 = centered_problem(9)
@@ -114,7 +115,7 @@ class TestFitness:
         objective = Objective(M0, y0)
         raw, pen, r, size = objective.evaluate(pop, cfg)
         for i in range(30):
-            ev = evaluate_fitness(pop[i], M0, y0, cfg)
+            ev = score_one(pop[i], M0, y0, cfg)
             np.testing.assert_allclose(
                 [raw[i], pen[i], r[i], float(size[i])],
                 [ev.raw_objective, ev.penalized_fitness, ev.pearson_r,

@@ -282,11 +282,15 @@ class TestKktFinish:
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_result_does_not_depend_on_the_start(self, seed):
+        # the loose pass at three tolerances, a single sweep, and no pass
         gram = standardized_gram(seed, n=100, p=60, mix=0.3)
+        starts = [_kernels.enet_coordinate_descent(gram, 0.1, 0.01, sweeps,
+                                                   loose)[0]
+                  for sweeps, loose in ((1000, 1e-2), (1000, 1e-6),
+                                        (1000, 1e-8), (1, 1e-2))]
+        starts.append(np.zeros_like(gram))
         finished = []
-        for loose in (1e-2, 1e-6, 1e-8):
-            B0, _, _ = _kernels.enet_coordinate_descent(gram, 0.1, 0.01, 1000,
-                                                        loose)
+        for B0 in starts:
             B, _ = _kernels.enet_kkt_finish(gram, B0, 0.1, 0.01, 1e-8, 200)
             finished.append(B)
         assert (finished[0] > 0).sum() > 60
