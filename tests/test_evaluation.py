@@ -248,9 +248,15 @@ class TestConvolvedMatrix:
     def test_label_mismatch(self):
         H, _ = planted(2)
         m = abundance(H)
-        for labels in (m.taxon_labels[::-1], m.taxon_labels[:5]):
-            with pytest.raises(ValidationError, match="labels"):
-                convolved_matrix(m, zero_graph(labels))
+        with pytest.raises(ValidationError, match="labels"):
+            convolved_matrix(m, zero_graph(m.taxon_labels[::-1]))
+
+    def test_dimension_check(self):
+        # A network over fewer taxa than the matrix has different labels.
+        H, _ = planted(2)
+        m = abundance(H)
+        with pytest.raises(ValidationError, match="labels"):
+            convolved_matrix(m, zero_graph(m.taxon_labels[:5]))
 
 
 class TestEvaluateMethod:
