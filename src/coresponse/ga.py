@@ -154,6 +154,8 @@ class Objective:
 
     def terms(self, population: np.ndarray):
         pop = np.ascontiguousarray(population, dtype=np.uint8)
+        if pop.ndim != 2 or pop.shape[1] != self.n_taxa:
+            raise ValidationError(f"chromosome length must be {self.n_taxa}")
         return group_terms(pop, self.gram, self.cvec, self.gathered)
 
     def evaluate(self, population: np.ndarray, cfg: OptimizerConfig):

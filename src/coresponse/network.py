@@ -73,7 +73,7 @@ class CoOccurrenceNetwork:
         return self.adjacency.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NetworkInferenceConfig:
     """Penalties and stopping rule for network inference.
 

@@ -107,6 +107,12 @@ class TestFitness:
         ev = score_one(bits, M0, y0, OptimizerConfig(mode="l1"))
         assert ev.penalized_fitness == -ALPHA_DEFAULT
 
+    def test_length_mismatch(self):
+        M0, y0 = centered_problem(8)
+        with pytest.raises(ValidationError, match="length"):
+            score_one(np.ones(4, dtype=np.uint8), M0, y0,
+                      OptimizerConfig(mode="l1"))
+
     def test_batch_matches_single(self):
         M0, y0 = centered_problem(9)
         rng = np.random.default_rng(10)

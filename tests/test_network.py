@@ -261,6 +261,11 @@ class TestInferenceConfig:
         with pytest.raises(ValidationError, match=field):
             NetworkInferenceConfig(**{field: value})
 
+    def test_positional_arguments_rejected(self):
+        # a positional third value must not silently become the tolerance
+        with pytest.raises(TypeError):
+            NetworkInferenceConfig(0.1, 0.01, 500)
+
 
 class TestInferNetwork:
     def test_perfectly_correlated_pair(self):
