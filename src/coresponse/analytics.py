@@ -12,7 +12,7 @@ so disconnected networks stay finite.
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,20 +30,21 @@ LOCATION_COLUMNS = ("taxon", "importance", "cluster", "degree_rank",
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Node partition with its weighted modularity."""
+    """Node partition, ids contiguous from 0, with its weighted modularity."""
 
     assignment: np.ndarray
     modularity_q: float
-    n_clusters: int
+    n_clusters: int = field(init=False)
 
     def __post_init__(self):
         assignment = np.asarray(self.assignment, dtype=np.int64)
         if assignment.ndim != 1 or assignment.shape[0] == 0:
             raise ValidationError("assignment must be a non-empty vector")
         ids = np.unique(assignment)
-        if not np.array_equal(ids, np.arange(self.n_clusters)):
+        if not np.array_equal(ids, np.arange(ids.shape[0])):
             raise ValidationError("cluster ids must be contiguous from 0")
         object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "n_clusters", int(ids.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,6 @@ class LocationReport:
     linked_flags: np.ndarray
     degree_ranks: np.ndarray
     closeness_ranks: np.ndarray
-    clusters: ClusterResult
-    centralities: CentralityReport
 
 
 def modularity(adjacency: np.ndarray, assignment: np.ndarray,
@@ -298,7 +297,7 @@ def louvain(net: CoOccurrenceNetwork, resolution: float = 1.0,
         if best is None or q > best[0]:
             best = (q, assignment)
     q, assignment = best
-    return ClusterResult(assignment, q, int(assignment.max()) + 1)
+    return ClusterResult(assignment, q)
 
 
 def centralities(net: CoOccurrenceNetwork) -> CentralityReport:
@@ -368,8 +367,6 @@ def locate_group(net: CoOccurrenceNetwork, importance: np.ndarray,
         linked_flags=linked_flags,
         degree_ranks=_ordinal_ranks(cent.degree)[top],
         closeness_ranks=_ordinal_ranks(cent.closeness)[top],
-        clusters=clusters,
-        centralities=cent,
     )
 
 
@@ -407,24 +404,22 @@ def write_location(report: LocationReport, labels, importance: np.ndarray,
 
 
 def write_annotated_graph(net: CoOccurrenceNetwork, path, *,
-                          clusters: ClusterResult | None = None,
-                          cent: CentralityReport | None = None,
-                          importance=None, mean_abundance=None,
+                          clusters: ClusterResult, cent: CentralityReport,
+                          importance, mean_abundance=None,
                           min_weight: float = 0.0) -> None:
-    """GraphML of the full network with analysis attributes on nodes."""
+    """GraphML of the full network with analysis attributes on nodes.
+
+    The mean relative abundance is left out when ``mean_abundance`` is None.
+    """
     from .tables import write_graphml
 
     labels = net.taxon_labels
     nodes = []
     for i, label in enumerate(labels):
-        attrs = {}
-        if clusters is not None:
-            attrs["cluster"] = int(clusters.assignment[i])
-        if cent is not None:
-            attrs["degree"] = float(cent.degree[i])
-            attrs["closeness"] = float(cent.closeness[i])
-        if importance is not None:
-            attrs["importance"] = float(importance[i])
+        attrs = {"cluster": int(clusters.assignment[i]),
+                 "degree": float(cent.degree[i]),
+                 "closeness": float(cent.closeness[i]),
+                 "importance": float(importance[i])}
         if mean_abundance is not None:
             attrs["mean_relative_abundance"] = float(mean_abundance[i])
         nodes.append((label, attrs))

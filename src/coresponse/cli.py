@@ -212,6 +212,10 @@ def cmd_evaluate(args) -> None:
     if len(methods) > 1 and args.repeats < 2:
         raise ValidationError(
             "the paired t-test between methods needs --repeats >= 2")
+    capped = [tag for tag in methods if not tag.endswith("_l1")]
+    if capped and args.k is None:
+        raise ValidationError(
+            f"method(s) {capped} need --k (run select-k first)")
     graph_methods = [tag for tag in methods if not tag.startswith("baseline")]
     if graph_methods and args.no_graph:
         raise ValidationError(
@@ -231,9 +235,6 @@ def cmd_evaluate(args) -> None:
                              mu=0.0 if args.mu is None else args.mu)
             grid = None if args.mu is not None else _parse_mu_grid(args.mu_grid)
         else:
-            if args.k is None:
-                raise ValidationError(
-                    f"method {tag!r} needs --k (run select-k first)")
             cfg = _ga_config(args, "size_cap", k_opt=args.k)
             grid = None
         reports.append(evaluate_method(

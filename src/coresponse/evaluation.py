@@ -50,10 +50,6 @@ class SplitPlan:
         object.__setattr__(self, "train_indices", train)
         object.__setattr__(self, "test_indices", test)
 
-    @property
-    def n_samples(self) -> int:
-        return self.train_indices.shape[0] + self.test_indices.shape[0]
-
 
 @dataclass(frozen=True)
 class EvaluationReport:

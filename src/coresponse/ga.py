@@ -23,8 +23,8 @@ from ._kernels import L1_START_BITS, group_terms, prefers_gathered
 from .errors import ValidationError
 from .utils import generator, parallel_map, pearson
 
-#: default hard-cap penalty weight: sqrt of the largest finite double
-ALPHA_DEFAULT = math.sqrt(sys.float_info.max)
+#: hard-cap penalty weight: sqrt of the largest finite double
+ALPHA = math.sqrt(sys.float_info.max)
 
 #: groups whose effect has squared norm below this are treated as degenerate
 DEGENERATE_QUAD = 1e-15
@@ -60,17 +60,16 @@ class GroupChromosome:
         return int(self.bits.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OptimizerConfig:
     """GA hyperparameters and penalty mode.
 
-    ``size_cap`` subtracts ``alpha * max(size - k_opt, 0)`` with a huge
-    alpha; ``l1`` subtracts ``mu * size``.
+    ``size_cap`` subtracts ``ALPHA * max(size - k_opt, 0)``; ``l1``
+    subtracts ``mu * size``.
     """
 
     mode: str
     k_opt: int | None = None
-    alpha: float = ALPHA_DEFAULT
     mu: float = 0.0
     population_size: int = 200
     crossover_prob: float = 0.8
@@ -88,8 +87,6 @@ class OptimizerConfig:
                 raise ValidationError("size_cap mode requires k_opt >= 1")
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValidationError("mu must be finite and >= 0")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError("alpha must be finite and > 0")
         if self.population_size < 2:
             raise ValidationError("population_size must be >= 2")
         if not 0.0 <= self.crossover_prob <= 1.0 or not 0.0 <= self.mutation_prob <= 1.0:
@@ -112,7 +109,7 @@ class FitnessEvaluation:
     ``raw_objective`` is the unnormalized surrogate; ``pearson_r`` divides it
     by ||y0||.  Degenerate chromosomes (empty group, or zero variance of the
     group effect) get raw_objective = pearson_r = 0 and the finite sentinel
-    ``-alpha`` as penalized fitness.
+    ``-ALPHA`` as penalized fitness.
     """
 
     raw_objective: float
@@ -166,10 +163,10 @@ class Objective:
         raw = np.sqrt(quad, out=np.zeros(len(num)), where=ok)
         np.divide(num, raw, out=raw, where=ok)
         if cfg.mode == "size_cap":
-            pen = raw - cfg.alpha * np.maximum(size - cfg.k_opt, 0)
+            pen = raw - ALPHA * np.maximum(size - cfg.k_opt, 0)
         else:
             pen = raw - cfg.mu * size
-        pen[~ok] = -cfg.alpha
+        pen[~ok] = -ALPHA
         r = raw / self.y_norm if self.y_norm > 0 else np.zeros(len(num))
         return raw, pen, r, size
 

@@ -67,9 +67,12 @@ class DiscoveryReport:
     """Importance aggregation plus the posthoc top-group check."""
 
     importance: ImportanceResult
-    top_k: int
     top_indices: np.ndarray
     top_group_r: float
+
+    @property
+    def top_k(self) -> int:
+        return len(self.top_indices)
 
 
 def aggregate_importance(runs) -> ImportanceResult:
@@ -123,7 +126,7 @@ def discover_importance(M: np.ndarray, y: np.ndarray, cfg: OptimizerConfig,
             sizes = [x.size() for x, _ in importance.per_run]
             top_k = max(1, round(float(np.mean(sizes))))
     top = importance.top_indices(top_k)
-    return DiscoveryReport(importance, int(top_k), top, group_r(M, y, top))
+    return DiscoveryReport(importance, top, group_r(M, y, top))
 
 
 def mean_relative_abundance(values: np.ndarray) -> np.ndarray:
@@ -136,7 +139,7 @@ def mean_relative_abundance(values: np.ndarray) -> np.ndarray:
 
 
 def write_group_network(importance: ImportanceResult, labels, values,
-                        nodes_path, edges_path, graph_path=None, *,
+                        nodes_path, edges_path, graph_path, *,
                         display_threshold: float = DISPLAY_THRESHOLD,
                         delimiter: str = ",") -> None:
     """Export the functional group as node/edge tables and a GraphML file.
@@ -162,11 +165,9 @@ def write_group_network(importance: ImportanceResult, labels, values,
     edge_rows = [[labels[i], labels[j], fmt(L[i, j])] for i, j in zip(ia, ja)]
     write_table(edges_path, list(EDGE_COLUMNS), edge_rows, delimiter)
 
-    if graph_path is not None:
-        nodes = [(label, {"importance": i, "mean_relative_abundance": m})
-                 for label, i, m in zip(labels, I.tolist(), mra.tolist())]
-        edges = [(labels[i], labels[j], {"weight": w})
-                 for i, j, w in zip(ia.tolist(), ja.tolist(),
-                                    L[ia, ja].tolist())
-                 if abs(w) >= display_threshold]
-        write_graphml(graph_path, nodes, edges)
+    nodes = [(label, {"importance": i, "mean_relative_abundance": m})
+             for label, i, m in zip(labels, I.tolist(), mra.tolist())]
+    edges = [(labels[i], labels[j], {"weight": w})
+             for i, j, w in zip(ia.tolist(), ja.tolist(), L[ia, ja].tolist())
+             if abs(w) >= display_threshold]
+    write_graphml(graph_path, nodes, edges)

@@ -53,10 +53,6 @@ class AbundanceMatrix:
             raise ValidationError("abundance matrix contains negative entries")
 
     @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_taxa(self) -> int:
         return self.values.shape[1]
 

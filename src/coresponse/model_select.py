@@ -10,7 +10,7 @@ parallelize.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,29 +46,22 @@ class ModelSelectionResult:
 
     ``per_k`` holds (k, per-repeat AICs, mean AIC) triples; ``per_mu`` holds
     (mu, mean validation r) pairs.  Each half may be empty when only the
-    other selection was performed.
+    other selection was performed.  ``chosen_k`` minimizes the mean AIC,
+    ties going to the smaller k; ``chosen_mu`` maximizes the mean validation
+    r, ties going to the larger mu; each is None when its half is empty.
     """
 
     per_k: tuple = ()
-    chosen_k: int | None = None
     per_mu: tuple = ()
-    chosen_mu: float | None = None
     runs: tuple = ()
+    chosen_k: int | None = field(init=False)
+    chosen_mu: float | None = field(init=False)
 
     def __post_init__(self):
-        if self.per_k:
-            best = min(self.per_k, key=lambda row: (row[2], row[0]))
-            if self.chosen_k != best[0]:
-                raise ValidationError(
-                    "chosen_k must minimize mean AIC (ties toward smaller k)"
-                )
-        if self.per_mu:
-            best = max(self.per_mu, key=lambda row: (row[1], row[0]))
-            if self.chosen_mu != best[0]:
-                raise ValidationError(
-                    "chosen_mu must maximize mean validation r "
-                    "(ties toward larger mu)"
-                )
+        k_row = min(self.per_k, key=lambda r: (r[2], r[0]), default=(None,))
+        mu_row = max(self.per_mu, key=lambda r: (r[1], r[0]), default=(None,))
+        object.__setattr__(self, "chosen_k", k_row[0])
+        object.__setattr__(self, "chosen_mu", mu_row[0])
 
 
 def aic_for_group(x, M: np.ndarray, y: np.ndarray) -> float:
@@ -137,20 +130,17 @@ def sweep_k(M: np.ndarray, y: np.ndarray, k_range=DEFAULT_K_RANGE,
     for k in range(lo, hi + 1):
         aics = tuple(run.aic for run in runs if run.k == k)
         per_k.append((k, aics, float(np.mean(aics))))
-    chosen_k = min(per_k, key=lambda row: (row[2], row[0]))[0]
-    return ModelSelectionResult(per_k=tuple(per_k), chosen_k=chosen_k,
-                                runs=tuple(runs))
+    return ModelSelectionResult(per_k=tuple(per_k), runs=tuple(runs))
 
 
 def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
-             cfg: OptimizerConfig | None = None, *, inner_fraction: float = 0.5,
-             n_strata: int = 10, inner_repeats: int = 1,
-             threads: int = 1) -> ModelSelectionResult:
+             cfg: OptimizerConfig | None = None, *, n_strata: int = 10,
+             inner_repeats: int = 1, threads: int = 1) -> ModelSelectionResult:
     """Score every mu on inner stratified splits of the training data.
 
-    For each inner repeat the training data is split once more; the l1
-    search runs on the inner-train part and each candidate group is scored
-    by the Pearson correlation of its effect with y on the held-out part
+    For each inner repeat the training data is split in half once more; the
+    l1 search runs on the inner-train half and each candidate group is
+    scored by the Pearson correlation of its effect with y on the other half
     (0.0 when the effect is degenerate there).  The chosen mu maximizes the
     mean validation r, ties going to the larger mu.
     """
@@ -169,7 +159,7 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
 
     jobs = []
     for rep in range(inner_repeats):
-        plan = stratified_split(y_train, inner_fraction, n_strata,
+        plan = stratified_split(y_train, 0.5, n_strata,
                                 seed=child_int(cfg.seed, rep, 0))
         jobs.extend((replace(cfg, mode="l1", mu=mu,
                              seed=child_int(cfg.seed, rep, 1 + j)),
@@ -180,8 +170,7 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
     scores = np.array([s for _, s in results]).reshape(inner_repeats, len(grid))
     per_mu = tuple((grid[j], float(scores[:, j].mean()))
                    for j in range(len(grid)))
-    chosen_mu = max(per_mu, key=lambda row: (row[1], row[0]))[0]
-    return ModelSelectionResult(per_mu=per_mu, chosen_mu=chosen_mu)
+    return ModelSelectionResult(per_mu=per_mu)
 
 
 def write_sweep(result: ModelSelectionResult, path, delimiter: str = ",") -> None:

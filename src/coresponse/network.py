@@ -122,8 +122,11 @@ def _adjacency_from_matrix(path, labels) -> np.ndarray:
     file_cols, file_rows, raw = read_matrix(path)
     if file_cols != file_rows:
         raise ParseError(f"{path}: matrix row labels do not match column labels")
-    _check_label_match(path, file_cols, labels)
     order = {lab: i for i, lab in enumerate(file_cols)}
+    if len(order) != len(file_cols):
+        repeated = next(lab for lab in file_cols if file_cols.count(lab) > 1)
+        raise ValidationError(f"{path}: repeated taxon label {repeated!r}")
+    _check_label_match(path, file_cols, labels)
     perm = [order[lab] for lab in labels]
     return raw[np.ix_(perm, perm)]
 
@@ -175,13 +178,14 @@ def write_adjacency(net: CoOccurrenceNetwork, path, delimiter: str = ",") -> Non
     write_table(path, ["taxon", *net.taxon_labels], rows, delimiter)
 
 
-def write_edge_list(net: CoOccurrenceNetwork, path, min_weight: float = 0.0, delimiter: str = ",") -> None:
-    """Write the upper-triangle edges with weight > min_weight (display export).
+def write_edge_list(net: CoOccurrenceNetwork, path, *,
+                    delimiter: str = ",") -> None:
+    """Write the upper-triangle edges with weight > 0 (display export).
 
     Edges come in row-major order: by source index, then target index.
     """
     A = net.adjacency
-    src, dst = np.nonzero(np.triu(A > min_weight, k=1))
+    src, dst = np.nonzero(np.triu(A > 0, k=1))
     labels = net.taxon_labels
     rows = [[labels[i], labels[j], fmt(w)]
             for i, j, w in zip(src.tolist(), dst.tolist(), A[src, dst].tolist())]

@@ -290,11 +290,15 @@ class TestLouvainMatchesNetworkx:
 class TestClusterResultValidation:
     def test_contiguity_enforced(self):
         with pytest.raises(ValidationError, match="contiguous"):
-            ClusterResult(np.array([0, 2, 2]), 0.1, 3)
+            ClusterResult(np.array([0, 2, 2]), 0.1)
 
     def test_valid(self):
-        result = ClusterResult(np.array([0, 1, 1]), 0.1, 2)
+        result = ClusterResult(np.array([0, 1, 1]), 0.1)
         assert result.n_clusters == 2
+
+    def test_cluster_count_is_derived(self):
+        with pytest.raises(TypeError):
+            ClusterResult(np.array([0, 1, 1]), 0.1, 2)
 
 
 class TestCentralities:
@@ -410,16 +414,6 @@ class TestLocateGroup:
         report = locate(net, result.taxon_importance, 2)
         np.testing.assert_array_equal(np.sort(report.top_indices), [0, 1])
 
-    def test_reuses_precomputed_parts(self):
-        net = net_from(two_blocks())
-        clusters = louvain(net, seed=0)
-        cent = centralities(net)
-        importance = np.linspace(1, 0, 8)
-        report = locate_group(net, importance, 2, clusters=clusters,
-                              cent=cent)
-        assert report.clusters is clusters
-        assert report.centralities is cent
-
     def test_bounds(self):
         net = net_from(two_blocks())
         with pytest.raises(ValidationError, match="top_k"):
@@ -479,6 +473,8 @@ class TestExports:
     def test_annotated_graph_min_weight(self, tmp_path):
         net = net_from(two_blocks(intra=0.8, inter=0.05))
         path = tmp_path / "net.graphml"
-        write_annotated_graph(net, path, min_weight=0.1)
+        write_annotated_graph(net, path, clusters=louvain(net, seed=0),
+                              cent=centralities(net),
+                              importance=np.zeros(8), min_weight=0.1)
         graph = nx.read_graphml(path)
         assert graph.number_of_edges() == 12  # the weak bridge is dropped

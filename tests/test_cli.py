@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import coresponse
+from coresponse import cli
 from coresponse.cli import build_parser, main
 
 GA_FAST = ["--population-size", "60", "--max-generations", "30",
@@ -288,6 +289,26 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "per_repeat.csv").exists()
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("methods", ["baseline_l1,baseline",
+                                         "baseline,baseline_l1"])
+    def test_capped_method_without_k_exits_4_before_searching(
+            self, tmp_path, capsys, monkeypatch, methods):
+        # a capped method listed after an l1 one must not wait for the l1
+        # evaluation to fail
+        calls = []
+        monkeypatch.setattr(cli, "evaluate_method",
+                            lambda *args, **kwargs: calls.append(args))
+        data = make_bundle(tmp_path)
+        code = run(["evaluate", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--methods", methods, "--repeats", 2,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "--k" in err and "'baseline'" in err
+        assert "baseline_l1" not in err
+
     def test_single_repeat_with_one_method_runs(self, tmp_path):
         data = make_bundle(tmp_path)
         code = run(["evaluate", "--abundance", data / "abundance.csv",
@@ -403,6 +424,18 @@ class TestExitCodes:
         adj.write_text(",a,b\na,0,1\nb,1,0\n")
         table = tmp_path / "importance.csv"
         table.write_text("taxon,importance\na,0.5\nb,0.25\na,0.75\n")
+        code = run(["analyze", "--adjacency", adj, "--importance", table,
+                    "--out", tmp_path / "out"])
+        assert code == 4
+        assert "repeated taxon label 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "clusters.csv").exists()
+
+    def test_repeated_adjacency_label_exits_4(self, tmp_path, capsys):
+        # the second 'a' row would otherwise overwrite the first
+        adj = tmp_path / "adjacency.csv"
+        adj.write_text("taxon,a,b,a\na,0,1,0\nb,1,0,2\na,0,2,0\n")
+        table = tmp_path / "importance.csv"
+        table.write_text("taxon,importance\na,0.5\nb,0.25\n")
         code = run(["analyze", "--adjacency", adj, "--importance", table,
                     "--out", tmp_path / "out"])
         assert code == 4
@@ -605,6 +638,39 @@ class TestPipeline:
         summary = (eval_out / "summary.csv").read_text().strip().splitlines()
         assert len(summary) == 3
         assert (eval_out / "ttest.csv").exists()
+
+    @pytest.mark.parametrize("mode", [["--k", 2],
+                                      ["--mode", "l1", "--mu-grid", "0.1,0.05"]],
+                             ids=["size_cap", "l1"])
+    def test_summary_top_k_counts_top_group_rows(self, tmp_path, mode):
+        data = make_bundle(tmp_path)
+        out = tmp_path / "discover"
+        code = run(["discover", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv",
+                    "--adjacency", data / "adjacency.csv", "--runs", 3,
+                    "--out", out] + mode + GA_FAST)
+        assert code == 0
+        summary = dict(line.split(",", 1) for line in
+                       (out / "discovery_summary.csv").read_text()
+                       .splitlines()[1:])
+        top = (out / "top_group.csv").read_text().splitlines()[1:]
+        assert int(summary["top_k"]) == len(top) >= 1
+
+    def test_chosen_k_minimizes_summary_mean_aic(self, tmp_path):
+        data = make_bundle(tmp_path)
+        out = tmp_path / "select"
+        code = run(["select-k", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv",
+                    "--adjacency", data / "adjacency.csv",
+                    "--k-min", 1, "--k-max", 4, "--repeats", 2,
+                    "--out", out] + GA_FAST)
+        assert code == 0
+        rows = [line.split(",") for line in
+                (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+        assert [int(k) for k, _ in rows] == [1, 2, 3, 4]
+        # the smallest mean AIC, ties going to the smaller k
+        best_k = min(rows, key=lambda row: (float(row[1]), int(row[0])))[0]
+        assert (out / "chosen_k.txt").read_text() == f"{best_k}\n"
 
     def test_no_graph_equals_zero_adjacency(self, tmp_path):
         data = make_bundle(tmp_path)

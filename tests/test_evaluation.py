@@ -62,7 +62,7 @@ class TestStratifiedSplit:
         y = np.random.default_rng(5).normal(size=24)
         fv = FunctionalVariable(y, "activity")
         plan = stratified_split(fv.values, 0.5, 6, seed=0)
-        assert plan.n_samples == 24
+        assert plan.train_indices.size + plan.test_indices.size == 24
 
     def test_rounded_share_per_stratum(self):
         # fraction 0.7 on strata of 2 rounds to 1 train sample per stratum
@@ -122,7 +122,8 @@ class TestSplitPlanValidation:
 
     def test_valid_plan(self):
         plan = SplitPlan(np.array([0, 2]), np.array([1, 3]))
-        assert plan.n_samples == 4
+        np.testing.assert_array_equal(plan.train_indices, [0, 2])
+        np.testing.assert_array_equal(plan.test_indices, [1, 3])
 
 
 class TestPairedTTest:

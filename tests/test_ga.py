@@ -12,7 +12,7 @@ from coresponse import ga
 from coresponse._kernels import group_terms
 from coresponse.errors import ValidationError
 from coresponse.evaluation import evaluate_method
-from coresponse.ga import (ALPHA_DEFAULT, DEGENERATE_QUAD, HISTORY_COLUMNS,
+from coresponse.ga import (ALPHA, DEGENERATE_QUAD, HISTORY_COLUMNS,
                            FitnessEvaluation, GAResult, GroupChromosome,
                            Objective, OptimizerConfig, _draw,
                            _initial_population, _lexicographic_best,
@@ -65,10 +65,11 @@ class TestFitness:
         np.testing.assert_allclose(ev.pearson_r, np.corrcoef(g, y0)[0, 1],
                                    rtol=1e-12)
 
-    def test_size_cap_penalty(self):
+    def test_size_cap_penalty(self, monkeypatch):
+        monkeypatch.setattr(ga, "ALPHA", 100.0)
         M0, y0 = centered_problem(3)
         bits = np.ones(10, dtype=np.uint8)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=4, alpha=100.0)
+        cfg = OptimizerConfig(mode="size_cap", k_opt=4)
         ev = score_one(bits, M0, y0, cfg)
         expected = raw_oracle(bits, M0, y0) - 100.0 * (10 - 4)
         np.testing.assert_allclose(ev.penalized_fitness, expected, rtol=1e-12)
@@ -95,7 +96,7 @@ class TestFitness:
                               OptimizerConfig(mode="l1"))
         assert ev.raw_objective == 0.0
         assert ev.pearson_r == 0.0
-        assert ev.penalized_fitness == -ALPHA_DEFAULT
+        assert ev.penalized_fitness == -ALPHA
         assert ev.group_size == 0
 
     def test_constant_effect_sentinel(self):
@@ -105,7 +106,7 @@ class TestFitness:
         bits = np.zeros(10, dtype=np.uint8)
         bits[2] = 1
         ev = score_one(bits, M0, y0, OptimizerConfig(mode="l1"))
-        assert ev.penalized_fitness == -ALPHA_DEFAULT
+        assert ev.penalized_fitness == -ALPHA
 
     def test_length_mismatch(self):
         M0, y0 = centered_problem(8)
@@ -157,10 +158,14 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="mu"):
             OptimizerConfig(mode="l1", mu=mu)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
-    def test_non_finite_alpha(self, alpha):
-        with pytest.raises(ValidationError, match="alpha"):
-            OptimizerConfig(mode="size_cap", k_opt=2, alpha=alpha)
+    def test_alpha_is_not_an_option(self):
+        with pytest.raises(TypeError, match="alpha"):
+            OptimizerConfig(mode="size_cap", k_opt=2, alpha=100.0)
+
+    def test_positional_arguments_rejected(self):
+        # mode, k_opt, alpha, mu was the old order: 0.5 must not become mu
+        with pytest.raises(TypeError):
+            OptimizerConfig("size_cap", 2, 0.5)
 
     def test_tiny_population(self):
         with pytest.raises(ValidationError):
@@ -384,10 +389,10 @@ def _reference_evaluate(objective, population, cfg):
     raw[ok] = num[ok] / np.sqrt(quad[ok])
     if cfg.mode == "size_cap":
         excess = np.maximum(size - cfg.k_opt, 0).astype(np.float64)
-        pen = raw - cfg.alpha * excess
+        pen = raw - ALPHA * excess
     else:
         pen = raw - cfg.mu * size.astype(np.float64)
-    pen[~ok] = -cfg.alpha
+    pen[~ok] = -ALPHA
     r = np.zeros(len(num))
     if objective.y_norm > 0:
         r[ok] = raw[ok] / objective.y_norm

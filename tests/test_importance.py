@@ -198,7 +198,8 @@ class TestExports:
         H = np.random.default_rng(0).uniform(0.5, 3, size=(10, 3))
         nodes = tmp_path / "nodes.csv"
         edges = tmp_path / "edges.csv"
-        write_group_network(result, ("a", "b", "c"), H, nodes, edges)
+        write_group_network(result, ("a", "b", "c"), H, nodes, edges,
+                            tmp_path / "g.graphml")
         node_lines = nodes.read_text().strip().splitlines()
         assert node_lines[0] == "taxon,importance,mean_relative_abundance"
         assert len(node_lines) == 4
@@ -240,5 +241,5 @@ class TestExports:
         result = self.make_result()
         H = np.ones((4, 3))
         with pytest.raises(ValidationError, match="label count"):
-            write_group_network(result, ("a", "b"), H,
-                                tmp_path / "n.csv", tmp_path / "e.csv")
+            write_group_network(result, ("a", "b"), H, tmp_path / "n.csv",
+                                tmp_path / "e.csv", tmp_path / "g.graphml")

@@ -83,22 +83,24 @@ class TestAic:
 
 class TestResultValidation:
     def test_chosen_k_must_minimize(self):
-        per_k = ((2, (5.0,), 5.0), (3, (4.0,), 4.0))
-        with pytest.raises(ValidationError, match="chosen_k"):
-            ModelSelectionResult(per_k=per_k, chosen_k=2)
-        ModelSelectionResult(per_k=per_k, chosen_k=3)
+        per_k = ((2, (5.0,), 5.0), (3, (4.0,), 4.0), (4, (4.5,), 4.5))
+        result = ModelSelectionResult(per_k=per_k)
+        assert result.chosen_k == 3
+        assert result.chosen_mu is None
 
     def test_k_ties_prefer_smaller(self):
-        per_k = ((2, (4.0,), 4.0), (3, (4.0,), 4.0))
-        with pytest.raises(ValidationError, match="smaller k"):
+        per_k = ((3, (4.0,), 4.0), (2, (4.0,), 4.0), (4, (4.0,), 4.0))
+        assert ModelSelectionResult(per_k=per_k).chosen_k == 2
+        with pytest.raises(TypeError):
             ModelSelectionResult(per_k=per_k, chosen_k=3)
-        ModelSelectionResult(per_k=per_k, chosen_k=2)
 
     def test_mu_ties_prefer_larger(self):
-        per_mu = ((0.1, 0.5), (0.2, 0.5))
-        with pytest.raises(ValidationError, match="larger mu"):
+        per_mu = ((0.1, 0.5), (0.2, 0.5), (0.05, 0.5), (0.3, 0.4))
+        result = ModelSelectionResult(per_mu=per_mu)
+        assert result.chosen_mu == 0.2
+        assert result.chosen_k is None
+        with pytest.raises(TypeError):
             ModelSelectionResult(per_mu=per_mu, chosen_mu=0.1)
-        ModelSelectionResult(per_mu=per_mu, chosen_mu=0.2)
 
 
 def quick_cfg(**kw):
