@@ -414,6 +414,21 @@ class TestLocateGroup:
         report = locate(net, result.taxon_importance, 2)
         np.testing.assert_array_equal(np.sort(report.top_indices), [0, 1])
 
+    def test_reuses_precomputed_parts(self):
+        # the report reads the partition and centralities it is given, not
+        # ones it computes itself: here every taxon is its own cluster and
+        # the ranks are the reverse of index order
+        net = net_from(two_blocks())
+        clusters = ClusterResult(np.arange(8), 0.0)
+        cent = CentralityReport(np.arange(8.0), np.arange(8.0))
+        importance = np.linspace(1, 0, 8)
+        report = locate_group(net, importance, 2, clusters=clusters,
+                              cent=cent)
+        np.testing.assert_array_equal(report.cluster_ids, [0, 1])
+        assert report.n_clusters_spanned == 2
+        np.testing.assert_array_equal(report.degree_ranks, [8, 7])
+        np.testing.assert_array_equal(report.closeness_ranks, [8, 7])
+
     def test_bounds(self):
         net = net_from(two_blocks())
         with pytest.raises(ValidationError, match="top_k"):

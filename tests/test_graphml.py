@@ -136,6 +136,16 @@ def test_annotated_graph_bytes_for_every_attribute_subset(tmp_path,
     assert_same_graph(path, graph)
 
 
+@pytest.mark.parametrize("part", ["clusters", "cent", "importance"])
+def test_annotated_graph_requires_each_analysis_part(tmp_path, part):
+    net, extras = annotated_case()
+    del extras[part]
+    path = tmp_path / "ours.graphml"
+    with pytest.raises(TypeError, match=part):
+        write_annotated_graph(net, path, **extras)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("min_weight", [0.0, 0.1, 0.5, 1.5, np.inf])
 def test_annotated_graph_bytes_under_min_weight(tmp_path, min_weight):
     net, extras = annotated_case(seed=1)

@@ -112,6 +112,16 @@ class TestResultValidation:
             result.top_indices(5)
 
 
+class TestDiscoveryReport:
+    def test_top_k_is_the_top_group_size(self):
+        result = aggregate_importance(
+            [(np.array([1, 1, 0, 1], dtype=np.uint8), 0.9)])
+        report = DiscoveryReport(result, np.array([3, 0, 1]), 0.9)
+        assert report.top_k == 3
+        with pytest.raises(TypeError):
+            DiscoveryReport(result, np.array([3, 0, 1]), 0.9, 3)
+
+
 class TestDiscover:
     def planted(self, seed=0, n=60, p=10, members=(2, 7)):
         rng = np.random.default_rng(seed)
@@ -236,6 +246,13 @@ class TestExports:
                             display_threshold=0.5)
         assert nx.read_graphml(graph_path).number_of_edges() == 0
         assert len(edges.read_text().strip().splitlines()) == 2
+
+    def test_graph_path_required(self, tmp_path):
+        result = self.make_result()
+        with pytest.raises(TypeError, match="graph_path"):
+            write_group_network(result, ("a", "b", "c"), np.ones((4, 3)),
+                                tmp_path / "n.csv", tmp_path / "e.csv")
+        assert not (tmp_path / "n.csv").exists()
 
     def test_label_count_checked(self, tmp_path):
         result = self.make_result()

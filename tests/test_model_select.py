@@ -213,6 +213,12 @@ class TestTuneMu:
         with pytest.raises(ValidationError, match="grid"):
             mu_sweep(M, M[:, 0], grid=())
 
+    def test_inner_fraction_is_not_an_option(self):
+        # the inner split is always half the training rows
+        M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
+        with pytest.raises(TypeError, match="inner_fraction"):
+            mu_sweep(M, M[:, 0], (0.1,), inner_fraction=0.7)
+
     def test_negative_mu_rejected(self):
         M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
         with pytest.raises(ValidationError):
