@@ -8,16 +8,21 @@ to solve the non-negative elastic net of network inference on synthetic
 p=600 abundance (the benchmark's inferred workload at seed 1): coordinate
 descent to a 1e-8 sweep tolerance, and the loose pass plus exact KKT
 finish that ``network.infer_network`` runs, with sweeps, solves and KKT
-residuals.  Prints the dense-vs-gathered table that the formulation rule in
-``coresponse/_kernels.py`` is fitted to: both formulations timed on rows of
-exactly w bits for p in ``TABLE_TAXA`` and w = 2..60, the largest w at
-which gathering wins, and the largest w that the rule gathers.  Times one
+residuals.  Times the blocked loose pass against the row-by-row sweep it
+replaced, which is kept below, and checks that both give the same
+supports and a bitwise-equal finished matrix.  Prints the two tables that
+rules in ``coresponse/_kernels.py`` are fitted to.  The dense-vs-gathered
+table times both formulations on rows of exactly w bits for p in
+``TABLE_TAXA`` and w = 2..60, with the largest w at which gathering wins
+and the largest w that the rule gathers.  The block table times the
+loose pass at the block sizes ``BLOCK_SIZES`` for p in ``BLOCK_TAXA``,
+against the row-by-row sweep, for ``CD_BLOCK``.  Times one
 ``run_ga`` generation on the perfbench workloads' shapes (quickstart p=60
 capped at 6 and uncapped, scale p=1000 capped at 10, inferred-sized p=600
 uncapped), 60 generations with no stagnation stop, the share of it spent
 in ``group_terms`` and the rows it scores per generation.  Pin BLAS to one
 thread (for example ``OPENBLAS_NUM_THREADS=1``) for numbers comparable
-with the rule.
+with the rules.
 
 Run from the repository root:
 
@@ -185,28 +190,54 @@ def kkt_residuals(gram, B, mu1, mu2):
             grad[off].max(initial=-np.inf))
 
 
-def bench_enet(args) -> None:
-    from coresponse.network import LOOSE_MAX_SWEEPS, LOOSE_TOLERANCE
+def row_by_row_coordinate_descent(gram, mu1, mu2, max_iter, tol):
+    """The loose pass before it ran in blocks: one product per coordinate."""
+    p = gram.shape[0]
+    B = np.zeros((p, p))
+    last_delta = np.zeros(p)
+    for it in range(max_iter):
+        delta = np.zeros(p)
+        for j in range(p):
+            rho = gram[j, :] - gram[j, :] @ B + gram[j, j] * B[j, :]
+            bj = (rho - mu1) / (gram[j, j] + mu2)
+            np.clip(bj, 0.0, None, out=bj)
+            bj[j] = 0.0
+            delta = np.maximum(delta, np.abs(bj - B[j, :]))
+            B[j, :] = bj
+        last_delta = delta
+        if delta.max() < tol:
+            return B, last_delta, np.full(p, it + 1, np.int64)
+    return B, last_delta, np.full(p, max_iter, np.int64)
+
+
+def inferred_gram(samples, p):
+    """The Gram matrix ``network.infer_network`` builds for the abundance of
+    the benchmark's inferred workload (seed 1) at ``p`` taxa."""
     from coresponse.synth import SynthSpec, generate
 
-    # the abundance of the benchmark's inferred workload (seed 1),
-    # standardized as network.infer_network does
-    p = args.enet_taxa
-    X = generate(SynthSpec(n_samples=args.samples, n_taxa=p, n_blocks=8,
+    X = generate(SynthSpec(n_samples=samples, n_taxa=p, n_blocks=8,
                            planted_group=tuple(range(10)),
                            seed=1)).abundance.values
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     gram = X.T @ X / X.shape[0]
-    gram = (gram + gram.T) / 2.0
+    return (gram + gram.T) / 2.0
+
+
+def bench_enet(args) -> None:
+    from coresponse.network import LOOSE_MAX_SWEEPS, LOOSE_TOLERANCE
+
+    p = args.enet_taxa
+    gram = inferred_gram(args.samples, p)
     mu1, mu2, tol = 0.1, 0.01, 1e-8
+
+    def loose(kernel):
+        return kernel(gram, mu1, mu2, LOOSE_MAX_SWEEPS, LOOSE_TOLERANCE)
 
     def one_step():
         return k.enet_coordinate_descent(gram, mu1, mu2, 500, tol)
 
     def two_step():
-        B0, _, sweeps = k.enet_coordinate_descent(gram, mu1, mu2,
-                                                  LOOSE_MAX_SWEEPS,
-                                                  LOOSE_TOLERANCE)
+        B0, _, sweeps = loose(k.enet_coordinate_descent)
         B, rounds = k.enet_kkt_finish(gram, B0, mu1, mu2, tol)
         return B, sweeps, rounds
 
@@ -214,7 +245,7 @@ def bench_enet(args) -> None:
     t_two = best_of(two_step, args.repeats)
     B_one, _, sweeps_one = one_step()
     B_two, sweeps_two, rounds = two_step()
-    print(f"non-negative elastic net ({p} taxa, {X.shape[0]} samples, "
+    print(f"non-negative elastic net ({p} taxa, {args.samples} samples, "
           f"mu1={mu1}, mu2={mu2}, {(B_two > 0).sum(axis=0).mean():.1f} "
           f"nonzeros per column)")
     for name, t, B, note in (
@@ -228,6 +259,58 @@ def bench_enet(args) -> None:
     print(f"  same supports: {np.array_equal(B_one > 0, B_two > 0)}, "
           f"max |dB| {np.abs(B_one - B_two).max():.1e}, "
           f"x{t_one / t_two:.1f}")
+
+    t_blocked = best_of(lambda: loose(k.enet_coordinate_descent), args.repeats)
+    t_rows = best_of(lambda: loose(row_by_row_coordinate_descent),
+                     args.repeats)
+    B_blocked, _, sweeps = loose(k.enet_coordinate_descent)
+    B_rows, _, sweeps_rows = loose(row_by_row_coordinate_descent)
+    finished = k.enet_kkt_finish(gram, B_blocked, mu1, mu2, tol)[0]
+    finished_rows = k.enet_kkt_finish(gram, B_rows, mu1, mu2, tol)[0]
+    print(f"loose pass to {LOOSE_TOLERANCE:g}, blocks of {k.CD_BLOCK}: "
+          f"{t_blocked * 1e3:.2f} ms ({sweeps[0]} sweeps) against "
+          f"{t_rows * 1e3:.2f} ms row by row ({sweeps_rows[0]} sweeps), "
+          f"x{t_rows / t_blocked:.1f}")
+    same_bits = np.array_equal(finished.view(np.uint64),
+                               finished_rows.view(np.uint64))
+    print(f"  max |dB| {np.abs(B_blocked - B_rows).max():.1e}, same "
+          f"supports: {np.array_equal(B_blocked > 0, B_rows > 0)}, finished "
+          f"B bitwise equal: {same_bits}")
+
+
+#: taxon counts and block sizes of the loose-pass table
+BLOCK_TAXA = (600, 1000)
+BLOCK_SIZES = (16, 32, 64, 128)
+
+
+def bench_blocks(args) -> None:
+    from coresponse.network import LOOSE_MAX_SWEEPS, LOOSE_TOLERANCE
+
+    print(f"loose pass to {LOOSE_TOLERANCE:g} by block size, ms "
+          f"(CD_BLOCK is {k.CD_BLOCK})")
+    print("     p  row by row  " + "".join(f"b={b:<8d}" for b in BLOCK_SIZES)
+          + "sweeps")
+    kept = k.CD_BLOCK
+    try:
+        for p in BLOCK_TAXA:
+            gram = inferred_gram(args.samples, p)
+            t_rows = best_of(lambda: row_by_row_coordinate_descent(
+                gram, 0.1, 0.01, LOOSE_MAX_SWEEPS, LOOSE_TOLERANCE),
+                args.repeats)
+            cells = []
+            for b in BLOCK_SIZES:
+                k.CD_BLOCK = b  # the kernel reads its block size here
+                cells.append(best_of(lambda: k.enet_coordinate_descent(
+                    gram, 0.1, 0.01, LOOSE_MAX_SWEEPS, LOOSE_TOLERANCE),
+                    args.repeats))
+            sweeps = k.enet_coordinate_descent(gram, 0.1, 0.01,
+                                               LOOSE_MAX_SWEEPS,
+                                               LOOSE_TOLERANCE)[2][0]
+            print(f"  {p:4d}  {t_rows * 1e3:10.1f}  "
+                  + "".join(f"{t * 1e3:<10.1f}" for t in cells)
+                  + f"{sweeps:6d}")
+    finally:
+        k.CD_BLOCK = kept
 
 
 def main() -> None:
@@ -247,6 +330,7 @@ def main() -> None:
     bench_table(args)
     bench_run_ga(args)
     bench_enet(args)
+    bench_blocks(args)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,10 @@ Two kernels dominate runtime:
 * ``enet_coordinate_descent`` — non-negative elastic-net coordinate descent
   over a Gram matrix, one regression per taxon column.  Network inference
   runs it loosely, to find each column's support, and then solves every
-  column exactly on its support with ``enet_kkt_finish``.
+  column exactly on its support with ``enet_kkt_finish``.  A sweep runs in
+  blocks of ``CD_BLOCK`` coordinates, each served by one matrix product,
+  and rounds differently from a row-by-row sweep but takes the same steps;
+  the finish depends only on the support it ends on.
 
 ``group_terms`` has two formulations of the same quadratic form.  The dense
 one multiplies the whole population through the Gram matrix, which costs
@@ -42,6 +45,16 @@ L1_START_BITS = 25
 #: ``l1`` search from p=464 and a capped one at p=1000 up to w=58.
 GATHER_TAXA_PER_BIT = 16
 GATHER_MIN_TAXA = 64
+
+#: coordinates per block of a coordinate-descent sweep.  On a 2-vCPU Xeon
+#: with one BLAS thread (the table that ``benchmarks/bench_kernels.py``
+#: prints), the loose pass on the inferred workload's data took 179/126/
+#: 125/123 ms at p=600 and 944/822/759/739 ms at p=1000 in blocks of
+#: 16/32/64/128, against 519 and 3809 ms row by row.  From 64 up the sizes
+#: tie within the noise (interleaved medians at p=600: 115 ms at 64, 130
+#: at 128), and 64 keeps the in-block corrections, O(CD_BLOCK p^2) flops
+#: per sweep, the smaller.
+CD_BLOCK = 64
 
 
 def prefers_gathered(n_taxa: int, size_cap) -> bool:
@@ -117,6 +130,11 @@ def enet_coordinate_descent(gram, mu1, mu2, max_iter, tol):
 
     Coordinates are swept in index order; all p column problems advance in
     lockstep (they are independent, so this matches the per-column solver).
+    A sweep runs in blocks of :data:`CD_BLOCK` coordinates.  A block K gets
+    its rows' correlations with the current iterate from one product
+    ``gram[K] @ B``; row k then subtracts ``gram[k, K_done] @ dB[K_done]``,
+    the part of the change made by the block's earlier rows, so it sees the
+    same iterate as a row-by-row sweep, up to rounding.
 
     Returns:
         (B, last_delta, iterations): (p, p) coefficient matrix with zero
@@ -128,14 +146,22 @@ def enet_coordinate_descent(gram, mu1, mu2, max_iter, tol):
     last_delta = np.zeros(p)
     for it in range(max_iter):
         delta = np.zeros(p)
-        for k in range(p):
-            # partial residual correlation of predictor k with every target
-            rho = gram[k, :] - gram[k, :] @ B + gram[k, k] * B[k, :]
-            bk = (rho - mu1) / (gram[k, k] + mu2)
-            np.clip(bk, 0.0, None, out=bk)
-            bk[k] = 0.0
-            delta = np.maximum(delta, np.abs(bk - B[k, :]))
-            B[k, :] = bk
+        for start in range(0, p, CD_BLOCK):
+            stop = min(start + CD_BLOCK, p)
+            rows = gram[start:stop]
+            # partial residual correlations of the block's predictors with
+            # every target, at the iterate the block starts from
+            rho = rows - rows @ B
+            rho += np.diag(rows, start)[:, None] * B[start:stop]
+            dB = np.empty((stop - start, p))
+            for i, k in enumerate(range(start, stop)):
+                bk = rho[i] - gram[k, start:k] @ dB[:i]
+                bk = (bk - mu1) / (gram[k, k] + mu2)
+                np.clip(bk, 0.0, None, out=bk)
+                bk[k] = 0.0
+                np.subtract(bk, B[k], out=dB[i])
+                B[k] = bk
+            delta = np.maximum(delta, np.abs(dB).max(axis=0))
         last_delta = delta
         if delta.max() < tol:
             return B, last_delta, np.full(p, it + 1, np.int64)

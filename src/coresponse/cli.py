@@ -128,6 +128,10 @@ def cmd_select_k(args) -> None:
     out = _out_dir(args)
     delim = _delimiter(args)
     abundance, function = _load_dataset(args)
+    if args.k_max > abundance.n_taxa:
+        # every k past p would repeat the all-taxa search
+        raise ValidationError(f"--k-max {args.k_max} exceeds the "
+                              f"{abundance.n_taxa} taxa")
     net = _load_network(args, abundance)
     M = convolved_matrix(abundance, net)
     cfg = _ga_config(args, "size_cap", k_opt=args.k_min)

@@ -45,8 +45,8 @@ class AbundanceMatrix:
             raise ValidationError(
                 f"{len(self.taxon_labels)} taxon labels for {p} matrix columns"
             )
-        _check_unique(self.sample_ids, "sample id")
-        _check_unique(self.taxon_labels, "taxon label")
+        check_unique(self.sample_ids, "sample id")
+        check_unique(self.taxon_labels, "taxon label")
         if not np.isfinite(values).all():
             raise ValidationError("abundance matrix contains non-finite entries")
         if (values < 0).any():
@@ -77,15 +77,17 @@ class FunctionalVariable:
             )
 
 
-def _check_unique(labels, kind: str) -> None:
+def check_unique(labels, kind: str, path=None) -> None:
+    """Reject a repeated label, naming the first one that repeats.
+
+    ``path``, when given, prefixes the message with the file it came from.
+    """
     seen = set()
-    dupes = []
-    for lab in labels:
-        if lab in seen:
-            dupes.append(lab)
-        seen.add(lab)
-    if dupes:
-        raise ValidationError(f"duplicate {kind}(s): {sorted(set(dupes))}")
+    for label in labels:
+        if label in seen:
+            where = "" if path is None else f"{path}: "
+            raise ValidationError(f"{where}repeated {kind} {label!r}")
+        seen.add(label)
 
 
 def load_abundance(path, orientation: str = "samples-as-rows") -> AbundanceMatrix:
@@ -174,11 +176,9 @@ def load_function(path, abundance: AbundanceMatrix) -> FunctionalVariable:
     if len(header) != 2:
         raise ParseError(f"{path}: expected exactly two columns (sample_id, value)")
     name = header[1]
-    by_id: dict[str, float] = {}
-    for i, (sid, cell) in enumerate(rows):
-        if sid in by_id:
-            raise ValidationError(f"{path}: duplicate sample id {sid!r}")
-        by_id[sid] = parse_cell(cell, path, row=i + 2, col=2)
+    check_unique([sid for sid, _ in rows], "sample id", path)
+    by_id = {sid: parse_cell(cell, path, row=i + 2, col=2)
+             for i, (sid, cell) in enumerate(rows)}
     missing = [sid for sid in abundance.sample_ids if sid not in by_id]
     extra = [sid for sid in by_id if sid not in set(abundance.sample_ids)]
     if missing or extra:

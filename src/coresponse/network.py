@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import FinishError, enet_coordinate_descent, enet_kkt_finish
 from .errors import NumericError, ParseError, ValidationError
-from .ingest import AbundanceMatrix
+from .ingest import AbundanceMatrix, check_unique
 from .tables import (fmt, parse_cell, read_header, read_matrix, read_table,
                      write_table)
 
@@ -54,11 +54,7 @@ class CoOccurrenceNetwork:
             raise ValidationError("adjacency must be square")
         if len(self.taxon_labels) != adj.shape[0]:
             raise ValidationError("taxon label count does not match adjacency size")
-        seen = set()
-        for label in self.taxon_labels:
-            if label in seen:
-                raise ValidationError(f"repeated taxon label {label!r}")
-            seen.add(label)
+        check_unique(self.taxon_labels, "taxon label")
         if not np.isfinite(adj).all():
             raise ValidationError("adjacency contains non-finite weights")
         if (adj < 0).any():
@@ -122,11 +118,10 @@ def _adjacency_from_matrix(path, labels) -> np.ndarray:
     file_cols, file_rows, raw = read_matrix(path)
     if file_cols != file_rows:
         raise ParseError(f"{path}: matrix row labels do not match column labels")
-    order = {lab: i for i, lab in enumerate(file_cols)}
-    if len(order) != len(file_cols):
-        repeated = next(lab for lab in file_cols if file_cols.count(lab) > 1)
-        raise ValidationError(f"{path}: repeated taxon label {repeated!r}")
+    # before the reordering below, where the last of two rows would win
+    check_unique(file_cols, "taxon label", path)
     _check_label_match(path, file_cols, labels)
+    order = {lab: i for i, lab in enumerate(file_cols)}
     perm = [order[lab] for lab in labels]
     return raw[np.ix_(perm, perm)]
 

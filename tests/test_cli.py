@@ -274,6 +274,31 @@ class TestExitCodes:
         assert "baseline_l1" not in err
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+    def test_k_max_above_taxon_count_exits_4_before_searching(
+            self, tmp_path, capsys, monkeypatch):
+        # every k past the 12 taxa would repeat the all-taxa search
+        data = make_bundle(tmp_path)
+        monkeypatch.setattr(cli, "sweep_k", lambda *a, **kw: pytest.fail(
+            "select-k searched"))
+        code = run(["select-k", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--k-min", 2, "--k-max", 13,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "--k-max 13" in err and "12 taxa" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_k_max_at_taxon_count_is_accepted(self, tmp_path):
+        data = make_bundle(tmp_path)
+        code = run(["select-k", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--k-min", 11, "--k-max", 12, "--repeats", 1,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 0
+        assert len((tmp_path / "out" / "sweep.csv").read_text()
+                   .splitlines()) == 1 + 2
+
     def test_single_repeat_with_two_methods_exits_4_before_searching(
             self, tmp_path, capsys):
         # the paired t-test needs two repeats; the searches must not run

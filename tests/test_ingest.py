@@ -27,8 +27,12 @@ class TestAbundanceMatrix:
             AbundanceMatrix(np.array([[1.0, np.nan]]), ("s1",), ("t1", "t2"))
 
     def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match="repeated taxon label 't1'"):
             AbundanceMatrix(np.ones((1, 2)), ("s1",), ("t1", "t1"))
+
+    def test_rejects_duplicate_sample_ids(self):
+        with pytest.raises(ValidationError, match="repeated sample id 's1'"):
+            AbundanceMatrix(np.ones((2, 1)), ("s1", "s1"), ("t1",))
 
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValidationError):
@@ -137,6 +141,14 @@ class TestRoundTrip:
         path = tmp_path / "f.csv"
         path.write_text("sample_id,pmn\ns1,10\ns2,20\ns3,30\nzz,40\n")
         with pytest.raises(ValidationError, match="zz"):
+            load_function(path, m)
+
+    def test_function_repeated_sample_id_named(self, tmp_path):
+        m = small_matrix()
+        path = tmp_path / "f.csv"
+        path.write_text("sample_id,pmn\ns1,10\ns2,20\ns1,30\ns4,40\n")
+        with pytest.raises(ValidationError,
+                           match=r"f\.csv: repeated sample id 's1'"):
             load_function(path, m)
 
     def test_function_file_round_trip(self, tmp_path):

@@ -330,3 +330,126 @@ class TestKktFinish:
             _kernels.enet_kkt_finish(gram, np.zeros((5, 5)), 0.0, 0.01, 1e-12,
                                      1)
         assert (exc.value.column, exc.value.reason) == (0, "unsettled")
+
+
+def _reference_coordinate_descent(gram, mu1, mu2, max_iter, tol):
+    """The row-by-row sweep the blocked kernel replaced, kept as its oracle."""
+    p = gram.shape[0]
+    B = np.zeros((p, p))
+    last_delta = np.zeros(p)
+    for it in range(max_iter):
+        delta = np.zeros(p)
+        for k in range(p):
+            # partial residual correlation of predictor k with every target
+            rho = gram[k, :] - gram[k, :] @ B + gram[k, k] * B[k, :]
+            bk = (rho - mu1) / (gram[k, k] + mu2)
+            np.clip(bk, 0.0, None, out=bk)
+            bk[k] = 0.0
+            delta = np.maximum(delta, np.abs(bk - B[k, :]))
+            B[k, :] = bk
+        last_delta = delta
+        if delta.max() < tol:
+            return B, last_delta, np.full(p, it + 1, np.int64)
+    return B, last_delta, np.full(p, max_iter, np.int64)
+
+
+def finish_or_error(gram, B0, mu1, mu2):
+    """The finished B's bits, or the (column, reason) of its FinishError."""
+    try:
+        return bits(_kernels.enet_kkt_finish(gram, B0, mu1, mu2, 1e-8)[0])
+    except _kernels.FinishError as exc:
+        return exc.column, exc.reason
+
+
+def assert_same_start_and_finish(gram, mu1, mu2, max_iter=500, tol=1e-2):
+    """Blocked and row-by-row passes agree; the finish cannot tell them apart."""
+    B, delta, sweeps = _kernels.enet_coordinate_descent(gram, mu1, mu2,
+                                                        max_iter, tol)
+    B_ref, delta_ref, sweeps_ref = _reference_coordinate_descent(
+        gram, mu1, mu2, max_iter, tol)
+    np.testing.assert_array_equal(sweeps, sweeps_ref)
+    np.testing.assert_array_equal(B > 0, B_ref > 0)
+    assert np.abs(B - B_ref).max() <= 1e-12
+    np.testing.assert_allclose(delta, delta_ref, rtol=0, atol=1e-12)
+    finished = finish_or_error(gram, B, mu1, mu2)
+    finished_ref = finish_or_error(gram, B_ref, mu1, mu2)
+    if isinstance(finished_ref, tuple):
+        assert finished == finished_ref
+    else:
+        assert not isinstance(finished, tuple), finished
+        np.testing.assert_array_equal(finished, finished_ref)
+    return B
+
+
+class TestBlockedSweep:
+    """The blocked sweep against the row-by-row loop it replaced."""
+
+    @pytest.mark.parametrize("mu2", (0.0, 0.01))
+    @pytest.mark.parametrize("p", (2, _kernels.CD_BLOCK - 1, _kernels.CD_BLOCK,
+                                   _kernels.CD_BLOCK + 1,
+                                   2 * _kernels.CD_BLOCK + 1))
+    def test_matches_row_by_row_sweep(self, p, mu2):
+        gram = standardized_gram(p, n=2 * p + 20, p=p, mix=0.3)
+        B = assert_same_start_and_finish(gram, 0.05, mu2)
+        assert (B > 0).any()
+
+    @pytest.mark.parametrize("tol", (1e-2, 1e-8))
+    def test_sweep_counts_at_two_tolerances(self, tol):
+        p = 2 * _kernels.CD_BLOCK + 1
+        gram = standardized_gram(11, n=200, p=p, mix=0.5)
+        assert_same_start_and_finish(gram, 0.1, 0.01, tol=tol)
+
+    def test_sweep_cap(self):
+        p = _kernels.CD_BLOCK + 1
+        gram = standardized_gram(12, n=200, p=p, mix=1.0)
+        B, _, sweeps = _kernels.enet_coordinate_descent(gram, 0.0, 0.01, 2,
+                                                        1e-12)
+        B_ref, _, _ = _reference_coordinate_descent(gram, 0.0, 0.01, 2, 1e-12)
+        assert (sweeps == 2).all()
+        assert np.abs(B - B_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", (2, _kernels.CD_BLOCK + 1))
+    def test_full_shrinkage(self, p):
+        gram = standardized_gram(13, n=100, p=p)
+        B, delta, sweeps = _kernels.enet_coordinate_descent(gram, 1e6, 0.0,
+                                                            100, 1e-12)
+        assert not B.any() and not delta.any()
+        assert (sweeps == 1).all()
+        assert_same_start_and_finish(gram, 1e6, 0.0)
+
+    @pytest.mark.parametrize("twins", ((3, 5), (_kernels.CD_BLOCK - 1,
+                                                _kernels.CD_BLOCK)),
+                             ids=("inside-a-block", "across-a-boundary"))
+    def test_twin_taxa(self, twins):
+        # with mu2 > 0 the finish puts both twins in every support that
+        # holds one of them, whichever rounding-level start it gets
+        p = 2 * _kernels.CD_BLOCK + 1
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(200, p))
+        X += 0.5 * X @ rng.normal(size=(p, p)) / np.sqrt(p)
+        a, b = twins
+        X[:, b] = 2.0 * X[:, a]
+        X = (X - X.mean(0)) / X.std(0)
+        gram = X.T @ X / X.shape[0]
+        gram = (gram + gram.T) / 2.0
+        B = assert_same_start_and_finish(gram, 0.01, 0.01)
+        finished, _ = _kernels.enet_kkt_finish(gram, B, 0.01, 0.01, 1e-8)
+        others = np.delete(finished, twins, axis=1)
+        np.testing.assert_array_equal(others[a] > 0, others[b] > 0)
+        assert (others[a] > 0).any()
+
+    def test_inferred_network_is_bitwise_the_reference_starts(self,
+                                                              monkeypatch):
+        from coresponse import network
+        from coresponse.synth import SynthSpec, generate
+
+        abundance = generate(SynthSpec(n_samples=200, n_taxa=200, n_blocks=8,
+                                       planted_group=tuple(range(10)),
+                                       seed=1)).abundance
+        blocked = network.infer_network(abundance)
+        monkeypatch.setattr(network, "enet_coordinate_descent",
+                            _reference_coordinate_descent)
+        reference = network.infer_network(abundance)
+        assert (blocked.adjacency > 0).sum() > 200
+        np.testing.assert_array_equal(bits(blocked.adjacency),
+                                      bits(reference.adjacency))
