@@ -10,6 +10,19 @@ row lists and converted them with one ``np.array`` call; the old
 abundance read called ``parse_cell`` on every cell.  Each read's peak
 Python heap comes from ``tracemalloc`` in a separate, untimed call.
 
+Writer: writes the CSS-normalized 200 x 1000 abundance with
+``ingest.write_abundance``, one ``"%.12g"`` format call per row, and with
+the writer it used before, one ``fmt`` call per cell, kept below; both
+files must hold the same bytes.
+
+Adjacency checks: times ``network.load_adjacency`` on an already parsed
+p=1000 matrix (``read_matrix`` is replaced by a copy of its result, so
+the parse is left out) against the post-processing it used before, kept
+below: the ``np.ix_`` copy whatever the label order, two
+``abs(A - A^T)`` passes and the ``(A + A^T)/2`` copy whatever the input.
+Both run with the file's labels in abundance order and reversed, and
+must give the same bits.
+
 GraphML: infers the network of a p=600 dataset, the perfbench inferred
 shape, and writes its annotated graph (clusters, centralities, importance,
 abundance) with ``analytics.write_annotated_graph`` and with the networkx
@@ -33,6 +46,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -41,7 +55,7 @@ import numpy as np
 import coresponse
 from coresponse import analytics, ingest, network
 from coresponse.synth import SynthSpec, generate
-from coresponse.tables import parse_cell, read_table
+from coresponse.tables import fmt, parse_cell, read_table, write_table
 
 GRAPHML_TAXA = 600
 
@@ -67,6 +81,40 @@ def old_abundance_reader(path):
         for j, cell in enumerate(cells[1:]):
             values[i, j] = parse_cell(cell, path, row=i + 2, col=j + 2)
     return header[1:], [cells[0] for cells in rows], values
+
+
+def old_write_abundance(m, path, delimiter=","):
+    """``ingest.write_abundance`` with one ``fmt`` call per cell."""
+    rows = [[sid, *(fmt(v) for v in m.values[i])]
+            for i, sid in enumerate(m.sample_ids)]
+    write_table(path, ["sample_id", *m.taxon_labels], rows, delimiter)
+
+
+def old_load_adjacency(path, labels):
+    """``network.load_adjacency`` of a matrix file before its exact-symmetry
+    fast paths, with the label checks left out: the ``np.ix_`` copy, then
+    ``(A + A^T)/2`` and two ``abs(A - A^T)`` passes whatever the input."""
+    labels = tuple(labels)
+    file_cols, _, raw = network.read_matrix(path)
+    order = {lab: i for i, lab in enumerate(file_cols)}
+    perm = [order[lab] for lab in labels]
+    adj = raw[np.ix_(perm, perm)]
+    if np.abs(adj - adj.T).max(initial=0.0) > network.SYMMETRY_TOL:
+        warnings.warn(f"{path}: asymmetric adjacency symmetrized as (A+A^T)/2")
+    adj = (adj + adj.T) / 2.0
+    if np.abs(np.diag(adj)).max(initial=0.0) > 0.0:
+        warnings.warn(f"{path}: nonzero diagonal zeroed (no self-loops)")
+        np.fill_diagonal(adj, 0.0)
+    if (adj < 0).any():
+        raise ValueError(f"{path}: negative edge weights are not allowed")
+    # the checks of CoOccurrenceNetwork
+    if not np.isfinite(adj).all() or (adj < 0).any():
+        raise ValueError("adjacency contains non-finite or negative weights")
+    if np.abs(adj - adj.T).max(initial=0.0) > network.SYMMETRY_TOL:
+        raise ValueError("adjacency is not symmetric within 1e-12")
+    if np.abs(np.diag(adj)).max(initial=0.0) != 0.0:
+        raise ValueError("adjacency has nonzero diagonal entries")
+    return adj
 
 
 def old_write_annotated_graph(net, path, *, clusters=None, cent=None,
@@ -158,6 +206,65 @@ def bench_tables(args) -> None:
             print(f"{name:<16}bitwise equal: {np.array_equal(*bits)}")
 
 
+def bench_writer(args) -> None:
+    spec = SynthSpec(n_samples=args.samples, n_taxa=args.taxa, n_blocks=8,
+                     intra_block_weight=0.5, planted_group=tuple(range(10)),
+                     noise_sigma=0.05, seed=args.seed)
+    abundance = ingest.css_normalize(
+        ingest.filter_sparse_taxa(generate(spec).raw_abundance))
+    print(f"\nwrite_abundance, {abundance.values.shape[0]} x "
+          f"{abundance.n_taxa}")
+    print(f"{'writer':<14}{'best s':>9}{'MB':>7}")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for name, write in (("row format", ingest.write_abundance),
+                            ("per cell", old_write_abundance)):
+            path = Path(tmp) / f"{name}.csv"
+            seconds = best_of(lambda: write(abundance, path), args.repeats)
+            files.append(path.read_bytes())
+            print(f"{name:<14}{seconds:>9.4f}{len(files[-1]) / 1e6:>7.2f}")
+    equal = files[0] == files[1]
+    print(f"abundance bytes equal: {equal}")
+    assert equal, "the row writer changed the abundance bytes"
+
+
+def bench_adjacency_checks(args) -> None:
+    spec = SynthSpec(n_samples=args.samples, n_taxa=args.taxa, n_blocks=8,
+                     intra_block_weight=0.5, planted_group=tuple(range(10)),
+                     noise_sigma=0.05, seed=args.seed)
+    net = generate(spec).network
+    labels = net.taxon_labels
+    print(f"\nadjacency checks after the parse, p={net.n_taxa}")
+    print(f"{'file labels':<14}{'checks':<14}{'best s':>9}")
+    for order, file_labels in (("in order", labels),
+                               ("reversed", labels[::-1])):
+        perm = [labels.index(lab) for lab in file_labels]
+        parsed = (list(file_labels), list(file_labels),
+                  net.adjacency[np.ix_(perm, perm)])
+
+        def reader(path):
+            return parsed[0], parsed[1], parsed[2].copy()
+
+        results = []
+        with (tempfile.TemporaryDirectory() as tmp,
+              mock.patch.object(network, "read_matrix", reader)):
+            # load_adjacency reads the header to tell a matrix from an
+            # edge list; the header is all the file holds
+            path = Path(tmp) / "adjacency.csv"
+            path.write_text(",".join(["taxon", *file_labels]) + "\n")
+            for name, load in (
+                    ("one pass", lambda: network.load_adjacency(
+                        path, labels).adjacency),
+                    ("full passes", lambda: old_load_adjacency(
+                        path, labels))):
+                results.append(load().view(np.uint64))
+                seconds = best_of(load, args.repeats)
+                print(f"{order:<14}{name:<14}{seconds:>9.4f}")
+        equal = np.array_equal(*results)
+        print(f"{order:<14}bitwise equal: {equal}")
+        assert equal, "the adjacency checks changed the loaded bits"
+
+
 def bench_graphml(args) -> None:
     try:
         import networkx  # noqa: F401
@@ -219,6 +326,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     bench_tables(args)
+    bench_writer(args)
+    bench_adjacency_checks(args)
     bench_graphml(args)
     bench_start_up(args)
 

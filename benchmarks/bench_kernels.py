@@ -20,7 +20,11 @@ against the row-by-row sweep, for ``CD_BLOCK``.  Times one
 ``run_ga`` generation on the perfbench workloads' shapes (quickstart p=60
 capped at 6 and uncapped, scale p=1000 capped at 10, inferred-sized p=600
 uncapped), 60 generations with no stagnation stop, the share of it spent
-in ``group_terms`` and the rows it scores per generation.  Pin BLAS to one
+in ``group_terms`` and the rows it scores per generation.  Times one
+``Objective`` build at p=600 and p=1000, against the build it replaced
+(kept below), which formed ``(G + G^T)/2`` even from an exactly symmetric
+``G``, and the builds of a paper-scale ``select-k`` (k = 2..50, 10
+repeats) with one build per run against one shared build.  Pin BLAS to one
 thread (for example ``OPENBLAS_NUM_THREADS=1``) for numbers comparable
 with the rules.
 
@@ -180,6 +184,40 @@ def bench_run_ga(args) -> None:
         ga.group_terms = kernel
 
 
+#: taxon counts of the Objective build row, and the runs of a default
+#: select-k sweep (k = 2..50, 10 repeats), which share one build
+OBJECTIVE_TAXA = (600, 1000)
+SWEEP_RUNS = 49 * 10
+
+
+def old_objective_arrays(M0, y0):
+    """The arrays of an ``Objective`` as each run built them before: the
+    Gram matrix symmetrized by ``(G + G^T)/2`` whatever it held."""
+    gram = M0.T @ M0
+    return (gram + gram.T) / 2.0, M0.T @ y0, float(np.sqrt(y0 @ y0))
+
+
+def bench_objective(args) -> None:
+    from coresponse import ga
+
+    rng = np.random.default_rng(0)
+    print(f"Objective build, {args.samples} samples; a select-k sweep of "
+          f"{SWEEP_RUNS} runs built one per run and shares one now")
+    for p in OBJECTIVE_TAXA:
+        M0 = rng.lognormal(size=(args.samples, p))
+        M0 -= M0.mean(axis=0)
+        y0 = rng.normal(size=args.samples)
+        y0 -= y0.mean()
+        t_new = best_of(lambda: ga.Objective(M0, y0), args.repeats)
+        t_old = best_of(lambda: old_objective_arrays(M0, y0), args.repeats)
+        same = (ga.Objective(M0, y0).gram.tobytes()
+                == old_objective_arrays(M0, y0)[0].tobytes())
+        print(f"  p={p:5d}: build {t_new * 1e3:6.2f} ms ({t_old * 1e3:6.2f} "
+              f"ms with (G + G^T)/2, same bits: {same}); sweep builds "
+              f"{SWEEP_RUNS * t_old:5.2f} s one per run, {t_new:6.4f} s "
+              "shared")
+
+
 def kkt_residuals(gram, B, mu1, mu2):
     """Worst |stationarity| on the supports and worst violation off them."""
     grad = gram - mu1 - gram @ B - mu2 * B
@@ -329,6 +367,7 @@ def main() -> None:
     bench_group_terms(args)
     bench_table(args)
     bench_run_ga(args)
+    bench_objective(args)
     bench_enet(args)
     bench_blocks(args)
 

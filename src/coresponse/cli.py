@@ -91,6 +91,14 @@ def _load_dataset(args):
     return abundance, function
 
 
+def _check_k(args, abundance) -> None:
+    """Reject a --k past the taxon count: every such cap is the all-taxa
+    search."""
+    if args.k is not None and args.k > abundance.n_taxa:
+        raise ValidationError(f"--k {args.k} exceeds the "
+                              f"{abundance.n_taxa} taxa")
+
+
 def _load_network(args, abundance):
     if getattr(args, "no_graph", False):
         return None
@@ -150,6 +158,7 @@ def cmd_discover(args) -> None:
     out = _out_dir(args)
     delim = _delimiter(args)
     abundance, function = _load_dataset(args)
+    _check_k(args, abundance)
     net = _load_network(args, abundance)
     M = convolved_matrix(abundance, net)
 
@@ -220,6 +229,7 @@ def cmd_evaluate(args) -> None:
     if capped and args.k is None:
         raise ValidationError(
             f"method(s) {capped} need --k (run select-k first)")
+    _check_k(args, abundance)
     graph_methods = [tag for tag in methods if not tag.startswith("baseline")]
     if graph_methods and args.no_graph:
         raise ValidationError(

@@ -13,15 +13,17 @@ per-generation streams derived from the config seed; runs are deterministic
 and thread-count independent.  Every repeated search goes through run_many.
 """
 
+import copy
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import L1_START_BITS, group_terms, prefers_gathered
 from .errors import ValidationError
-from .utils import generator, parallel_map, pearson
+from .utils import exactly_symmetric, generator, parallel_map, pearson
 
 #: hard-cap penalty weight: sqrt of the largest finite double
 ALPHA = math.sqrt(sys.float_info.max)
@@ -132,9 +134,10 @@ class Objective:
     Holds G = M0^T M0 (symmetrized), c = M0^T y0 and ||y0||; evaluates
     populations through ``group_terms``.  Its dense or gathered formulation
     is fixed here from the taxon count and ``size_cap``, so every population
-    of one search is scored the same way.  A gathered row scores the same
-    bits in any batch, so :func:`run_ga` scores only the rows a generation
-    changed when ``gathered`` is set.
+    of one search is scored the same way; :meth:`with_size_cap` gives the
+    same arrays under another search's choice.  A gathered row scores the
+    same bits in any batch, so :func:`run_ga` scores only the rows a
+    generation changed when ``gathered`` is set.
     """
 
     def __init__(self, M0: np.ndarray, y0: np.ndarray, size_cap: int | None = None):
@@ -143,11 +146,24 @@ class Objective:
         if M0.ndim != 2 or y0.ndim != 1 or M0.shape[0] != y0.shape[0]:
             raise ValidationError("M0 must be n x p and y0 length n")
         gram = M0.T @ M0
-        self.gram = (gram + gram.T) / 2.0
+        # numpy's M0.T @ M0 is exactly symmetric, and then its
+        # symmetrization is the same array
+        self.gram = gram if exactly_symmetric(gram) else (gram + gram.T) / 2.0
         self.cvec = M0.T @ y0
         self.y_norm = float(np.sqrt(y0 @ y0))
         self.n_taxa = M0.shape[1]
         self.gathered = prefers_gathered(self.n_taxa, size_cap)
+
+    def with_size_cap(self, size_cap: int | None) -> "Objective":
+        """This objective as a search with ``size_cap`` scores it: itself
+        when that search makes the same dense/gathered choice, otherwise a
+        copy that shares its arrays."""
+        gathered = prefers_gathered(self.n_taxa, size_cap)
+        if gathered == self.gathered:
+            return self
+        other = copy.copy(self)
+        other.gathered = gathered
+        return other
 
     def terms(self, population: np.ndarray):
         pop = np.ascontiguousarray(population, dtype=np.uint8)
@@ -221,7 +237,8 @@ def _rescore(objective, pop, cfg, scores, source, changed):
 
 
 def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
-           record_populations: bool = False) -> GAResult:
+           record_populations: bool = False, *,
+           objective: Objective | None = None) -> GAResult:
     """Run the genetic search on centered data.
 
     Returns the best chromosome ever seen (elitist archive; ties broken
@@ -229,8 +246,14 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
     per-generation history table with columns ``HISTORY_COLUMNS``.
     Deterministic given ``cfg.seed``.  A gathered search scores only the
     rows that are not exact copies of a row of the previous generation.
+    ``objective``, when given, is the :class:`Objective` of ``(M0, y0)``,
+    which are then not read; the search still makes its own dense/gathered
+    choice from ``cfg.size_cap``.
     """
-    objective = Objective(M0, y0, cfg.size_cap)
+    if objective is None:
+        objective = Objective(M0, y0, cfg.size_cap)
+    else:
+        objective = objective.with_size_cap(cfg.size_cap)
     p = objective.n_taxa
     if p < 2:
         raise ValidationError("need at least 2 taxa to optimize over")
@@ -380,31 +403,61 @@ def check_search_data(M, y) -> tuple[np.ndarray, np.ndarray]:
     return M, y
 
 
+class _SharedObjective:
+    """The :class:`Objective` of consecutive jobs on one train: built by the
+    first of them to start and dropped when the last of them ends."""
+
+    def __init__(self, M, y, train):
+        self.rows = (M, y, train)
+        self.searches = 0
+        self.objective = None
+        self.lock = threading.Lock()
+
+    def acquire(self) -> Objective:
+        with self.lock:
+            if self.objective is None:
+                M, y, train = self.rows
+                if train is not None:
+                    M, y = M[train], y[train]
+                self.objective = Objective(M - M.mean(axis=0), y - y.mean())
+            return self.objective
+
+    def release(self) -> None:
+        with self.lock:
+            self.searches -= 1
+            if not self.searches:
+                self.objective = None
+
+
 def run_many(M: np.ndarray, y: np.ndarray, jobs, threads: int = 1) -> list:
     """Run one search per ``(cfg, train, test)`` job; results in job order.
 
     Each search runs on rows ``train`` (all rows when None), centered on
     their own means; its best group gets the :func:`group_r` score on rows
-    ``test``, or None.  Seeds come only from each job's cfg, so the
+    ``test``, or None.  Consecutive jobs that pass the same ``train``
+    object (or None) share one :class:`Objective`, which lives from the
+    first of them to start to the last to end, so no more are alive at
+    once than searches run.  Seeds come only from each job's cfg, so the
     ``(GAResult, score)`` pairs do not depend on ``threads``.  The data are
     checked by :func:`check_search_data`.
     """
     M, y = check_search_data(M, y)
+    items = []  # (job, the objective it shares)
+    for job in jobs:
+        train = job[1]
+        if not items or train is not items[-1][0][1]:
+            shared = _SharedObjective(M, y, train)
+        shared.searches += 1
+        items.append((job, shared))
 
-    def centered(train):
-        Mt, yt = (M, y) if train is None else (M[train], y[train])
-        return Mt - Mt.mean(axis=0), yt - yt.mean()
-
-    jobs = list(jobs)
-    # every all-rows job searches the same centered copy
-    full = centered(None) if any(job[1] is None for job in jobs) else None
-
-    def one(job):
-        cfg, train, test = job
-        M0, y0 = full if train is None else centered(train)
-        result = run_ga(M0, y0, cfg)
+    def one(item):
+        (cfg, train, test), shared = item
+        try:
+            result = run_ga(None, None, cfg, objective=shared.acquire())
+        finally:
+            shared.release()
         if test is None:
             return result, None
         return result, group_r(M[test], y[test], result.best.indices())
 
-    return parallel_map(one, jobs, threads)
+    return parallel_map(one, items, threads)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .tables import fmt, parse_cell, read_matrix, read_table, write_table
+from .tables import (fmt, fmt_cells, parse_cell, read_matrix, read_table,
+                     write_table)
 
 ORIENTATIONS = ("samples-as-rows", "taxa-as-rows")
 
@@ -111,9 +112,9 @@ def load_abundance(path, orientation: str = "samples-as-rows") -> AbundanceMatri
 def write_abundance(m: AbundanceMatrix, path, delimiter: str = ",") -> None:
     """Write in samples-as-rows orientation, 12 significant digits."""
     header = ["sample_id", *m.taxon_labels]
-    rows = [
-        [sid, *(fmt(v) for v in m.values[i])] for i, sid in enumerate(m.sample_ids)
-    ]
+    # a row with no taxa is its label alone
+    rows = [[sid, fmt_cells(values, delimiter)] if values else [sid]
+            for sid, values in zip(m.sample_ids, m.values.tolist())]
     write_table(path, header, rows, delimiter)
 
 

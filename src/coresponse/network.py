@@ -19,6 +19,7 @@ from .errors import NumericError, ParseError, ValidationError
 from .ingest import AbundanceMatrix, check_unique
 from .tables import (fmt, parse_cell, read_header, read_matrix, read_table,
                      write_table)
+from .utils import exactly_symmetric
 
 SYMMETRY_TOL = 1e-12
 
@@ -59,7 +60,8 @@ class CoOccurrenceNetwork:
             raise ValidationError("adjacency contains non-finite weights")
         if (adj < 0).any():
             raise ValidationError("adjacency contains negative weights")
-        if np.abs(adj - adj.T).max(initial=0.0) > SYMMETRY_TOL:
+        if (not exactly_symmetric(adj)
+                and np.abs(adj - adj.T).max(initial=0.0) > SYMMETRY_TOL):
             raise ValidationError("adjacency is not symmetric within 1e-12")
         if np.abs(np.diag(adj)).max(initial=0.0) != 0.0:
             raise ValidationError("adjacency has nonzero diagonal entries")
@@ -103,9 +105,11 @@ def load_adjacency(path, labels) -> CoOccurrenceNetwork:
         adj = _adjacency_from_edges(path, rows, labels)
     else:
         adj = _adjacency_from_matrix(path, labels)
-    if np.abs(adj - adj.T).max(initial=0.0) > SYMMETRY_TOL:
-        warnings.warn(f"{path}: asymmetric adjacency symmetrized as (A+A^T)/2")
-    adj = (adj + adj.T) / 2.0
+    # an exactly symmetric file is its own symmetrization
+    if not exactly_symmetric(adj):
+        if np.abs(adj - adj.T).max(initial=0.0) > SYMMETRY_TOL:
+            warnings.warn(f"{path}: asymmetric adjacency symmetrized as (A+A^T)/2")
+        adj = (adj + adj.T) / 2.0
     if np.abs(np.diag(adj)).max(initial=0.0) > 0.0:
         warnings.warn(f"{path}: nonzero diagonal zeroed (no self-loops)")
         np.fill_diagonal(adj, 0.0)
@@ -121,6 +125,8 @@ def _adjacency_from_matrix(path, labels) -> np.ndarray:
     # before the reordering below, where the last of two rows would win
     check_unique(file_cols, "taxon label", path)
     _check_label_match(path, file_cols, labels)
+    if tuple(file_cols) == labels:
+        return raw
     order = {lab: i for i, lab in enumerate(file_cols)}
     perm = [order[lab] for lab in labels]
     return raw[np.ix_(perm, perm)]

@@ -25,6 +25,17 @@ def fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def fmt_cells(values, delimiter: str) -> str:
+    """``delimiter.join(fmt(v) for v in values)`` in one format call.
+
+    ``values`` are Python floats (a row of ``ndarray.tolist()``);
+    ``"%.12g" % x`` and ``format(x, ".12g")`` are the same conversion, so
+    the bytes are the same.
+    """
+    values = tuple(values)
+    return delimiter.join(("%.12g",) * len(values)) % values
+
+
 def sniff_delimiter(first_line: str) -> str:
     return "\t" if "\t" in first_line else ","
 

@@ -6,6 +6,7 @@ keys, so results are reproducible regardless of execution order or worker
 count.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,6 +37,21 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def exactly_symmetric(A: np.ndarray) -> bool:
+    """Whether ``(A + A.T) / 2`` is ``A`` bit for bit, without forming it.
+
+    True when the square matrix A equals its transpose bit for bit (so
+    -0.0 and 0.0 differ) and no entry exceeds half the largest double in
+    size: then ``x + x`` is exact and finite, and ``(x + x) / 2 == x``.  A
+    NaN fails the size test.
+    """
+    limit = sys.float_info.max / 2
+    if A.size == 0 or not (-limit <= A.min() and A.max() <= limit):
+        return False
+    bits = A.view(np.uint64)
+    return bool(np.array_equal(bits, bits.T))
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:

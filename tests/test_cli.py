@@ -299,6 +299,52 @@ class TestExitCodes:
         assert len((tmp_path / "out" / "sweep.csv").read_text()
                    .splitlines()) == 1 + 2
 
+    @pytest.mark.parametrize("mode", ["size_cap", "l1"])
+    def test_discover_k_above_taxon_count_exits_4_before_searching(
+            self, tmp_path, capsys, monkeypatch, mode):
+        # a cap past the 12 taxa would report every taxon as the group
+        for name in ("discover_importance", "mu_sweep"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail(
+                "discover searched"))
+        data = make_bundle(tmp_path)
+        code = run(["discover", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--mode", mode, "--k", 13,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "--k 13" in err and "12 taxa" in err
+        assert not (tmp_path / "out" / "top_group.csv").exists()
+
+    @pytest.mark.parametrize("methods", ["baseline_l1,baseline",
+                                         "baseline,baseline_l1",
+                                         "baseline_l1"])
+    def test_evaluate_k_above_taxon_count_exits_4_before_searching(
+            self, tmp_path, capsys, monkeypatch, methods):
+        monkeypatch.setattr(cli, "evaluate_method", lambda *a, **kw:
+                            pytest.fail("evaluate searched"))
+        data = make_bundle(tmp_path)
+        code = run(["evaluate", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--methods", methods, "--k", 99, "--mu", 0.01,
+                    "--repeats", 2, "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "--k 99" in err and "12 taxa" in err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_k_at_taxon_count_is_accepted(self, tmp_path):
+        data = make_bundle(tmp_path)
+        common = ["--abundance", data / "abundance.csv",
+                  "--function", data / "function.csv", "--no-graph",
+                  "--k", 12] + GA_FAST
+        assert run(["discover", *common, "--runs", 1,
+                    "--out", tmp_path / "d"]) == 0
+        assert len((tmp_path / "d" / "top_group.csv").read_text()
+                   .splitlines()) == 1 + 12
+        assert run(["evaluate", *common, "--methods", "baseline",
+                    "--repeats", 1, "--out", tmp_path / "e"]) == 0
+
     def test_single_repeat_with_two_methods_exits_4_before_searching(
             self, tmp_path, capsys):
         # the paired t-test needs two repeats; the searches must not run

@@ -2,6 +2,11 @@
 
 import itertools
 import math
+import pickle
+import sys
+import time
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +22,9 @@ from coresponse.ga import (ALPHA, DEGENERATE_QUAD, HISTORY_COLUMNS,
                            Objective, OptimizerConfig, _draw,
                            _initial_population, _lexicographic_best,
                            check_search_data, group_r, run_ga, run_many)
-from coresponse.utils import generator, pearson
+from coresponse.importance import discover_importance
+from coresponse.model_select import mu_sweep, sweep_k
+from coresponse.utils import child_int, exactly_symmetric, generator, pearson
 
 
 def centered_problem(seed, n=40, p=10):
@@ -732,3 +739,162 @@ class TestRunMany:
                    for threads in (1, 3)]
         np.testing.assert_array_equal(reports[0].per_repeat_test_r,
                                       reports[1].per_repeat_test_r)
+
+
+class TestObjectiveGram:
+    """Objective keeps G = M0^T M0 itself when it is exactly symmetric,
+    which is then (G + G^T)/2 bit for bit; anything else takes the sum."""
+
+    @staticmethod
+    def oracle(M0):
+        gram = M0.T @ M0
+        return (gram + gram.T) / 2.0
+
+    @pytest.mark.parametrize("layout", ["full", "split", "fortran"])
+    def test_product_is_kept_and_equals_symmetrization(self, layout):
+        M, y = raw_problem(80, n=60, p=40)
+        if layout == "split":
+            M, y = M[::2], y[::2]
+        M0, y0 = M - M.mean(axis=0), y - y.mean()
+        if layout == "fortran":
+            M0 = np.asfortranarray(M0)
+        gram = Objective(M0, y0).gram
+        # numpy computes M0.T @ M0 exactly symmetric
+        assert exactly_symmetric(M0.T @ M0)
+        assert gram.tobytes() == self.oracle(M0).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("case", ["above max/2", "nan"])
+    def test_other_grams_take_the_sum(self, case):
+        M, y = raw_problem(81, n=60, p=12)
+        M0, y0 = M - M.mean(axis=0), y - y.mean()
+        if case == "above max/2":
+            # the largest diagonal entry lands at 1.2e308: finite, but 2G
+            # is not
+            M0 = M0 * math.sqrt(1.2e308 / np.diag(M0.T @ M0).max())
+        else:
+            M0[3, 5] = np.nan
+        assert not exactly_symmetric(M0.T @ M0)
+        gram = Objective(M0, y0).gram
+        assert gram.tobytes() == self.oracle(M0).tobytes()
+        if case == "above max/2":
+            assert np.isinf(gram).any()
+
+
+class TestSharedObjective:
+    """run_many builds one Objective per run of consecutive jobs on one
+    train, keeps no more alive than searches run, and scores every search
+    as its own Objective would."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Record the live Objective count at each build."""
+        live, counts = weakref.WeakSet(), []
+        init = Objective.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            live.add(self)
+            counts.append(len(live))
+
+        monkeypatch.setattr(Objective, "__init__", counting)
+        return counts
+
+    @staticmethod
+    def fast(**kw):
+        kw.setdefault("mode", "size_cap")
+        kw.setdefault("seed", 9)
+        return OptimizerConfig(population_size=30, max_generations=12,
+                               stagnation_limit=6, **kw)
+
+    @staticmethod
+    def same_bits(a, b):
+        assert pickle.dumps(a) == pickle.dumps(b)
+
+    def check(self, builds, call, expected):
+        results = []
+        for threads in (1, 3):
+            builds.clear()
+            results.append(call(threads))
+            assert len(builds) == expected
+            assert max(builds) <= threads
+        self.same_bits(*results)
+        return results[0]
+
+    def test_sweep_k(self, builds):
+        # p=300: the capped searches gather, the shared build is dense
+        M, y = raw_problem(82, n=40, p=300)
+        cfg = self.fast(k_opt=2)
+        result = self.check(builds, lambda threads: sweep_k(
+            M, y, (2, 4), 2, cfg, threads=threads), 1)
+        M0, y0 = M - M.mean(axis=0), y - y.mean()
+        for run in result.runs:
+            alone = run_ga(M0, y0, replace(cfg, k_opt=run.k, seed=child_int(
+                cfg.seed, run.k, run.repeat)))
+            np.testing.assert_array_equal(run.bits, alone.best.bits)
+            assert run.pearson_r == alone.best_eval.pearson_r
+
+    def test_discover_importance(self, builds):
+        M, y = raw_problem(83, n=40, p=12)
+        self.check(builds, lambda threads: discover_importance(
+            M, y, self.fast(k_opt=3), 4, threads=threads), 1)
+
+    def test_mu_sweep(self, builds):
+        M, y = raw_problem(84, n=40, p=12)
+        self.check(builds, lambda threads: mu_sweep(
+            M, y, (0.1, 0.05, 0.01), self.fast(mode="l1"), n_strata=4,
+            inner_repeats=3, threads=threads), 3)
+
+    @pytest.mark.parametrize("mode, mu_grid, expected", [
+        ("size_cap", None, 3),
+        # per split, one build for its inner split and one for its own run
+        ("l1", (0.1, 0.01), 3 * 2)])
+    def test_evaluate_method(self, builds, mode, mu_grid, expected):
+        M, y = raw_problem(85, n=40, p=12)
+        cfg = self.fast(mode=mode, k_opt=3 if mode == "size_cap" else None)
+        self.check(builds, lambda threads: evaluate_method(
+            M, y, cfg, 3, method_tag="m", n_strata=4, mu_grid=mu_grid,
+            threads=threads), expected)
+
+    def test_mixed_formulations_in_one_call(self, builds):
+        # caps 3 (gathered at p=300) and 20 (dense) on one train; a train
+        # that comes back after another is built again, so that only one
+        # Objective is alive at a time in a serial call
+        M, y = raw_problem(86, n=40, p=300)
+        train, test = np.arange(0, 40, 2), np.arange(1, 40, 2)
+        jobs = [(self.fast(k_opt=k, seed=s), rows, rows2)
+                for s, (k, rows, rows2) in enumerate(
+                    [(3, train, test), (20, train, test), (3, None, None),
+                     (20, None, None), (3, train, None)])]
+        results = self.check(builds, lambda threads: run_many(
+            M, y, jobs, threads), 3)
+        for (cfg, rows, _), (result, _) in zip(jobs, results):
+            Mt, yt = (M, y) if rows is None else (M[rows], y[rows])
+            alone = run_ga(Mt - Mt.mean(axis=0), yt - yt.mean(), cfg)
+            assert_same_result(result, alone)
+
+    def test_builds_under_thread_switching(self, builds, monkeypatch):
+        # more workers than cores, a short switch interval and a slow
+        # build: a race in acquire would build an Objective twice, and a
+        # release that drops it early would make a later job build again
+        M, y = raw_problem(87, n=30, p=10)
+        trains = (np.arange(0, 30, 2), None, np.arange(1, 30, 2))
+        jobs = [(self.fast(k_opt=2, seed=s), train, None)
+                for train in trains for s in range(8)]
+        serial = run_many(M, y, jobs)
+        init = Objective.__init__
+
+        def slow(self, *args, **kwargs):
+            time.sleep(0.005)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Objective, "__init__", slow)
+        builds.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_many(M, y, jobs, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == len(trains)
+        self.same_bits(serial, threaded)

@@ -7,6 +7,7 @@ from coresponse.errors import ValidationError
 from coresponse.ingest import (AbundanceMatrix, FunctionalVariable, css_normalize,
                                filter_sparse_taxa, load_abundance, load_function,
                                write_abundance, write_function)
+from coresponse.tables import fmt, write_table
 
 
 def small_matrix():
@@ -106,7 +107,34 @@ class TestCss:
             css_normalize(small_matrix(), scale=scale)
 
 
+def abundance_writer_oracle(m, path, delimiter):
+    """write_abundance calling fmt on every cell."""
+    rows = [[sid, *(fmt(v) for v in m.values[i])]
+            for i, sid in enumerate(m.sample_ids)]
+    write_table(path, ["sample_id", *m.taxon_labels], rows, delimiter)
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_writer_matches_per_cell_writer(self, tmp_path, delimiter):
+        values = np.array([
+            [0.0, -0.0, 1e-5, 1e12],
+            [5e-324, 2.2250738585072e-308, 0.1 + 0.2, 1 / 3],
+            [123456789012.5, 9007199254740993.0, 1e16, 1.7976931348623157e308],
+        ])
+        texts = []
+        # the second matrix has no taxa: its rows are labels alone
+        for m in (AbundanceMatrix(values, ("s1", "s2", "s3"),
+                                  ("a", "b", "c", "d")),
+                  AbundanceMatrix(np.zeros((2, 0)), ("s1", "s2"), ())):
+            write_abundance(m, tmp_path / "ab.csv", delimiter)
+            abundance_writer_oracle(m, tmp_path / "oracle.csv", delimiter)
+            texts.append((tmp_path / "ab.csv").read_bytes())
+            assert texts[-1] == (tmp_path / "oracle.csv").read_bytes()
+        d = delimiter.encode()
+        assert b"s1" + d + b"0" + d + b"-0" + d + b"1e-05" + d in texts[0]
+        assert texts[1] == b"sample_id\ns1\ns2\n"
+
     def test_abundance_file_round_trip(self, tmp_path):
         m = small_matrix()
         path = tmp_path / "ab.csv"

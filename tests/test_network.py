@@ -1,5 +1,8 @@
 """Adjacency handling, network inference and the graph-convolution step."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,8 @@ from coresponse.network import (CoOccurrenceNetwork, NetworkInferenceConfig,
                                 convolution_operator, convolve, infer_network,
                                 load_adjacency, write_adjacency,
                                 write_edge_list)
-from coresponse.tables import fmt, write_table
+from coresponse.tables import fmt, read_matrix, write_table
+from coresponse.utils import exactly_symmetric
 
 
 def toy_abundance(values):
@@ -57,6 +61,72 @@ def edge_list_oracle(net, path, delimiter):
             if w > 0:
                 rows.append([net.taxon_labels[i], net.taxon_labels[j], fmt(w)])
     write_table(path, ["source", "target", "weight"], rows, delimiter)
+
+
+def network_checks_oracle(adj, labels):
+    """CoOccurrenceNetwork's checks as two abs(A - A^T) passes."""
+    if not np.isfinite(adj).all():
+        raise ValidationError("adjacency contains non-finite weights")
+    if (adj < 0).any():
+        raise ValidationError("adjacency contains negative weights")
+    if np.abs(adj - adj.T).max(initial=0.0) > network.SYMMETRY_TOL:
+        raise ValidationError("adjacency is not symmetric within 1e-12")
+    if np.abs(np.diag(adj)).max(initial=0.0) != 0.0:
+        raise ValidationError("adjacency has nonzero diagonal entries")
+    return adj, tuple(labels)
+
+
+def load_adjacency_oracle(path, labels):
+    """load_adjacency of a matrix file with every copy it used to make:
+    the np.ix_ reordering and (A + A^T)/2 whatever the input."""
+    labels = tuple(labels)
+    file_cols, _, raw = read_matrix(path)
+    perm = [file_cols.index(lab) for lab in labels]
+    adj = raw[np.ix_(perm, perm)]
+    if np.abs(adj - adj.T).max(initial=0.0) > network.SYMMETRY_TOL:
+        warnings.warn(f"{path}: asymmetric adjacency symmetrized as (A+A^T)/2")
+    adj = (adj + adj.T) / 2.0
+    if np.abs(np.diag(adj)).max(initial=0.0) > 0.0:
+        warnings.warn(f"{path}: nonzero diagonal zeroed (no self-loops)")
+        np.fill_diagonal(adj, 0.0)
+    if (adj < 0).any():
+        raise ValidationError(f"{path}: negative edge weights are not allowed")
+    return network_checks_oracle(adj, labels)
+
+
+def outcome(fn, *args):
+    """((adjacency bits, labels) or the error, the warnings raised) of a
+    call that returns a network or an (adjacency, labels) pair."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+            if isinstance(result, CoOccurrenceNetwork):
+                result = result.adjacency, result.taxon_labels
+            adj, labels = result
+            result = (adj.view(np.uint64).tolist(), labels)
+        except ValidationError as exc:
+            result = ("error", str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+#: matrices over taxa (a, b, c) for the exact-symmetry fast paths
+FAST_PATH_CASES = {
+    "symmetric": [[0, 0.25, 0.5], [0.25, 0, 1 / 3], [0.5, 1 / 3, 0]],
+    "asymmetric within 1e-12": [[0, 0.25, 0.5], [0.25 + 1e-13, 0, 0.1],
+                                [0.5, 0.1, 0]],
+    "asymmetric beyond 1e-12": [[0, 0.4, 0.5], [0.6, 0, 0.1], [0.5, 0.1, 0]],
+    "-0.0 against 0.0": [[0, -0.0, 0.5], [0.0, 0, 0.1], [0.5, 0.1, 0]],
+    "-0.0 both ways": [[-0.0, -0.0, 0.5], [-0.0, 0, 0.1], [0.5, 0.1, 0]],
+    "above max/2": [[0, 1e308, 0.5], [1e308, 0, 0.1], [0.5, 0.1, 0]],
+    "max/2 exactly": [[0, sys.float_info.max / 2, 0],
+                      [sys.float_info.max / 2, 0, 0], [0, 0, 0]],
+    "nan": [[0, np.nan, 0.5], [np.nan, 0, 0.1], [0.5, 0.1, 0]],
+    "inf": [[0, np.inf, 0.5], [np.inf, 0, 0.1], [0.5, 0.1, 0]],
+    "diagonal": [[0.9, 0.25, 0], [0.25, 0, 0], [0, 0, -0.0]],
+    "negative": [[0, -0.2, 0], [-0.2, 0, 0], [0, 0, 0]],
+    "below -max/2": [[0, -1e308, 0], [-1e308, 0, 0], [0, 0, 0]],
+}
 
 
 def proportional_taxa(seed=0):
@@ -262,6 +332,54 @@ class TestAdjacencyIO:
         path.write_text("taxon,a,q\na,0,0\nq,0,0\n")
         with pytest.raises(ValidationError, match="q"):
             load_adjacency(path, ("a", "b"))
+
+
+class TestExactSymmetryFastPaths:
+    """load_adjacency and CoOccurrenceNetwork skip the (A + A^T)/2 copy
+    and the abs(A - A^T) passes only where they change nothing: the
+    arrays, warnings and errors equal those of the full passes."""
+
+    @pytest.mark.parametrize("case", sorted(FAST_PATH_CASES))
+    @pytest.mark.parametrize("order", ["abc", "cab"])
+    def test_load_adjacency_matches_full_passes(self, tmp_path, case, order):
+        A = np.array(FAST_PATH_CASES[case])
+        perm = ["abc".index(lab) for lab in order]
+        path = tmp_path / "adj.csv"
+        rows = [[lab, *(repr(float(v)) for v in A[i, perm])]
+                for lab, i in zip(order, perm)]
+        write_table(path, ["taxon", *order], rows)
+        assert (outcome(load_adjacency, path, "abc")
+                == outcome(load_adjacency_oracle, path, "abc"))
+
+    @pytest.mark.parametrize("case", sorted(FAST_PATH_CASES))
+    def test_network_checks_match_full_passes(self, case):
+        A = np.array(FAST_PATH_CASES[case])
+        assert (outcome(CoOccurrenceNetwork, A, "abc")
+                == outcome(network_checks_oracle, A, "abc"))
+
+    def test_cases_take_both_paths(self):
+        taken = {case: exactly_symmetric(np.array(A))
+                 for case, A in FAST_PATH_CASES.items()}
+        assert taken["symmetric"] and taken["-0.0 both ways"]
+        assert taken["max/2 exactly"]
+        assert not any(taken[case] for case in (
+            "asymmetric within 1e-12", "asymmetric beyond 1e-12",
+            "-0.0 against 0.0", "above max/2", "nan", "inf"))
+
+    def test_labels_in_order_keep_the_parsed_array(self, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "adj.csv"
+        path.write_text("taxon,a,b\na,0,0.5\nb,0.5,0\n")
+        parsed = []
+
+        def reader(path):
+            cols, rows, raw = read_matrix(path)
+            parsed.append(raw)
+            return cols, rows, raw
+
+        monkeypatch.setattr(network, "read_matrix", reader)
+        assert load_adjacency(path, ("a", "b")).adjacency is parsed[-1]
+        assert load_adjacency(path, ("b", "a")).adjacency is not parsed[-1]
 
 
 class TestInferenceConfig:

@@ -34,6 +34,34 @@ class TestFmt:
         assert np.array_equal(vals, again)
 
 
+#: cells where a formatter could go wrong: signed zero, exponent switches,
+#: subnormals, 17-digit values and the non-finite ones
+TRICKY_FLOATS = (0.0, -0.0, 1e-5, 1e-4, 1e12, 1e16, 5e-324, 2.2250738585072e-308,
+                 0.1 + 0.2, 1 / 3, 123456789012.5, 9007199254740993.0,
+                 -2.5e-300, 1.7976931348623157e308, float("inf"),
+                 float("-inf"), float("nan"))
+
+
+class TestFmtCells:
+    """One ``%`` call per row writes the bytes of ``fmt`` on every cell."""
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_tricky_values(self, delimiter):
+        assert (tables.fmt_cells(TRICKY_FLOATS, delimiter)
+                == delimiter.join(fmt(v) for v in TRICKY_FLOATS))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_subnormal=True), max_size=20))
+    def test_any_floats(self, values):
+        assert (tables.fmt_cells(values, ",")
+                == ",".join(fmt(v) for v in values))
+
+    def test_row_of_an_array(self):
+        row = np.array([-0.0, 1e-5, 5e-324, 0.1 + 0.2])
+        assert (tables.fmt_cells(row.tolist(), ",")
+                == ",".join(fmt(v) for v in row))
+
+
 class TestSniffing:
     def test_tab_wins_when_present(self):
         assert sniff_delimiter("a\tb,c") == "\t"

@@ -1,11 +1,14 @@
-"""Seed derivation, order-preserving parallel map and correlation."""
+"""Seed derivation, order-preserving parallel map, correlation and the
+exact-symmetry test."""
+
+import sys
 
 import numpy as np
 import pytest
 
 from coresponse.errors import ValidationError
-from coresponse.utils import (child_int, generator, parallel_map, pearson,
-                              seed_sequence)
+from coresponse.utils import (child_int, exactly_symmetric, generator,
+                              parallel_map, pearson, seed_sequence)
 
 
 class TestSeeds:
@@ -80,3 +83,44 @@ class TestPearson:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             pearson(np.arange(4.0), np.arange(5.0))
+
+
+HALF_MAX = sys.float_info.max / 2
+
+#: (matrix, whether it is its own symmetrization)
+SYMMETRY_CASES = {
+    "symmetric": ([[1.0, 0.25], [0.25, 1 / 3]], True),
+    "asymmetric within 1e-12": ([[0.0, 0.25], [0.25 + 1e-13, 0.0]], False),
+    "asymmetric beyond 1e-12": ([[0.0, 0.4], [0.6, 0.0]], False),
+    "-0.0 both ways": ([[-0.0, -0.0], [-0.0, 2.0]], True),
+    "-0.0 against 0.0": ([[1.0, -0.0], [0.0, 1.0]], False),
+    "max/2": ([[HALF_MAX, -HALF_MAX], [-HALF_MAX, 5e-324]], True),
+    "above max/2": ([[0.0, 1e308], [1e308, 0.0]], False),
+    "below -max/2": ([[0.0, -1e308], [-1e308, 0.0]], False),
+    "nan": ([[np.nan, 0.0], [0.0, 1.0]], False),
+    "inf": ([[np.inf, 0.0], [0.0, 1.0]], False),
+    "non-square": ([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]], False),
+    "empty": (np.zeros((0, 0)), False),
+}
+
+
+class TestExactlySymmetric:
+    @pytest.mark.parametrize("case", sorted(SYMMETRY_CASES))
+    def test_true_only_where_symmetrization_keeps_every_bit(self, case):
+        values, expected = SYMMETRY_CASES[case]
+        A = np.array(values, dtype=np.float64)
+        assert exactly_symmetric(A) is expected
+        if expected:
+            with np.errstate(all="raise"):
+                assert ((A + A.T) / 2.0).tobytes() == A.tobytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_any_memory_layout(self, layout):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(6, 6))
+        A = X + X.T
+        A = np.asfortranarray(A) if layout == "fortran" else np.kron(
+            A, np.ones((2, 2)))[::2, ::2]
+        assert exactly_symmetric(A)
+        A[0, 1] = np.nextafter(A[0, 1], np.inf)
+        assert not exactly_symmetric(A)
