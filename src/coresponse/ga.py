@@ -408,7 +408,7 @@ class _SharedObjective:
     first of them to start and dropped when the last of them ends."""
 
     def __init__(self, M, y, train):
-        self.rows = (M, y, train)
+        self.M, self.y, self.train = M, y, train
         self.searches = 0
         self.objective = None
         self.lock = threading.Lock()
@@ -416,9 +416,8 @@ class _SharedObjective:
     def acquire(self) -> Objective:
         with self.lock:
             if self.objective is None:
-                M, y, train = self.rows
-                if train is not None:
-                    M, y = M[train], y[train]
+                M, y = ((self.M, self.y) if self.train is None
+                        else (self.M[self.train], self.y[self.train]))
                 self.objective = Objective(M - M.mean(axis=0), y - y.mean())
             return self.objective
 
@@ -442,11 +441,10 @@ def run_many(M: np.ndarray, y: np.ndarray, jobs, threads: int = 1) -> list:
     checked by :func:`check_search_data`.
     """
     M, y = check_search_data(M, y)
-    items = []  # (job, the objective it shares)
+    items, shared = [], None  # (job, the objective it shares)
     for job in jobs:
-        train = job[1]
-        if not items or train is not items[-1][0][1]:
-            shared = _SharedObjective(M, y, train)
+        if shared is None or job[1] is not shared.train:
+            shared = _SharedObjective(M, y, job[1])
         shared.searches += 1
         items.append((job, shared))
 
