@@ -1,27 +1,25 @@
-"""Benchmark file I/O and start-up at the perfbench shapes.
+"""Benchmark the p x p stages' time and memory, file I/O and start-up.
 
-Table reads: writes a p=1000 adjacency and a 200 x 1000 abundance table of synthetic
-data with shortest-round-trip (``repr``) floats, as the perfbench scale
-workload does, then times ``network.load_adjacency`` and
-``ingest.load_abundance`` two ways: with ``tables.read_matrix`` (one
-``np.loadtxt`` call per table) and with the readers they used before it,
-which are kept below.  The old adjacency read built the ``read_table``
-row lists and converted them with one ``np.array`` call; the old
-abundance read called ``parse_cell`` on every cell.  Each read's peak
-Python heap comes from ``tracemalloc`` in a separate, untimed call.
+Four steps are each timed and traced against the version they replaced,
+which is kept below; every step checks that both give the same bits or
+bytes.  Time is the best of ``--repeats`` calls; the peak is the Python
+heap's growth during one more call, from ``tracemalloc``, which sees
+numpy's arrays too.
 
-Writer: writes the CSS-normalized 200 x 1000 abundance with
-``ingest.write_abundance``, one ``"%.12g"`` format call per row, and with
-the writer it used before, one ``fmt`` call per cell, kept below; both
-files must hold the same bytes.
-
-Adjacency checks: times ``network.load_adjacency`` on an already parsed
-p=1000 matrix (``read_matrix`` is replaced by a copy of its result, so
-the parse is left out) against the post-processing it used before, kept
-below: the ``np.ix_`` copy whatever the label order, two
-``abs(A - A^T)`` passes and the ``(A + A^T)/2`` copy whatever the input.
-Both run with the file's labels in abundance order and reversed, and
-must give the same bits.
+- Reader: ``tables.read_matrix`` on the p x p adjacency and the 200 x p
+  abundance table (shortest round-trip ``repr`` floats, as the perfbench
+  scale workload writes them), which streams rows into ``np.loadtxt``,
+  against the reader that kept the file's text, its lines and the row
+  bodies.
+- ``network.load_adjacency`` with the file's labels in abundance order
+  and reversed, against the version that reordered with an ``np.ix_``
+  copy.  ``read_matrix`` is replaced by a copy of its result in both, so
+  the parse is left out.
+- ``network.convolution_operator``, built in place in one copy of A,
+  against ``(A + np.eye(p)) * np.outer(inv_sqrt, inv_sqrt)``.
+- The writers ``ingest.write_abundance`` and ``network.write_adjacency``,
+  which hand ``tables.write_table`` one row at a time, against the
+  versions that built every row and wrote the joined text.
 
 GraphML: infers the network of a p=600 dataset, the perfbench inferred
 shape, and writes its annotated graph (clusters, centralities, importance,
@@ -32,11 +30,10 @@ This case needs networkx and is skipped without it.
 Start-up: the wall time of ``import coresponse.cli`` in a fresh
 interpreter, and of ``import numpy`` for reference.
 
-Every time is the best of ``--repeats`` calls or interpreter starts.  Run
-from the repository root:
+Run from the repository root:
 
     python3 benchmarks/bench_io.py
-    python3 benchmarks/bench_io.py --taxa 300 --repeats 3
+    python3 benchmarks/bench_io.py --taxa 3000 --repeats 3
 """
 
 import argparse
@@ -46,75 +43,88 @@ import sys
 import tempfile
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 import coresponse
-from coresponse import analytics, ingest, network
+from coresponse import analytics, ingest, network, tables
 from coresponse.synth import SynthSpec, generate
-from coresponse.tables import fmt, parse_cell, read_table, write_table
+from coresponse.tables import fmt, fmt_cells
 
 GRAPHML_TAXA = 600
 
 
-def old_adjacency_reader(path):
-    """``read_table`` row lists, one ``np.array`` conversion."""
-    header, rows, _ = read_table(path)
-    try:
-        raw = np.array([cells[1:] for cells in rows], dtype=np.float64)
-    except ValueError:
-        raw = np.array([[parse_cell(cell, path, row=i + 2, col=j + 2)
-                         for j, cell in enumerate(cells[1:])]
-                        for i, cells in enumerate(rows)])
-    raw = raw.reshape(len(rows), len(header) - 1)
-    return header[1:], [cells[0] for cells in rows], raw
+def joined_write_table(path, header, rows, delimiter=","):
+    """``tables.write_table`` that joins the whole file before writing."""
+    out = [delimiter.join(header)]
+    out += [delimiter.join(cells) for cells in rows]
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def old_abundance_reader(path):
-    """``read_table`` row lists, ``parse_cell`` on every cell."""
-    header, rows, _ = read_table(path)
-    values = np.empty((len(rows), len(header) - 1))
-    for i, cells in enumerate(rows):
-        for j, cell in enumerate(cells[1:]):
-            values[i, j] = parse_cell(cell, path, row=i + 2, col=j + 2)
-    return header[1:], [cells[0] for cells in rows], values
-
-
-def old_write_abundance(m, path, delimiter=","):
-    """``ingest.write_abundance`` with one ``fmt`` call per cell."""
-    rows = [[sid, *(fmt(v) for v in m.values[i])]
-            for i, sid in enumerate(m.sample_ids)]
-    write_table(path, ["sample_id", *m.taxon_labels], rows, delimiter)
+def old_read_matrix(path):
+    """``tables.read_matrix`` with the file's text, its lines and the row
+    bodies in memory (clean tables only)."""
+    lines = [ln.rstrip("\r") for ln in tables.read_text(path).splitlines()]
+    lines = [ln for ln in lines if ln != ""]
+    delim = tables.sniff_delimiter(lines[0])
+    header = lines[0].split(delim)
+    row_labels, bodies = [], []
+    for line in lines[1:]:
+        label, _, body = line.partition(delim)
+        row_labels.append(label)
+        bodies.append(body)
+    del lines
+    values = np.loadtxt(bodies, delimiter=delim, comments=None,
+                        dtype=np.float64, ndmin=2)
+    return header[1:], row_labels, values
 
 
 def old_load_adjacency(path, labels):
-    """``network.load_adjacency`` of a matrix file before its exact-symmetry
-    fast paths, with the label checks left out: the ``np.ix_`` copy, then
-    ``(A + A^T)/2`` and two ``abs(A - A^T)`` passes whatever the input."""
+    """``network.load_adjacency`` of a matrix file that reordered by an
+    ``np.ix_`` copy and symmetrized into a new ``(A + A^T)/2``; the label
+    checks and warnings are left out."""
     labels = tuple(labels)
-    file_cols, _, raw = network.read_matrix(path)
-    order = {lab: i for i, lab in enumerate(file_cols)}
-    perm = [order[lab] for lab in labels]
-    adj = raw[np.ix_(perm, perm)]
-    if np.abs(adj - adj.T).max(initial=0.0) > network.SYMMETRY_TOL:
-        warnings.warn(f"{path}: asymmetric adjacency symmetrized as (A+A^T)/2")
-    adj = (adj + adj.T) / 2.0
+    file_cols, _, adj = network.read_matrix(path)
+    if tuple(file_cols) != labels:
+        order = {lab: i for i, lab in enumerate(file_cols)}
+        perm = [order[lab] for lab in labels]
+        adj = adj[np.ix_(perm, perm)]
+    if not network.exactly_symmetric(adj):
+        adj = (adj + adj.T) / 2.0
     if np.abs(np.diag(adj)).max(initial=0.0) > 0.0:
-        warnings.warn(f"{path}: nonzero diagonal zeroed (no self-loops)")
         np.fill_diagonal(adj, 0.0)
     if (adj < 0).any():
         raise ValueError(f"{path}: negative edge weights are not allowed")
-    # the checks of CoOccurrenceNetwork
-    if not np.isfinite(adj).all() or (adj < 0).any():
-        raise ValueError("adjacency contains non-finite or negative weights")
-    if np.abs(adj - adj.T).max(initial=0.0) > network.SYMMETRY_TOL:
-        raise ValueError("adjacency is not symmetric within 1e-12")
-    if np.abs(np.diag(adj)).max(initial=0.0) != 0.0:
-        raise ValueError("adjacency has nonzero diagonal entries")
-    return adj
+    return network.CoOccurrenceNetwork(adj, labels)
+
+
+def old_convolution_operator(adjacency):
+    """The operator as one formula, in three new p x p arrays."""
+    a_tilde = adjacency + np.eye(adjacency.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    return a_tilde * np.outer(inv_sqrt, inv_sqrt)
+
+
+def old_write_abundance(m, path, delimiter=","):
+    """``ingest.write_abundance`` building every row first."""
+    rows = [[sid, fmt_cells(values, delimiter)]
+            for sid, values in zip(m.sample_ids, m.values.tolist())]
+    joined_write_table(path, ["sample_id", *m.taxon_labels], rows, delimiter)
+
+
+def old_write_adjacency(net, path, delimiter=","):
+    """``network.write_adjacency`` building every row first."""
+    A = net.adjacency
+    formatted = (A != 0.0) | np.signbit(A)
+    rows = []
+    for i, lab in enumerate(net.taxon_labels):
+        cells = ["0"] * net.n_taxa
+        for j in np.flatnonzero(formatted[i]).tolist():
+            cells[j] = fmt(A[i, j])
+        rows.append([lab, *cells])
+    joined_write_table(path, ["taxon", *net.taxon_labels], rows, delimiter)
 
 
 def old_write_annotated_graph(net, path, *, clusters=None, cent=None,
@@ -145,10 +155,10 @@ def old_write_annotated_graph(net, path, *, clusters=None, cent=None,
 
 
 def write_repr_csv(path, header, labels, values) -> None:
-    lines = [",".join(header)]
-    lines += [label + "," + ",".join(map(repr, row))
-              for label, row in zip(labels, values.tolist())]
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for label, row in zip(labels, values.tolist()):
+            f.write(label + "," + ",".join(map(repr, row)) + "\n")
 
 
 def best_of(fn, repeats: int) -> float:
@@ -171,98 +181,107 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def bench_tables(args) -> None:
-    spec = SynthSpec(n_samples=args.samples, n_taxa=args.taxa, n_blocks=8,
-                     intra_block_weight=0.5, planted_group=tuple(range(10)),
-                     noise_sigma=0.05, seed=args.seed)
-    bundle = generate(spec)
+def compare(title, versions, repeats, same):
+    """Time and trace each ``(name, fn)`` of ``versions``; ``same`` takes
+    the list of their results and says whether they agree."""
+    results = []
+    for name, fn in versions:
+        results.append(fn())
+        print(f"{title:<26}{name:<16}{best_of(fn, repeats):>9.4f}"
+              f"{peak_mb(fn):>9.1f}")
+    equal = same(results)
+    print(f"{title:<26}same result: {equal}")
+    assert equal, f"{title}: the versions disagree"
+
+
+def same_bits(arrays) -> bool:
+    first, *others = [a.view(np.uint64) for a in arrays]
+    return all(np.array_equal(first, other) for other in others)
+
+
+def scale_bundle(args):
+    return generate(SynthSpec(
+        n_samples=args.samples, n_taxa=args.taxa, n_blocks=8,
+        intra_block_weight=0.5, planted_group=tuple(range(10)),
+        noise_sigma=0.05, seed=args.seed))
+
+
+def header(title):
+    print(f"\n{title}\n{'step':<26}{'version':<16}{'best s':>9}"
+          f"{'peak MB':>9}")
+
+
+def bench_reader(args) -> None:
+    bundle = scale_bundle(args)
     raw, net = bundle.raw_abundance, bundle.network
-    labels = net.taxon_labels
+    header(f"reader, p={net.n_taxa}")
     with tempfile.TemporaryDirectory() as tmp:
-        adj_path = Path(tmp) / "adjacency.csv"
-        ab_path = Path(tmp) / "abundance.csv"
-        write_repr_csv(adj_path, ["taxon", *labels], labels, net.adjacency)
-        write_repr_csv(ab_path, ["sample_id", *raw.taxon_labels],
-                       raw.sample_ids, raw.values)
-        cases = (
-            ("load_adjacency", network, old_adjacency_reader, adj_path,
-             lambda: network.load_adjacency(adj_path, labels).adjacency),
-            ("load_abundance", ingest, old_abundance_reader, ab_path,
-             lambda: ingest.load_abundance(ab_path).values),
-        )
-        print(f"{'read':<16}{'reader':<14}{'MB on disk':>11}"
-              f"{'best s':>9}{'peak MB':>9}")
-        for name, module, old_reader, path, load in cases:
-            bits = []
-            for reader_name, reader in (("read_matrix", module.read_matrix),
-                                        ("old", old_reader)):
-                with mock.patch.object(module, "read_matrix", reader):
-                    bits.append(load().view(np.uint64))
-                    seconds = best_of(load, args.repeats)
-                    peak = peak_mb(load)
-                print(f"{name:<16}{reader_name:<14}"
-                      f"{path.stat().st_size / 1e6:>11.1f}"
-                      f"{seconds:>9.4f}{peak:>9.1f}")
-            print(f"{name:<16}bitwise equal: {np.array_equal(*bits)}")
-
-
-def bench_writer(args) -> None:
-    spec = SynthSpec(n_samples=args.samples, n_taxa=args.taxa, n_blocks=8,
-                     intra_block_weight=0.5, planted_group=tuple(range(10)),
-                     noise_sigma=0.05, seed=args.seed)
-    abundance = ingest.css_normalize(
-        ingest.filter_sparse_taxa(generate(spec).raw_abundance))
-    print(f"\nwrite_abundance, {abundance.values.shape[0]} x "
-          f"{abundance.n_taxa}")
-    print(f"{'writer':<14}{'best s':>9}{'MB':>7}")
-    with tempfile.TemporaryDirectory() as tmp:
-        files = []
-        for name, write in (("row format", ingest.write_abundance),
-                            ("per cell", old_write_abundance)):
+        for name, labels, rows, values in (
+                ("adjacency", ["taxon", *net.taxon_labels], net.taxon_labels,
+                 net.adjacency),
+                ("abundance", ["sample_id", *raw.taxon_labels],
+                 raw.sample_ids, raw.values)):
             path = Path(tmp) / f"{name}.csv"
-            seconds = best_of(lambda: write(abundance, path), args.repeats)
-            files.append(path.read_bytes())
-            print(f"{name:<14}{seconds:>9.4f}{len(files[-1]) / 1e6:>7.2f}")
-    equal = files[0] == files[1]
-    print(f"abundance bytes equal: {equal}")
-    assert equal, "the row writer changed the abundance bytes"
+            write_repr_csv(path, labels, rows, values)
+            compare(f"read {name} {path.stat().st_size / 1e6:.0f} MB",
+                    (("streamed", lambda: tables.read_matrix(path)[2]),
+                     ("text kept", lambda: old_read_matrix(path)[2])),
+                    args.repeats, same_bits)
 
 
-def bench_adjacency_checks(args) -> None:
-    spec = SynthSpec(n_samples=args.samples, n_taxa=args.taxa, n_blocks=8,
-                     intra_block_weight=0.5, planted_group=tuple(range(10)),
-                     noise_sigma=0.05, seed=args.seed)
-    net = generate(spec).network
+def bench_load_adjacency(args) -> None:
+    net = scale_bundle(args).network
     labels = net.taxon_labels
-    print(f"\nadjacency checks after the parse, p={net.n_taxa}")
-    print(f"{'file labels':<14}{'checks':<14}{'best s':>9}")
+    header(f"load_adjacency after the parse, p={net.n_taxa}")
     for order, file_labels in (("in order", labels),
                                ("reversed", labels[::-1])):
         perm = [labels.index(lab) for lab in file_labels]
-        parsed = (list(file_labels), list(file_labels),
-                  net.adjacency[np.ix_(perm, perm)])
+        parsed = net.adjacency[np.ix_(perm, perm)]
 
         def reader(path):
-            return parsed[0], parsed[1], parsed[2].copy()
+            return list(file_labels), list(file_labels), parsed.copy()
 
-        results = []
         with (tempfile.TemporaryDirectory() as tmp,
               mock.patch.object(network, "read_matrix", reader)):
             # load_adjacency reads the header to tell a matrix from an
             # edge list; the header is all the file holds
             path = Path(tmp) / "adjacency.csv"
             path.write_text(",".join(["taxon", *file_labels]) + "\n")
-            for name, load in (
-                    ("one pass", lambda: network.load_adjacency(
-                        path, labels).adjacency),
-                    ("full passes", lambda: old_load_adjacency(
-                        path, labels))):
-                results.append(load().view(np.uint64))
-                seconds = best_of(load, args.repeats)
-                print(f"{order:<14}{name:<14}{seconds:>9.4f}")
-        equal = np.array_equal(*results)
-        print(f"{order:<14}bitwise equal: {equal}")
-        assert equal, "the adjacency checks changed the loaded bits"
+            compare(f"labels {order}", (
+                ("in place", lambda: network.load_adjacency(
+                    path, labels).adjacency),
+                ("np.ix_ copy", lambda: old_load_adjacency(
+                    path, labels).adjacency)), args.repeats, same_bits)
+
+
+def bench_operator(args) -> None:
+    A = scale_bundle(args).network.adjacency
+    header(f"convolution operator, p={A.shape[0]}")
+    compare("operator", (
+        ("in place", lambda: network.convolution_operator(A)),
+        ("formula", lambda: old_convolution_operator(A))),
+        args.repeats, same_bits)
+
+
+def bench_writers(args) -> None:
+    bundle = scale_bundle(args)
+    abundance = ingest.css_normalize(
+        ingest.filter_sparse_taxa(bundle.raw_abundance))
+    net = bundle.network
+    header(f"writers, {abundance.values.shape[0]} x {abundance.n_taxa} "
+           f"abundance and p={net.n_taxa} adjacency")
+    with tempfile.TemporaryDirectory() as tmp:
+        rows, joined = Path(tmp) / "rows.csv", Path(tmp) / "joined.csv"
+        for title, data, write_rows, write_joined in (
+                ("write_abundance", abundance, ingest.write_abundance,
+                 old_write_abundance),
+                ("write_adjacency", net, network.write_adjacency,
+                 old_write_adjacency)):
+            compare(title, (("row by row", lambda: write_rows(data, rows)),
+                            ("joined text",
+                             lambda: write_joined(data, joined))),
+                    args.repeats,
+                    lambda _: rows.read_bytes() == joined.read_bytes())
 
 
 def bench_graphml(args) -> None:
@@ -325,9 +344,10 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    bench_tables(args)
-    bench_writer(args)
-    bench_adjacency_checks(args)
+    bench_reader(args)
+    bench_load_adjacency(args)
+    bench_operator(args)
+    bench_writers(args)
     bench_graphml(args)
     bench_start_up(args)
 

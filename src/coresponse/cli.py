@@ -54,7 +54,8 @@ def _snapshot(args, out: Path) -> None:
     skip = {"func", "config"}
     lines = [f"{key}={value}" for key, value in sorted(vars(args).items())
              if key not in skip]
-    (out / "resolved_config.txt").write_text("\n".join(lines) + "\n")
+    (out / "resolved_config.txt").write_text("\n".join(lines) + "\n",
+                                             encoding="utf-8")
 
 
 def _parse_mu_grid(text: str) -> tuple:
@@ -140,15 +141,14 @@ def cmd_select_k(args) -> None:
         # every k past p would repeat the all-taxa search
         raise ValidationError(f"--k-max {args.k_max} exceeds the "
                               f"{abundance.n_taxa} taxa")
-    net = _load_network(args, abundance)
-    M = convolved_matrix(abundance, net)
+    M = convolved_matrix(abundance, _load_network(args, abundance))
     cfg = _ga_config(args, "size_cap", k_opt=args.k_min)
     result = sweep_k(M, function.values, (args.k_min, args.k_max),
                      args.repeats, cfg, threads=args.threads)
     write_sweep(result, out / "sweep.csv", delim)
     write_table(out / "sweep_summary.csv", ["k", "mean_aic"],
                 [[str(k), fmt(mean)] for k, _, mean in result.per_k], delim)
-    (out / "chosen_k.txt").write_text(f"{result.chosen_k}\n")
+    (out / "chosen_k.txt").write_text(f"{result.chosen_k}\n", encoding="utf-8")
     _snapshot(args, out)
 
 
@@ -159,8 +159,7 @@ def cmd_discover(args) -> None:
     delim = _delimiter(args)
     abundance, function = _load_dataset(args)
     _check_k(args, abundance)
-    net = _load_network(args, abundance)
-    M = convolved_matrix(abundance, net)
+    M = convolved_matrix(abundance, _load_network(args, abundance))
 
     mu = args.mu
     if args.mode == "size_cap":
@@ -236,14 +235,15 @@ def cmd_evaluate(args) -> None:
             f"method(s) {graph_methods} need a network; --no-graph allows "
             "only the baseline methods")
     net = _load_network(args, abundance) if graph_methods else None
+    # the searched matrix of each graph, convolved once; the network is
+    # dropped before the searches
+    matrices = {baseline: convolved_matrix(abundance, None if baseline else net)
+                for baseline in dict.fromkeys(tag.startswith("baseline")
+                                              for tag in methods)}
+    del net
 
-    matrices = {}  # the searched matrix of each graph, convolved once
     reports = []
     for tag in methods:
-        baseline = tag.startswith("baseline")
-        if baseline not in matrices:
-            matrices[baseline] = convolved_matrix(abundance,
-                                                  None if baseline else net)
         if tag.endswith("_l1"):
             cfg = _ga_config(args, "l1",
                              mu=0.0 if args.mu is None else args.mu)
@@ -252,8 +252,9 @@ def cmd_evaluate(args) -> None:
             cfg = _ga_config(args, "size_cap", k_opt=args.k)
             grid = None
         reports.append(evaluate_method(
-            matrices[baseline], function.values, cfg, args.repeats,
-            method_tag=tag, fraction=args.fraction, n_strata=args.strata,
+            matrices[tag.startswith("baseline")], function.values, cfg,
+            args.repeats, method_tag=tag, fraction=args.fraction,
+            n_strata=args.strata,
             mu_grid=grid, inner_repeats=args.inner_repeats,
             threads=args.threads))
 

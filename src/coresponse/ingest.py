@@ -111,11 +111,15 @@ def load_abundance(path, orientation: str = "samples-as-rows") -> AbundanceMatri
 
 def write_abundance(m: AbundanceMatrix, path, delimiter: str = ",") -> None:
     """Write in samples-as-rows orientation, 12 significant digits."""
-    header = ["sample_id", *m.taxon_labels]
-    # a row with no taxa is its label alone
-    rows = [[sid, fmt_cells(values, delimiter)] if values else [sid]
-            for sid, values in zip(m.sample_ids, m.values.tolist())]
-    write_table(path, header, rows, delimiter)
+    write_table(path, ["sample_id", *m.taxon_labels],
+                _abundance_rows(m, delimiter), delimiter)
+
+
+def _abundance_rows(m: AbundanceMatrix, delimiter: str):
+    for sid, row in zip(m.sample_ids, m.values):
+        values = row.tolist()
+        # a row with no taxa is its label alone
+        yield [sid, fmt_cells(values, delimiter)] if values else [sid]
 
 
 def filter_sparse_taxa(m: AbundanceMatrix, max_zero_fraction: float = 0.80) -> AbundanceMatrix:

@@ -23,6 +23,10 @@ from .utils import exactly_symmetric
 
 SYMMETRY_TOL = 1e-12
 
+#: rows per block of the passes that rewrite a p x p array in place; each
+#: block's temporaries hold ROW_BLOCK x p floats
+ROW_BLOCK = 32
+
 #: sweep tolerance of the coordinate-descent pass that finds each column's
 #: support before the exact finish.  At p=600 it takes 6-8 sweeps (1e-3
 #: takes 10-13, 1e-8 takes 29-46) and gives the final support on all but a
@@ -60,8 +64,7 @@ class CoOccurrenceNetwork:
             raise ValidationError("adjacency contains non-finite weights")
         if (adj < 0).any():
             raise ValidationError("adjacency contains negative weights")
-        if (not exactly_symmetric(adj)
-                and np.abs(adj - adj.T).max(initial=0.0) > SYMMETRY_TOL):
+        if not exactly_symmetric(adj) and _asymmetry(adj) > SYMMETRY_TOL:
             raise ValidationError("adjacency is not symmetric within 1e-12")
         if np.abs(np.diag(adj)).max(initial=0.0) != 0.0:
             raise ValidationError("adjacency has nonzero diagonal entries")
@@ -96,7 +99,8 @@ def load_adjacency(path, labels) -> CoOccurrenceNetwork:
     Edge lists are recognized by the exact header (source, target, weight).
     Rows/columns are reordered to match ``labels``; asymmetric matrices are
     symmetrized as (A + A^T)/2 with a warning, nonzero diagonals are zeroed
-    with a warning.
+    with a warning.  The parsed array is reordered and symmetrized in
+    place, so the load holds one p x p float array.
     """
     labels = tuple(labels)
     header = read_header(path)
@@ -107,9 +111,9 @@ def load_adjacency(path, labels) -> CoOccurrenceNetwork:
         adj = _adjacency_from_matrix(path, labels)
     # an exactly symmetric file is its own symmetrization
     if not exactly_symmetric(adj):
-        if np.abs(adj - adj.T).max(initial=0.0) > SYMMETRY_TOL:
+        if _asymmetry(adj) > SYMMETRY_TOL:
             warnings.warn(f"{path}: asymmetric adjacency symmetrized as (A+A^T)/2")
-        adj = (adj + adj.T) / 2.0
+        _symmetrize(adj)
     if np.abs(np.diag(adj)).max(initial=0.0) > 0.0:
         warnings.warn(f"{path}: nonzero diagonal zeroed (no self-loops)")
         np.fill_diagonal(adj, 0.0)
@@ -125,11 +129,59 @@ def _adjacency_from_matrix(path, labels) -> np.ndarray:
     # before the reordering below, where the last of two rows would win
     check_unique(file_cols, "taxon label", path)
     _check_label_match(path, file_cols, labels)
-    if tuple(file_cols) == labels:
-        return raw
-    order = {lab: i for i, lab in enumerate(file_cols)}
-    perm = [order[lab] for lab in labels]
-    return raw[np.ix_(perm, perm)]
+    if tuple(file_cols) != labels:
+        # a repeated label is an error CoOccurrenceNetwork would raise;
+        # raised here, because then labels are not a reordering of the file's
+        check_unique(labels, "taxon label")
+        order = {lab: i for i, lab in enumerate(file_cols)}
+        _permute(raw, [order[lab] for lab in labels])
+    return raw
+
+
+def _permute(A: np.ndarray, perm: list[int]) -> None:
+    """``A[...] = A[np.ix_(perm, perm)]`` without a second p x p array.
+
+    Rows move along the cycles of ``perm``, one saved row per cycle; then
+    each block of ROW_BLOCK rows takes its columns in ``perm`` order.
+    """
+    placed = [False] * len(perm)
+    for start, src in enumerate(perm):
+        if placed[start] or src == start:
+            continue
+        saved = A[start].copy()
+        dst = start
+        while perm[dst] != start:
+            A[dst] = A[perm[dst]]
+            placed[dst] = True
+            dst = perm[dst]
+        A[dst] = saved
+        placed[dst] = True
+    for r in range(0, A.shape[0], ROW_BLOCK):
+        A[r:r + ROW_BLOCK] = A[r:r + ROW_BLOCK, perm]
+
+
+def _asymmetry(A: np.ndarray):
+    """``np.abs(A - A.T).max(initial=0.0)``, a block of rows at a time.
+
+    A NaN anywhere gives NaN, as the one-pass form does.
+    """
+    return np.max([np.abs(A[r:r + ROW_BLOCK] - A[:, r:r + ROW_BLOCK].T).max()
+                   for r in range(0, A.shape[0], ROW_BLOCK)], initial=0.0)
+
+
+def _symmetrize(A: np.ndarray) -> None:
+    """``A[...] = (A + A.T) / 2.0`` in place, bit for bit.
+
+    Each block of rows and the matching block of columns get the average
+    of the block and its mirror from the diagonal on; ``a + b`` and
+    ``b + a`` are the same float, so both halves are the one-pass bits.
+    """
+    for r in range(0, A.shape[0], ROW_BLOCK):
+        rows = slice(r, r + ROW_BLOCK)
+        block = A[rows, r:] + A[r:, rows].T
+        block /= 2.0
+        A[rows, r:] = block
+        A[r:, rows] = block.T
 
 
 def _adjacency_from_edges(path, rows, labels) -> np.ndarray:
@@ -166,17 +218,19 @@ def _check_label_match(path, file_labels, labels) -> None:
 
 
 def write_adjacency(net: CoOccurrenceNetwork, path, delimiter: str = ",") -> None:
+    """Write the adjacency as a labeled matrix, formatting one row at a time."""
+    write_table(path, ["taxon", *net.taxon_labels],
+                _adjacency_rows(net), delimiter)
+
+
+def _adjacency_rows(net: CoOccurrenceNetwork):
     # most inferred cells are +0.0, which fmt writes as "0"; only the others
     # (-0.0 included, written "-0") go through fmt
-    A = net.adjacency
-    formatted = (A != 0.0) | np.signbit(A)
-    rows = []
-    for i, lab in enumerate(net.taxon_labels):
+    for lab, row in zip(net.taxon_labels, net.adjacency):
         cells = ["0"] * net.n_taxa
-        for j in np.flatnonzero(formatted[i]).tolist():
-            cells[j] = fmt(A[i, j])
-        rows.append([lab, *cells])
-    write_table(path, ["taxon", *net.taxon_labels], rows, delimiter)
+        for j in np.flatnonzero((row != 0.0) | np.signbit(row)).tolist():
+            cells[j] = fmt(row[j])
+        yield [lab, *cells]
 
 
 def write_edge_list(net: CoOccurrenceNetwork, path, *,
@@ -262,13 +316,19 @@ def convolution_operator(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric-normalized operator: D^{-1/2} (A + I) D^{-1/2}.
 
     D is the diagonal weighted degree of A + I; with a zero adjacency the
-    operator is exactly the identity.
+    operator is exactly the identity.  It is built in one new p x p array,
+    the copy ``A + 0.0`` (which turns -0.0 into 0.0, as adding the
+    identity's zeros does); the diagonal then gets its 1.0, and each block
+    of ROW_BLOCK rows is multiplied by its block of
+    ``np.outer(inv_sqrt, inv_sqrt)``.  Every entry is the same float as in
+    ``(A + np.eye(p)) * np.outer(inv_sqrt, inv_sqrt)``.
     """
-    p = adjacency.shape[0]
-    a_tilde = adjacency + np.eye(p)
-    degree = a_tilde.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(degree)
-    return a_tilde * np.outer(inv_sqrt, inv_sqrt)
+    op = adjacency + 0.0
+    op[np.diag_indices_from(op)] += 1.0
+    inv_sqrt = 1.0 / np.sqrt(op.sum(axis=1))
+    for r in range(0, op.shape[0], ROW_BLOCK):
+        op[r:r + ROW_BLOCK] *= np.outer(inv_sqrt[r:r + ROW_BLOCK], inv_sqrt)
+    return op
 
 
 def convolve(m: AbundanceMatrix, net: CoOccurrenceNetwork) -> np.ndarray:

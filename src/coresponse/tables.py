@@ -1,18 +1,23 @@
 """Plain delimited-table reading and writing, and the GraphML writer.
 
 All file formats in this package are simple delimited text in UTF-8: one
-mandatory header row, no quoting, decimal point '.'.  The delimiter is
-auto-detected among comma and tab (tab wins when the header contains one).
-Numeric cells are parsed exactly as Python's ``float()`` parses them,
-surrounding whitespace allowed.  Numeric output uses 12 significant digits,
-which round-trips any decimal input of up to 12 significant digits
-bit-exactly through a float64.
+mandatory header row, no quoting, decimal point '.'.  A leading byte-order
+mark is skipped.  The delimiter is auto-detected among comma and tab (tab
+wins when the header contains one).  Numeric cells are parsed exactly as
+Python's ``float()`` parses them, surrounding whitespace allowed.  Numeric
+output uses 12 significant digits, which round-trips any decimal input of
+up to 12 significant digits bit-exactly through a float64.
+
+Tables are read and written a line at a time: a matrix read holds the
+parsed values and its labels, not the file's text, and a write holds one
+row of cells.
 
 Graph files are GraphML, written by :func:`write_graphml` in exactly the
 bytes networkx 3.x's ``write_graphml`` writes for the same graph.
 """
 
-from contextlib import contextmanager
+import itertools
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -58,28 +63,37 @@ def _input_errors(path):
 
 
 def read_text(path) -> str:
-    """The whole text of an input file, decoded as UTF-8."""
+    """The whole text of an input file, decoded as UTF-8.
+
+    A leading byte-order mark, which Excel writes in "CSV UTF-8", is
+    skipped here and by every reader below.
+    """
     with _input_errors(path):
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
+
+
+def _iter_lines(path):
+    """The non-empty lines of a table, read one at a time.
+
+    The lines are those of ``read_text(path).splitlines()``: the file is
+    read with universal newlines, so a carriage return ends a line, and
+    each line is split again wherever ``str.splitlines`` splits (form
+    feed, the Unicode line and paragraph separators ...).
+    """
+    with _input_errors(path), open(path, encoding="utf-8-sig") as f:
+        for line in f:
+            for ln in line.splitlines():
+                if ln != "":
+                    yield ln
 
 
 def read_header(path) -> list[str]:
     """The header cells of a table, reading no further than its header."""
-    with _input_errors(path), open(path, encoding="utf-8") as f:
-        for line in f:
-            for ln in line.splitlines():
-                if ln != "":
-                    return ln.split(sniff_delimiter(ln))
-    raise ParseError(f"{path}: file is empty")
-
-
-def _read_lines(path) -> list[str]:
-    """The non-empty lines of a table; the first one is its header."""
-    lines = [ln.rstrip("\r") for ln in read_text(path).splitlines()]
-    lines = [ln for ln in lines if ln != ""]
-    if not lines:
+    with closing(_iter_lines(path)) as lines:
+        first = next(lines, None)
+    if first is None:
         raise ParseError(f"{path}: file is empty")
-    return lines
+    return first.split(sniff_delimiter(first))
 
 
 def read_table(path) -> tuple[list[str], list[list[str]], str]:
@@ -89,17 +103,19 @@ def read_table(path) -> tuple[list[str], list[list[str]], str]:
         ParseError: empty or unreadable file, or ragged row (reported with
             its 1-based line number).
     """
-    lines = _read_lines(path)
-    delim = sniff_delimiter(lines[0])
-    header = lines[0].split(delim)
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(delim)
-        if len(cells) != len(header):
-            raise ParseError(
-                f"{path}: row {i} has {len(cells)} cells, expected {len(header)}"
-            )
-        rows.append(cells)
+    with closing(_iter_lines(path)) as lines:
+        header_line = next(lines, None)
+        if header_line is None:
+            raise ParseError(f"{path}: file is empty")
+        delim = sniff_delimiter(header_line)
+        header = header_line.split(delim)
+        rows = []
+        for i, line in enumerate(lines, start=2):
+            cells = line.split(delim)
+            if len(cells) != len(header):
+                raise ParseError(f"{path}: row {i} has {len(cells)} cells, "
+                                 f"expected {len(header)}")
+            rows.append(cells)
     return header, rows, delim
 
 
@@ -118,56 +134,73 @@ def read_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a labeled numeric matrix into (column labels, row labels, values).
 
     The header's first cell labels the row-label column; every data row
-    is a label followed by one number per column label.  All numbers are
-    parsed by one ``np.loadtxt`` call, whose values equal ``float()``'s
-    on every cell it accepts.  When it rejects a cell (``float()`` also
-    takes ``1_0`` and non-ASCII digits), or the rows are ragged, the table
-    is read again cell by cell, which gives ``float()``'s values or the
-    ParseError that names the row and column.
+    is a label followed by one number per column label.  The rows are
+    streamed from the file into one ``np.loadtxt`` call, which gets each
+    row's cells without its label and returns the values; so the read
+    holds the result and the labels, never the file's text.  Its values
+    equal ``float()``'s on every cell it accepts.  When it rejects a cell
+    (``float()`` also takes ``1_0`` and non-ASCII digits), or the rows are
+    ragged, the table is read again cell by cell, which gives ``float()``'s
+    values or the ParseError that names the row and column.
     """
-    lines = _read_lines(path)
-    delim = sniff_delimiter(lines[0])
-    header = lines[0].split(delim)
-    row_labels, bodies = [], []
-    for line in lines[1:]:
-        label, _, body = line.partition(delim)
-        row_labels.append(label)
-        bodies.append(body)
-    del lines  # the bodies are copies; free the lines before parsing
-    shape = (len(bodies), len(header) - 1)
-    values = None
-    # loadtxt skips empty lines (and warns when all are), and takes any
-    # column count, so only a result of exactly the header's shape is the
-    # table; an empty body is a fault the cell-by-cell reader reports
-    if 0 not in shape and all(bodies):
+    with closing(_iter_lines(path)) as lines:
+        header_line = next(lines, None)
+        if header_line is None:
+            raise ParseError(f"{path}: file is empty")
+        delim = sniff_delimiter(header_line)
+        header = header_line.split(delim)
+        row_labels = []
+
+        def bodies():
+            for line in lines:
+                label, _, body = line.partition(delim)
+                if not body:
+                    # loadtxt would skip it: a fault the cell-by-cell
+                    # reader reports
+                    raise ValueError("a row without cells")
+                row_labels.append(label)
+                yield body
+
+        values = None
+        cells = bodies()
         try:
-            values = np.loadtxt(bodies, delimiter=delim, comments=None,
-                                dtype=np.float64, ndmin=2)
+            first = next(cells, None) if len(header) > 1 else None
+            # loadtxt warns on an input with no rows, and takes any column
+            # count, so only a result of exactly the header's shape is the
+            # table
+            if first is not None:
+                values = np.loadtxt(itertools.chain((first,), cells),
+                                    delimiter=delim, comments=None,
+                                    dtype=np.float64, ndmin=2)
         except ValueError:
-            pass
-    if values is None or values.shape != shape:
-        values = _parse_cells(path, shape)
+            values = None
+    if values is None or values.shape != (len(row_labels), len(header) - 1):
+        return _parse_cells(path)
     return header[1:], row_labels, values
 
 
-def _parse_cells(path, shape) -> np.ndarray:
-    """A matrix table's values by ``read_table`` and ``parse_cell``."""
-    _, rows, _ = read_table(path)
-    values = np.empty(shape)
+def _parse_cells(path) -> tuple[list[str], list[str], np.ndarray]:
+    """``read_matrix`` by ``read_table`` and ``parse_cell``."""
+    header, rows, _ = read_table(path)
+    values = np.empty((len(rows), len(header) - 1))
     for i, cells in enumerate(rows):
         for j, cell in enumerate(cells[1:]):
             values[i, j] = parse_cell(cell, path, row=i + 2, col=j + 2)
-    return values
+    return header[1:], [cells[0] for cells in rows], values
 
 
 def write_table(path, header: list[str], rows, delimiter: str = ",") -> None:
-    """Write a table of pre-formatted string cells."""
+    """Write a table of pre-formatted string cells as UTF-8.
+
+    ``rows`` is any iterable of cell lists; it is consumed one row at a
+    time, so a generator keeps one row in memory.
+    """
     for name in header:
         _check_label(name, delimiter)
-    out = [delimiter.join(header)]
-    for cells in rows:
-        out.append(delimiter.join(cells))
-    Path(path).write_text("\n".join(out) + "\n")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(delimiter.join(header) + "\n")
+        for cells in rows:
+            f.write(delimiter.join(cells) + "\n")
 
 
 def _check_label(label: str, delimiter: str) -> None:

@@ -528,6 +528,68 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "analysis_summary.csv").exists()
 
 
+def edge_list_text(adjacency_csv):
+    """The edge list of a matrix adjacency file, its weights as written."""
+    header, *rows = adjacency_csv.read_text().splitlines()
+    labels = header.split(",")[1:]
+    lines = ["source,target,weight"]
+    for i, row in enumerate(rows):
+        cells = row.split(",")[1:]
+        lines += [f"{labels[i]},{labels[j]},{cells[j]}"
+                  for j in range(i + 1, len(labels)) if float(cells[j]) > 0]
+    return "\n".join(lines) + "\n"
+
+
+class TestTextEncoding:
+    """Inputs are decoded as UTF-8, a leading byte-order mark skipped, and
+    every text output is written as UTF-8 whatever the locale."""
+
+    def test_ingest_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        abundance = tmp_path / "abundance.csv"
+        abundance.write_text("sample_id,t\u00e9a,b\ns1,1,2\ns2,3,1\ns3,2,5\n",
+                             encoding="utf-8")
+        function = tmp_path / "function.csv"
+        function.write_text("sample_id,activity\ns1,1\ns2,2\ns3,4\n",
+                            encoding="utf-8")
+        src = str(Path(coresponse.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "POSIX",
+               "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "coresponse.cli", "ingest",
+             "--abundance", str(abundance), "--function", str(function),
+             "--max-zero-fraction", "1", "--out", str(out)],
+            env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        header = (out / "abundance_normalized.csv").read_bytes().split(b"\n")[0]
+        assert header == "sample_id,t\u00e9a,b".encode("utf-8")
+        assert (out / "resolved_config.txt").read_bytes().isascii()
+
+    def test_discover_reads_an_edge_list_with_a_byte_order_mark(self,
+                                                                tmp_path):
+        data = make_bundle(tmp_path)
+        text = edge_list_text(data / "adjacency.csv")
+        tops = []
+        for name, bom in (("plain", ""), ("bom", "\ufeff")):
+            edges = tmp_path / f"{name}.csv"
+            edges.write_text(bom + text, encoding="utf-8")
+            out = tmp_path / name
+            assert run(["discover", "--abundance", data / "abundance.csv",
+                        "--function", data / "function.csv",
+                        "--adjacency", edges, "--k", 2, "--runs", 2,
+                        "--out", out] + GA_FAST) == 0
+            tops.append((out / "top_group.csv").read_bytes())
+        assert tops[0] == tops[1]
+
+    def test_analyze_reads_an_importance_table_with_a_byte_order_mark(
+            self, tmp_path):
+        data = make_bundle(tmp_path)
+        table = TestExitCodes.importance_table(tmp_path, data)
+        table.write_text("\ufeff" + table.read_text(), encoding="utf-8")
+        assert run(["analyze", "--adjacency", data / "adjacency.csv",
+                    "--importance", table, "--out", tmp_path / "out"]) == 0
+
+
 class TestSynthCommand:
     def test_writes_bundle_and_snapshot(self, tmp_path):
         out = make_bundle(tmp_path)

@@ -1,6 +1,7 @@
 """Adjacency handling, network inference and the graph-convolution step."""
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -61,6 +62,30 @@ def edge_list_oracle(net, path, delimiter):
             if w > 0:
                 rows.append([net.taxon_labels[i], net.taxon_labels[j], fmt(w)])
     write_table(path, ["source", "target", "weight"], rows, delimiter)
+
+
+def operator_oracle(A):
+    """The operator as one formula, in three new p x p arrays."""
+    a_tilde = A + np.eye(A.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    return a_tilde * np.outer(inv_sqrt, inv_sqrt)
+
+
+def bit_cases():
+    """p x p arrays for the in-place passes: random, all-zero and with -0.0
+    entries, at p = 1, 2 and 65 (two whole row blocks and one row)."""
+    rng = np.random.default_rng(7)
+    for p in (1, 2, 2 * network.ROW_BLOCK + 1):
+        A = rng.uniform(0, 1, (p, p))
+        signed = A.copy()
+        signed[rng.uniform(size=(p, p)) < 0.3] = -0.0
+        yield pytest.param(A, id=f"random-{p}")
+        yield pytest.param(np.zeros((p, p)), id=f"zero-{p}")
+        yield pytest.param(signed, id=f"signed-zero-{p}")
+
+
+def bits(A):
+    return A.view(np.uint64)
 
 
 def network_checks_oracle(adj, labels):
@@ -229,6 +254,41 @@ class TestConvolve:
             convolve(m, CoOccurrenceNetwork(np.zeros((2, 2)), ("a", "b")))
 
 
+class TestInPlacePasses:
+    """The in-place passes give the bits of the formulas they replace."""
+
+    @pytest.mark.parametrize("A", bit_cases())
+    def test_operator_matches_formula(self, A):
+        before = A.copy()
+        assert np.array_equal(bits(convolution_operator(A)),
+                              bits(operator_oracle(A)))
+        assert np.array_equal(bits(A), bits(before))
+
+    @pytest.mark.parametrize("A", bit_cases())
+    def test_permute_matches_ix(self, A):
+        rng = np.random.default_rng(A.shape[0])
+        for perm in (list(range(A.shape[0]))[::-1],
+                     rng.permutation(A.shape[0]).tolist()):
+            expected = A[np.ix_(perm, perm)]
+            permuted = A.copy()
+            network._permute(permuted, perm)
+            assert np.array_equal(bits(permuted), bits(expected))
+
+    @pytest.mark.parametrize("A", bit_cases())
+    def test_symmetrize_matches_formula(self, A):
+        expected = (A + A.T) / 2.0
+        symmetrized = A.copy()
+        network._symmetrize(symmetrized)
+        assert np.array_equal(bits(symmetrized), bits(expected))
+        assert (network._asymmetry(A)
+                == np.abs(A - A.T).max(initial=0.0))
+
+    def test_asymmetry_of_nan_is_nan(self):
+        A = np.zeros((70, 70))
+        A[69, 3] = np.nan
+        assert np.isnan(network._asymmetry(A))
+
+
 class TestAdjacencyIO:
     def test_matrix_round_trip(self, tmp_path):
         A = np.array([[0.0, 0.25], [0.25, 0.0]])
@@ -379,7 +439,8 @@ class TestExactSymmetryFastPaths:
 
         monkeypatch.setattr(network, "read_matrix", reader)
         assert load_adjacency(path, ("a", "b")).adjacency is parsed[-1]
-        assert load_adjacency(path, ("b", "a")).adjacency is not parsed[-1]
+        # out of order, the parsed array is reordered in place
+        assert load_adjacency(path, ("b", "a")).adjacency is parsed[-1]
 
 
 class TestInferenceConfig:
@@ -457,3 +518,54 @@ class TestInferNetwork:
         values[:, 0] = 1.0
         with pytest.raises(NumericError, match="did not converge on column 't1'"):
             infer_network(toy_abundance(values))
+
+
+def peak_bytes(fn):
+    """(result, peak bytes the Python heap grew by) of one ``fn()`` call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Each p x p pass holds at most one new p x p array (p=400)."""
+
+    P = 400
+
+    @staticmethod
+    def adjacency(p, seed=0):
+        A = np.random.default_rng(seed).uniform(0, 1, (p, p))
+        A = (A + A.T) / 2.0
+        np.fill_diagonal(A, 0.0)
+        return A
+
+    def test_operator_holds_one_array_and_a_row_block(self):
+        A = self.adjacency(self.P)
+        op, peak = peak_bytes(lambda: convolution_operator(A))
+        block = network.ROW_BLOCK * self.P * 8
+        # numpy's ufunc buffers take ~130 KB whatever p is
+        assert peak <= op.nbytes + block + 256 * 1024
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_load_adjacency_reorders_in_place(self, tmp_path, asymmetric):
+        A = self.adjacency(self.P)
+        if asymmetric:
+            A[0, 1] += 0.5
+        labels = tuple(f"t{i}" for i in range(self.P))
+        path = tmp_path / "adj.csv"
+        write_table(path, ["taxon", *labels],
+                    ([lab, *map(repr, row)]
+                     for lab, row in zip(labels, A.tolist())))
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            net, peak = peak_bytes(lambda: load_adjacency(path, labels[::-1]))
+        expected = A[::-1, ::-1]
+        if asymmetric:
+            expected = (expected + expected.T) / 2.0
+        assert np.array_equal(bits(net.adjacency), bits(expected))
+        # the read's peak (np.loadtxt grows its result by a quarter at a
+        # time) plus the slack of test_tables.TestMemory
+        assert peak <= 1.25 * A.nbytes + 256 * 1024

@@ -1,6 +1,7 @@
 """Delimited-table primitives: formatting, sniffing, error coordinates."""
 
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -288,6 +289,58 @@ class TestUnreadableInput:
         assert read_matrix(path)[:2] == (["\u00e9"], ["\u00e9chantillon"])
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark (Excel's "CSV UTF-8") is not part
+    of the first header cell."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,x,y\r\na,1,2\r\n")
+        return path
+
+    def test_readers_skip_it(self, path):
+        assert read_text(path) == "id,x,y\na,1,2\n"
+        assert read_header(path) == ["id", "x", "y"]
+        assert read_table(path) == (["id", "x", "y"], [["a", "1", "2"]], ",")
+        cols, rows, values = read_matrix(path)
+        assert (cols, rows, values.tolist()) == (["x", "y"], ["a"],
+                                                 [[1.0, 2.0]])
+
+    def test_only_a_leading_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"id,x\n\xef\xbb\xbfa,1\n")
+        assert read_matrix(path)[1] == ["\ufeffa"]
+
+
+class TestLineBoundaries:
+    """Tables are read a line at a time, and split where
+    ``str.splitlines`` splits the whole text."""
+
+    @staticmethod
+    def check(path, text):
+        path.write_bytes(text.encode("utf-8"))
+        expected = [ln for ln in text.splitlines() if ln != ""]
+        assert list(tables._iter_lines(path)) == expected
+
+    @pytest.mark.parametrize("text", [
+        "id,x\ra,1\rb,2\r",                       # carriage returns only
+        "id,x\x0ca,1\x1cb,2\u2028c,3\x85d,4\u2029",
+        "id,x\r\n\r\n\x0b\na,1",
+        "a" * 8191 + "\r\nb,1\r\n",             # CRLF across a read buffer
+        "a" * 8191 + "\r" + "\n" * 3 + "b",
+    ])
+    def test_layouts(self, tmp_path, text):
+        self.check(tmp_path / "t.csv", text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="ab,\n\r\x0b\x0c\x1c\x1e\x85\u2028 \t",
+                   max_size=60))
+    def test_any_text(self, text):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            self.check(Path(tmp_dir) / "t.csv", text)
+
+
 class TestReadHeader:
     @pytest.mark.parametrize("text", [
         "a,b\n1,2\n", "\n\r\n a\tb\n", "a,b", "a,b\r\nc,d\r\n",
@@ -302,3 +355,49 @@ class TestReadHeader:
         path.write_text("\n\n")
         with pytest.raises(ParseError, match="empty"):
             read_header(path)
+
+
+def peak_bytes(fn):
+    """(result, peak bytes the Python heap grew by) of one ``fn()`` call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: what a table read or write may hold besides its arrays at p=400: the
+#: labels, a line of text and np.loadtxt's row buffers
+SLACK = 256 * 1024
+
+
+class TestMemory:
+    """Tables are streamed: a read holds its result, a write one row."""
+
+    P = 400
+
+    def test_read_matrix_holds_its_result_not_the_text(self, tmp_path):
+        values = np.random.default_rng(0).uniform(0, 1, (self.P, self.P))
+        labels = [f"t{i}" for i in range(self.P)]
+        path = tmp_path / "m.csv"
+        write_table(path, ["taxon", *labels],
+                    ([lab, *map(repr, row)]
+                     for lab, row in zip(labels, values.tolist())))
+        (cols, rows, read), peak = peak_bytes(lambda: read_matrix(path))
+        assert (cols, rows) == (labels, labels)
+        assert np.array_equal(read, values)
+        # np.loadtxt grows its result by a quarter at a time
+        assert peak <= 1.25 * read.nbytes + SLACK
+
+    def test_write_table_peak_does_not_grow_with_rows(self, tmp_path):
+        cells = [repr(v) for v in
+                 np.random.default_rng(0).uniform(0, 1, self.P).tolist()]
+
+        def write(n_rows):
+            rows = ([f"r{i}", *cells] for i in range(n_rows))
+            return peak_bytes(lambda: write_table(
+                tmp_path / "t.csv", ["id", *map(str, range(self.P))], rows))[1]
+
+        few, many = write(50), write(800)
+        assert many <= few + 64 * 1024
