@@ -51,11 +51,17 @@ def _delimiter(args) -> str:
 
 
 def _snapshot(args, out: Path) -> None:
+    """Write ``resolved_config.txt``.
+
+    A path argument that the locale could not decode holds surrogate
+    escapes; they are written back as the argument's original bytes.
+    """
     skip = {"func", "config"}
     lines = [f"{key}={value}" for key, value in sorted(vars(args).items())
              if key not in skip]
     (out / "resolved_config.txt").write_text("\n".join(lines) + "\n",
-                                             encoding="utf-8")
+                                             encoding="utf-8",
+                                             errors="surrogateescape")
 
 
 def _parse_mu_grid(text: str) -> tuple:

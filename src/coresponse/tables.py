@@ -8,9 +8,9 @@ Python's ``float()`` parses them, surrounding whitespace allowed.  Numeric
 output uses 12 significant digits, which round-trips any decimal input of
 up to 12 significant digits bit-exactly through a float64.
 
-Tables are read and written a line at a time: a matrix read holds the
-parsed values and its labels, not the file's text, and a write holds one
-row of cells.
+Tables are read and written a batch of lines at a time: a matrix read
+holds the parsed values and its labels, not the file's text, and a write
+holds one batch of lines.
 
 Graph files are GraphML, written by :func:`write_graphml` in exactly the
 bytes networkx 3.x's ``write_graphml`` writes for the same graph.
@@ -72,23 +72,39 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8-sig")
 
 
-def _iter_lines(path):
-    """The non-empty lines of a table, read one at a time.
+#: the line boundaries of ``str.splitlines`` besides "\n" and "\r"
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAKS = "\n\r" + _OTHER_LINE_BREAKS
 
-    The lines are those of ``read_text(path).splitlines()``: the file is
-    read with universal newlines, so a carriage return ends a line, and
-    each line is split again wherever ``str.splitlines`` splits (form
-    feed, the Unicode line and paragraph separators ...).
+#: characters of text a table read or write handles at a time
+_BATCH_CHARS = 1 << 14
+
+
+def _iter_lines(path):
+    """The non-empty lines of a table, read one batch of lines at a time.
+
+    The lines are those of ``read_text(path).splitlines()``.  The file is
+    read with universal newlines, so a carriage return ends a line, in
+    batches of whole lines of about ``_BATCH_CHARS`` characters; a batch
+    that holds one of ``str.splitlines``'s other line boundaries (form
+    feed, the Unicode line and paragraph separators ...) is split again
+    with ``str.splitlines``.
     """
     with _input_errors(path), open(path, encoding="utf-8-sig") as f:
-        for line in f:
-            for ln in line.splitlines():
-                if ln != "":
-                    yield ln
+        for batch in iter(lambda: f.readlines(_BATCH_CHARS), []):
+            text = "".join(batch)
+            if any(c in text for c in _OTHER_LINE_BREAKS):
+                batch = text.splitlines()
+            for line in batch:
+                line = line.rstrip("\n")
+                if line != "":
+                    yield line
 
 
 def read_header(path) -> list[str]:
-    """The header cells of a table, reading no further than its header."""
+    """The header cells of a table, reading no further than the first
+    batch of lines (the header line alone, when it is ``_BATCH_CHARS``
+    characters or longer)."""
     with closing(_iter_lines(path)) as lines:
         first = next(lines, None)
     if first is None:
@@ -193,19 +209,59 @@ def write_table(path, header: list[str], rows, delimiter: str = ",") -> None:
     """Write a table of pre-formatted string cells as UTF-8.
 
     ``rows`` is any iterable of cell lists; it is consumed one row at a
-    time, so a generator keeps one row in memory.
+    time and written in batches of about ``_BATCH_CHARS`` characters, so
+    a generator keeps one batch of lines in memory.  Every cell is
+    checked: each row must join to one delimiter fewer than the header has
+    cells, so a label that holds the delimiter is an error, and no cell
+    may hold a line break.  A cell may be a run of numbers that
+    :func:`fmt_cells` joined, standing for as many columns.
+
+    Raises:
+        ValidationError: a header or row cell that holds the delimiter or
+            a line break (the message names it); the file is removed.
     """
     for name in header:
         _check_label(name, delimiter)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(delimiter.join(header) + "\n")
-        for cells in rows:
-            f.write(delimiter.join(cells) + "\n")
+    width = len(header) - 1
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(delimiter.join(header) + "\n")
+            lines, size = [], 0
+            for cells in rows:
+                line = delimiter.join(cells)
+                if line.count(delimiter) != width:
+                    for cell in cells:
+                        _check_label(cell, delimiter)
+                    raise ValidationError(f"a row has {len(cells)} cells, "
+                                          f"expected {width + 1}")
+                lines.append(line)
+                size += len(line)
+                if size >= _BATCH_CHARS:
+                    _write_lines(f, lines, delimiter)
+                    lines, size = [], 0
+            _write_lines(f, lines, delimiter)
+    except ValidationError:
+        Path(path).unlink()
+        raise
+
+
+def _write_lines(f, lines: list[str], delimiter: str) -> None:
+    """Write ``lines``, each ended by a newline, none holding a line break."""
+    if not lines:
+        return
+    text = "\n".join(lines) + "\n"
+    if (text.count("\n") != len(lines)
+            or any(c in text for c in "\r" + _OTHER_LINE_BREAKS)):
+        for line in lines:
+            for cell in line.split(delimiter):
+                _check_label(cell, delimiter)
+    f.write(text)
 
 
 def _check_label(label: str, delimiter: str) -> None:
-    if delimiter in label or "\n" in label or "\r" in label:
-        raise ValidationError(f"label {label!r} contains the delimiter or a newline")
+    if delimiter in label or any(c in label for c in _LINE_BREAKS):
+        raise ValidationError(
+            f"label {label!r} contains the delimiter or a line break")
 
 
 #: GraphML ``attr.type`` of each attribute value type, named as networkx does

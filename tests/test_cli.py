@@ -62,7 +62,7 @@ def optional_modules_after(code, cwd):
 
 
 class TestStartUp:
-    """Start-up needs numpy alone; scipy loads only in evaluate and analyze."""
+    """Start-up needs numpy alone; scipy loads only in analyze."""
 
     def test_import_loads_neither_scipy_nor_networkx(self, tmp_path):
         assert optional_modules_after(
@@ -85,6 +85,9 @@ run('discover', {data}, '--adjacency', 'd/adjacency.csv', '--k', '2',
     '--runs', '2', '--out', 'k', {fast})
 run('discover', {data}, '--adjacency', 'd/adjacency.csv', '--mode', 'l1',
     '--mu-grid', '0.1,0.05', '--runs', '2', '--out', 'l', {fast})
+run('evaluate', {data}, '--adjacency', 'd/adjacency.csv',
+    '--methods', 'baseline,convolved', '--k', '2', '--repeats', '3',
+    '--out', 'e', {fast})
 """
         assert optional_modules_after(code, tmp_path) == "[]"
 
@@ -490,6 +493,28 @@ class TestExitCodes:
         assert code == 4
         assert "--threads" in capsys.readouterr().err
 
+    def test_row_label_holding_the_output_delimiter_exits_4(self, tmp_path,
+                                                             capsys):
+        # the sample id is one cell of the tab-separated input, but would be
+        # two in the comma-separated output
+        abundance = tmp_path / "ab.tsv"
+        abundance.write_text("sample_id\ta\tb\ns,1\t1\t2\ns2\t3\t1\n"
+                             "s3\t2\t5\n")
+        function = tmp_path / "fn.tsv"
+        function.write_text("sample_id\tactivity\ns,1\t1\ns2\t2\ns3\t4\n")
+        out = tmp_path / "out"
+        code = run(["ingest", "--abundance", abundance, "--function", function,
+                    "--delimiter", "comma", "--out", out])
+        assert code == 4
+        assert "'s,1'" in capsys.readouterr().err
+        assert not (out / "abundance_normalized.csv").exists()
+        # the same input written tab-separated reads back
+        assert run(["ingest", "--abundance", abundance, "--function", function,
+                    "--delimiter", "tab", "--out", out]) == 0
+        assert run(["ingest", "--abundance", out / "abundance_normalized.csv",
+                    "--function", out / "function_aligned.csv",
+                    "--delimiter", "tab", "--out", tmp_path / "again"]) == 0
+
     def test_repeated_taxon_label_exits_4(self, tmp_path, capsys):
         adj = tmp_path / "adjacency.csv"
         adj.write_text(",a,b\na,0,1\nb,1,0\n")
@@ -564,6 +589,28 @@ class TestTextEncoding:
         header = (out / "abundance_normalized.csv").read_bytes().split(b"\n")[0]
         assert header == "sample_id,t\u00e9a,b".encode("utf-8")
         assert (out / "resolved_config.txt").read_bytes().isascii()
+
+    def test_non_ascii_paths_under_an_ascii_locale(self, tmp_path):
+        # the locale cannot decode the path's bytes, so the arguments hold
+        # surrogate escapes; the snapshot gets the original bytes back
+        data = tmp_path / "d\u00e9"
+        data.mkdir()
+        (data / "ab.tsv").write_text("sample_id\ta\tb\ns1\t1\t2\n"
+                                     "s2\t3\t1\ns3\t2\t5\n")
+        (data / "fn.tsv").write_text("sample_id\tactivity\ns1\t1\ns2\t2\n"
+                                     "s3\t4\n")
+        src = str(Path(coresponse.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "POSIX",
+               "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        done = subprocess.run(
+            [sys.executable, "-m", "coresponse.cli", "ingest",
+             "--abundance", "d\u00e9/ab.tsv", "--function", "d\u00e9/fn.tsv",
+             "--out", "d\u00e9/out"],
+            cwd=tmp_path, env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        snapshot = (data / "out" / "resolved_config.txt").read_bytes()
+        assert "abundance=d\u00e9/ab.tsv\n".encode("utf-8") in snapshot
+        assert "out=d\u00e9/out\n".encode("utf-8") in snapshot
 
     def test_discover_reads_an_edge_list_with_a_byte_order_mark(self,
                                                                 tmp_path):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from coresponse.errors import ValidationError
 from coresponse.evaluation import (EvaluationReport, SplitPlan, TTestResult,
                                    convolved_matrix, evaluate_method,
                                    paired_t_test, stratified_split,
-                                   write_reports, write_t_tests)
+                                   t_two_sided_p, write_reports,
+                                   write_t_tests)
 from coresponse.ga import OptimizerConfig
 from coresponse.ingest import AbundanceMatrix, FunctionalVariable
 from coresponse.network import CoOccurrenceNetwork
@@ -191,6 +192,83 @@ class TestPairedTTest:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             paired_t_test(np.arange(4.0), np.arange(5.0))
+
+
+def t_grid(df):
+    """|t| values whose two-sided p runs from 1 down to 1e-300.
+
+    They are the t of p = 1, 0.5, 0.2, 0.08, 1e-2, 1e-4, 1e-8, 1e-12,
+    1e-20, 1e-50, 1e-100, 1e-200 and 1e-300, plus the two t on either
+    side of where ``t_two_sided_p`` changes series, x = (a+1)/(a+5/2).
+    At df=1 the t of the smallest p underflow x = df/(df + t²) to 0, and
+    p is 0 on both sides there.
+    """
+    ps = np.array([1.0, 0.5, 0.2, 0.08, 1e-2, 1e-4, 1e-8, 1e-12, 1e-20,
+                   1e-50, 1e-100, 1e-200, 1e-300])
+    switch = np.sqrt(1.5 * df / (df / 2 + 1))
+    return np.concatenate([np.abs(special.stdtrit(df, ps / 2)),
+                           switch * np.array([1 - 1e-9, 1 + 1e-9])])
+
+
+def betainc_oracle(t, df):
+    t = float(t)
+    return float(special.betainc(df / 2, 0.5, df / (df + t * t)))
+
+
+class TestTTail:
+    # The closed forms are written without the cancellation of 1 - ... in
+    # the tail: 1 - (2/pi) atan t = (2/pi) atan(1/t), and
+    # 1 - t/s = 2 / (s (s + t)) with s = sqrt(2 + t^2).
+
+    def test_df1_is_the_cauchy_tail(self):
+        for t in (0.01, 0.3, 1.0, 2.5, 10.0, 300.0, 1e6):
+            np.testing.assert_allclose(
+                t_two_sided_p(t, 1), 2 / np.pi * np.arctan(1 / t), rtol=1e-14)
+
+    def test_df2_closed_form(self):
+        for t in (0.01, 0.3, 1.0, 2.5, 10.0, 300.0, 1e6):
+            s = np.sqrt(2 + t * t)
+            np.testing.assert_allclose(
+                t_two_sided_p(t, 2), 2 / (s * (s + t)), rtol=1e-14)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 99, 1000])
+    def test_zero_t_gives_one(self, df):
+        assert t_two_sided_p(0.0, df) == 1.0
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 99, 1000])
+    def test_symmetric_in_t(self, df):
+        for t in (1e-6, 0.4, 1.9, 7.0, 40.0):
+            assert t_two_sided_p(-t, df) == t_two_sided_p(t, df)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 99, 1000])
+    def test_decreasing_in_abs_t(self, df):
+        p = [t_two_sided_p(t, df) for t in np.linspace(0.0, 30.0, 1501)]
+        assert np.all(np.diff(p) < 0)
+
+    def test_infinite_t_gives_zero(self):
+        assert t_two_sided_p(np.inf, 5) == 0.0
+        assert t_two_sided_p(-np.inf, 5) == 0.0
+
+    @pytest.mark.parametrize("df", [0, -3, 2.5])
+    def test_bad_df_rejected(self, df):
+        with pytest.raises(ValidationError, match="degrees of freedom"):
+            t_two_sided_p(1.0, df)
+
+    def test_matches_betainc_for_df_up_to_1000(self):
+        for df in range(1, 1001):
+            for t in t_grid(df):
+                np.testing.assert_allclose(t_two_sided_p(t, df),
+                                           betainc_oracle(t, df),
+                                           rtol=1e-12, atol=0, err_msg=f"df={df}")
+
+    def test_matches_betainc_tightly_at_small_df(self):
+        for df in range(1, 101):
+            for t in t_grid(df):
+                ref = betainc_oracle(t, df)
+                if ref >= 1e-12:
+                    np.testing.assert_allclose(t_two_sided_p(t, df), ref,
+                                               rtol=1e-13, atol=0,
+                                               err_msg=f"df={df}")
 
 
 class TestEvaluationReport:

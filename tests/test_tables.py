@@ -1,5 +1,6 @@
 """Delimited-table primitives: formatting, sniffing, error coordinates."""
 
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -102,6 +103,41 @@ class TestReadWrite:
     def test_label_with_delimiter_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             write_table(tmp_path / "x.csv", ["a,b"], [])
+
+    @pytest.mark.parametrize("label", ["s,1", "s\n1", "s\r1", "s\x0c1",
+                                       "s\u20281", "s\x851"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_row_label_that_would_not_read_back_rejected(self, tmp_path,
+                                                         label, column):
+        # many good rows first, so the bad one is in a later batch
+        good = [[f"r{i}", f"t{i}", "1.5"] for i in range(3000)]
+        bad = ["r", "t", "2"]
+        bad[column] = label
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValidationError, match=re.escape(repr(label))):
+            write_table(path, ["id", "taxon", "x"], good + [bad])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_row_label_holding_the_other_delimiter_is_kept(self, tmp_path,
+                                                           delimiter):
+        other = "\t" if delimiter == "," else ","
+        path = tmp_path / "x.csv"
+        write_table(path, ["id", "x"], [[f"s{other}1", "1"]], delimiter)
+        assert read_table(path)[1] == [[f"s{other}1", "1"]]
+
+    def test_ragged_row_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="2 cells, expected 3"):
+            write_table(tmp_path / "x.csv", ["id", "a", "b"], [["r", "1"]])
+
+    def test_joined_number_cells_are_taken_whole(self, tmp_path):
+        path = tmp_path / "x.csv"
+        rows = [[f"r{i}", tables.fmt_cells([i, 0.5, 2.0], ",")]
+                for i in range(5000)]
+        write_table(path, ["id", "a", "b", "c"], rows)
+        header, read, _ = read_table(path)
+        assert header == ["id", "a", "b", "c"]
+        assert read == [[f"r{i}", str(i), "0.5", "2"] for i in range(5000)]
 
 
 class TestParseCell:
