@@ -181,7 +181,7 @@ class FinishError(ArithmeticError):
         self.reason = reason
 
 
-def enet_kkt_finish(gram, B0, mu1, mu2, tol, max_rounds=None):
+def enet_kkt_finish(gram, B0, mu1, mu2, tol):
     """Exact solution of every column's non-negative elastic net.
 
     Same problem as :func:`enet_coordinate_descent`; ``gram`` must be
@@ -198,8 +198,7 @@ def enet_kkt_finish(gram, B0, mu1, mu2, tol, max_rounds=None):
     enters S if its violation exceeds ``tol``; if none does, the column is
     done.  The final b_S is the solve on the sorted final support, so it
     depends only on that support and not on ``B0``.  A column may take
-    ``max_rounds`` solves, by default 2p + 1: enough for every taxon to
-    enter and leave once.
+    2p + 1 solves: enough for every taxon to enter and leave once.
 
     Returns:
         (B, rounds): the (p, p) coefficient matrix and the number of solves
@@ -207,16 +206,14 @@ def enet_kkt_finish(gram, B0, mu1, mu2, tol, max_rounds=None):
 
     Raises:
         FinishError: on the first column whose support system is singular
-            or non-finite, or that is not done after ``max_rounds`` solves.
+            or non-finite, or that is not done after 2p + 1 solves.
     """
     p = gram.shape[0]
-    if max_rounds is None:
-        max_rounds = 2 * p + 1
     B = np.zeros((p, p))
     rounds = np.zeros(p, np.int64)
     for j in range(p):
         B[:, j], rounds[j] = _finish_column(gram, j, B0[:, j], mu1, mu2, tol,
-                                            max_rounds)
+                                            2 * p + 1)
     return B, rounds
 
 

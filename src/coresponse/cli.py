@@ -1,9 +1,10 @@
 """File-driven command line interface.
 
-Every subcommand reads declared inputs, writes its outputs plus a
-``resolved_config.txt`` snapshot into ``--out``, and derives all randomness
-from ``--seed``, so reruns with the same configuration are byte-identical
-at any ``--threads`` setting.  Options may also come from a plain
+Every subcommand reads declared inputs and writes its outputs plus a
+``resolved_config.txt`` snapshot into ``--out``.  The commands that draw
+random numbers derive them all from ``--seed``, and the searching commands
+take a ``--threads`` cap, so reruns with the same configuration are
+byte-identical at any thread count.  Options may also come from a plain
 ``key=value`` config file; explicit flags win.
 
 Exit codes: 0 success, 2 usage, 3 parse/input, 4 validation, 5 numeric.
@@ -107,7 +108,7 @@ def _check_k(args, abundance) -> None:
 
 
 def _load_network(args, abundance):
-    if getattr(args, "no_graph", False):
+    if args.no_graph:
         return None
     if args.adjacency is None:
         raise ValidationError("either --adjacency or --no-graph is required")
@@ -167,12 +168,12 @@ def cmd_discover(args) -> None:
     _check_k(args, abundance)
     M = convolved_matrix(abundance, _load_network(args, abundance))
 
-    mu = args.mu
     if args.mode == "size_cap":
         if args.k is None:
             raise ValidationError("size_cap mode needs --k (run select-k first)")
         cfg = _ga_config(args, "size_cap", k_opt=args.k)
     else:
+        mu = args.mu
         if mu is None:
             tune_cfg = _ga_config(args, "l1")
             tuned = mu_sweep(M, function.values, _parse_mu_grid(args.mu_grid),
@@ -200,8 +201,9 @@ def cmd_discover(args) -> None:
     summary = [
         ["mode", args.mode],
         ["runs", str(args.runs)],
-        ["k", "" if args.k is None else str(args.k)],
-        ["mu", "" if mu is None else fmt(mu)],
+        # the settings the search used: a cap or an l1 penalty
+        ["k", "" if cfg.size_cap is None else str(cfg.size_cap)],
+        ["mu", "" if cfg.size_cap is not None else fmt(cfg.mu)],
         ["top_k", str(report.top_k)],
         ["top_group_r", fmt(report.top_group_r)],
     ]
@@ -236,11 +238,11 @@ def cmd_evaluate(args) -> None:
             f"method(s) {capped} need --k (run select-k first)")
     _check_k(args, abundance)
     graph_methods = [tag for tag in methods if not tag.startswith("baseline")]
-    if graph_methods and args.no_graph:
+    if graph_methods and args.adjacency is None:
         raise ValidationError(
-            f"method(s) {graph_methods} need a network; --no-graph allows "
-            "only the baseline methods")
-    net = _load_network(args, abundance) if graph_methods else None
+            f"method(s) {graph_methods} need a network: pass --adjacency")
+    net = (load_adjacency(args.adjacency, abundance.taxon_labels)
+           if graph_methods else None)
     # the searched matrix of each graph, convolved once; the network is
     # dropped before the searches
     matrices = {baseline: convolved_matrix(abundance, None if baseline else net)
@@ -335,9 +337,6 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--config", default=None,
                      help="key=value file; flags override it")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker cap; results do not depend on it")
     sub.add_argument("--delimiter", choices=sorted(_DELIMITERS), default="comma")
 
 
@@ -345,6 +344,9 @@ def _add_ga_options(sub) -> None:
     sub.add_argument("--population-size", type=int, default=200)
     sub.add_argument("--max-generations", type=int, default=500)
     sub.add_argument("--stagnation-limit", type=int, default=50)
+    sub.add_argument("--seed", type=int, default=0, help="master seed")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="worker cap; results do not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--abundance", required=True)
     sub.add_argument("--function", required=True)
     sub.add_argument("--adjacency", default=None)
-    sub.add_argument("--no-graph", action="store_true")
     sub.add_argument("--methods", default="baseline,convolved")
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--mu", type=float, default=None)
@@ -446,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--top-k", type=int, default=None)
     sub.add_argument("--resolution", type=float, default=1.0)
     sub.add_argument("--min-weight", type=float, default=0.0)
+    sub.add_argument("--seed", type=int, default=0, help="master seed")
     _add_common(sub)
     sub.set_defaults(func=cmd_analyze)
 
@@ -460,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--planted-size", type=int, default=6,
                      help="plant the first N taxa when --planted is absent")
     sub.add_argument("--noise-sigma", type=float, default=0.05)
+    sub.add_argument("--seed", type=int, default=0, help="master seed")
     _add_common(sub)
     sub.set_defaults(func=cmd_synth)
 
@@ -541,7 +544,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
         args.func(args)
     except ParseError as exc:

@@ -13,7 +13,6 @@ per-generation streams derived from the config seed; runs are deterministic
 and thread-count independent.  Every repeated search goes through run_many.
 """
 
-import copy
 import math
 import sys
 import threading
@@ -132,15 +131,11 @@ class Objective:
     """Precomputed quadratic form for batch fitness evaluation.
 
     Holds G = M0^T M0 (symmetrized), c = M0^T y0 and ||y0||; evaluates
-    populations through ``group_terms``.  Its dense or gathered formulation
-    is fixed here from the taxon count and ``size_cap``, so every population
-    of one search is scored the same way; :meth:`with_size_cap` gives the
-    same arrays under another search's choice.  A gathered row scores the
-    same bits in any batch, so :func:`run_ga` scores only the rows a
-    generation changed when ``gathered`` is set.
+    populations through ``group_terms`` in the formulation the caller
+    names, so searches with different caps can share one objective.
     """
 
-    def __init__(self, M0: np.ndarray, y0: np.ndarray, size_cap: int | None = None):
+    def __init__(self, M0: np.ndarray, y0: np.ndarray):
         M0 = np.asarray(M0, dtype=np.float64)
         y0 = np.asarray(y0, dtype=np.float64)
         if M0.ndim != 2 or y0.ndim != 1 or M0.shape[0] != y0.shape[0]:
@@ -152,28 +147,15 @@ class Objective:
         self.cvec = M0.T @ y0
         self.y_norm = float(np.sqrt(y0 @ y0))
         self.n_taxa = M0.shape[1]
-        self.gathered = prefers_gathered(self.n_taxa, size_cap)
 
-    def with_size_cap(self, size_cap: int | None) -> "Objective":
-        """This objective as a search with ``size_cap`` scores it: itself
-        when that search makes the same dense/gathered choice, otherwise a
-        copy that shares its arrays."""
-        gathered = prefers_gathered(self.n_taxa, size_cap)
-        if gathered == self.gathered:
-            return self
-        other = copy.copy(self)
-        other.gathered = gathered
-        return other
-
-    def terms(self, population: np.ndarray):
+    def evaluate(self, population: np.ndarray, cfg: OptimizerConfig,
+                 gathered: bool):
+        """Return (raw, penalized, r, size) arrays for a population matrix,
+        scored by the gathered formulation if ``gathered``, else dense."""
         pop = np.ascontiguousarray(population, dtype=np.uint8)
         if pop.ndim != 2 or pop.shape[1] != self.n_taxa:
             raise ValidationError(f"chromosome length must be {self.n_taxa}")
-        return group_terms(pop, self.gram, self.cvec, self.gathered)
-
-    def evaluate(self, population: np.ndarray, cfg: OptimizerConfig):
-        """Return (raw, penalized, r, size) arrays for a population matrix."""
-        num, quad, size = self.terms(population)
+        num, quad, size = group_terms(pop, self.gram, self.cvec, gathered)
         ok = (size > 0) & (quad > DEGENERATE_QUAD)
         # degenerate rows keep raw = 0.0 and so r = 0.0
         raw = np.sqrt(quad, out=np.zeros(len(num)), where=ok)
@@ -224,13 +206,14 @@ def _draw(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
 
 
 def _rescore(objective, pop, cfg, scores, source, changed):
-    """(raw, penalized, r, size) of ``pop``, whose row i is row
-    ``source[i]`` of the last generation, with ``scores`` its arrays, unless
-    ``changed[i]``: only the changed rows go through the kernel."""
+    """(raw, penalized, r, size) of ``pop`` under the gathered formulation,
+    whose row i is row ``source[i]`` of the last generation, with ``scores``
+    its arrays, unless ``changed[i]``: only the changed rows go through the
+    kernel."""
     raw, pen, r, size = (values[source] for values in scores)
     rows = np.flatnonzero(changed)
     if rows.size:
-        fresh = objective.evaluate(pop[rows], cfg)
+        fresh = objective.evaluate(pop[rows], cfg, True)
         for values, new in zip((raw, pen, r, size), fresh):
             values[rows] = new
     return raw, pen, r, size
@@ -244,19 +227,19 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
     Returns the best chromosome ever seen (elitist archive; ties broken
     toward the lexicographically smallest bit vector), its evaluation, and a
     per-generation history table with columns ``HISTORY_COLUMNS``.
-    Deterministic given ``cfg.seed``.  A gathered search scores only the
+    Deterministic given ``cfg.seed``.  The search picks the dense or
+    gathered formulation once, from the taxon count and ``cfg.size_cap``,
+    and scores every population with it.  A gathered search scores only the
     rows that are not exact copies of a row of the previous generation.
     ``objective``, when given, is the :class:`Objective` of ``(M0, y0)``,
-    which are then not read; the search still makes its own dense/gathered
-    choice from ``cfg.size_cap``.
+    which are then not read.
     """
     if objective is None:
-        objective = Objective(M0, y0, cfg.size_cap)
-    else:
-        objective = objective.with_size_cap(cfg.size_cap)
+        objective = Objective(M0, y0)
     p = objective.n_taxa
     if p < 2:
         raise ValidationError("need at least 2 taxa to optimize over")
+    gathered = prefers_gathered(p, cfg.size_cap)
 
     m = cfg.population_size
     n_elite = math.ceil(cfg.elite_fraction * m)
@@ -277,7 +260,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
     changed = np.zeros(m, bool)
 
     pop = _initial_population(cfg, p, generator(cfg.seed, 0))
-    raw, pen, r, size = objective.evaluate(pop, cfg)
+    raw, pen, r, size = objective.evaluate(pop, cfg, gathered)
 
     archive = None  # (pen, bits_bytes, bits, raw, r, size)
     scores = [(pen, r, size)]
@@ -338,7 +321,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
         # a gathered row scores the same bits in any batch, so copies keep
         # their scores; a dense product may round a row differently in a
         # smaller batch, so a dense search scores every row
-        if objective.gathered:
+        if gathered:
             if n_elite:
                 source[:n_elite] = elite_order
             source[n_elite:] = parents[:n_off]
@@ -347,7 +330,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
             raw, pen, r, size = _rescore(objective, pop, cfg,
                                          (raw, pen, r, size), source, changed)
         else:
-            raw, pen, r, size = objective.evaluate(pop, cfg)
+            raw, pen, r, size = objective.evaluate(pop, cfg, False)
         improved = consider(pop, raw, pen, r, size)
         scores.append((pen, r, size))
         stagnation = 0 if improved else stagnation + 1

@@ -27,11 +27,11 @@ EDGE_COLUMNS = ("taxon_a", "taxon_b", "weight")
 
 @dataclass(frozen=True)
 class ImportanceResult:
-    """Aggregated importance vector I and pair matrix L over t runs."""
+    """Aggregated importance vector I and pair matrix L over the
+    (chromosome, r) pairs of ``per_run``."""
 
     taxon_importance: np.ndarray
     pair_importance: np.ndarray
-    runs: int
     per_run: tuple
 
     def __post_init__(self):
@@ -40,8 +40,8 @@ class ImportanceResult:
         p = I.shape[0]
         if I.ndim != 1 or L.shape != (p, p):
             raise ValidationError("importance vector/matrix shapes disagree")
-        if self.runs < 1:
-            raise ValidationError("runs must be >= 1")
+        if not self.per_run:
+            raise ValidationError("per_run must hold at least one run")
         if not np.array_equal(L, L.T):
             raise ValidationError("pair importance must be symmetric")
         if not np.array_equal(np.diag(L), I):
@@ -50,6 +50,10 @@ class ImportanceResult:
             raise ValidationError("importance entries must lie within [-1, 1]")
         object.__setattr__(self, "taxon_importance", I)
         object.__setattr__(self, "pair_importance", L)
+
+    @property
+    def runs(self) -> int:
+        return len(self.per_run)
 
     @property
     def n_taxa(self) -> int:
@@ -96,7 +100,7 @@ def aggregate_importance(runs) -> ImportanceResult:
     L /= t
     # diag(outer(x, x)) = x for binary x and the diagonal accumulates the
     # same terms in the same order as I, so diag(L) == I holds bitwise
-    return ImportanceResult(I, L, t, tuple(runs))
+    return ImportanceResult(I, L, tuple(runs))
 
 
 def discover_importance(M: np.ndarray, y: np.ndarray, cfg: OptimizerConfig,

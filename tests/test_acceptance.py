@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from coresponse._kernels import prefers_gathered
 from coresponse.analytics import centralities, louvain, modularity
 from coresponse.cli import main
 from coresponse.evaluation import evaluate_method, paired_t_test
@@ -183,13 +184,15 @@ class TestAcceptanceGate:
             cfg = OptimizerConfig(mode="size_cap", k_opt=3,
                                   seed=child_int(seed, 7))
             found = run_ga(M0, y0, cfg).best_eval.penalized_fitness
-            objective = Objective(M0, y0, cfg.size_cap)
+            objective = Objective(M0, y0)
+            gathered = prefers_gathered(12, cfg.size_cap)
             best = -np.inf
             for size in (1, 2, 3):
                 for combo in itertools.combinations(range(12), size):
                     bits = np.zeros(12, dtype=np.uint8)
                     bits[list(combo)] = 1
-                    _, pen, _, _ = objective.evaluate(bits[None], cfg)
+                    _, pen, _, _ = objective.evaluate(bits[None], cfg,
+                                                      gathered)
                     best = max(best, pen[0])
             if abs(found - best) <= 1e-9:
                 hits += 1
@@ -277,10 +280,11 @@ class TestAcceptanceGate:
         bits = (rng.random((1000, p)) < 0.3).astype(np.uint8)
         empty = bits.sum(axis=1) == 0
         bits[empty, rng.integers(0, p, size=int(empty.sum()))] = 1
-        objective = Objective(M0, y0, cfg.size_cap)
+        objective = Objective(M0, y0)
+        gathered = prefers_gathered(p, cfg.size_cap)
         worst = 0.0
         for row in bits:
-            surrogate = objective.evaluate(row[None], cfg)[2][0]
+            surrogate = objective.evaluate(row[None], cfg, gathered)[2][0]
             definitional = float(np.corrcoef(M @ row, y)[0, 1])
             worst = max(worst, abs(surrogate - definitional))
         ok = worst <= 1e-10
@@ -420,14 +424,18 @@ class TestAcceptanceGate:
                         "--importance", nodes, "--top-k", "3", "--seed", "2"],
         }
 
+        # only the searching commands take a thread count; the others run
+        # a third time without one
+        threaded = {"select-k", "discover", "evaluate"}
         failures = []
         checked = 0
         for name, argv in commands.items():
             outs = {}
             for tag, threads in (("a1", 1), ("b1", 1), ("c4", 4)):
                 out = tmp_path / f"{name}_{tag}"
-                assert main(argv + ["--threads", str(threads),
-                                    "--out", str(out)]) == 0
+                flags = (["--threads", str(threads)] if name in threaded
+                         else [])
+                assert main(argv + flags + ["--out", str(out)]) == 0
                 outs[tag] = out
             # the config snapshot echoes the invocation (--out, --threads),
             # so it is not a numeric output; everything else must match

@@ -257,7 +257,7 @@ class TestExitCodes:
     def test_unknown_method_exits_4(self, tmp_path, capsys):
         data = make_bundle(tmp_path)
         code = run(["evaluate", "--abundance", data / "abundance.csv",
-                    "--function", data / "function.csv", "--no-graph",
+                    "--function", data / "function.csv",
                     "--methods", "baseline,psychic", "--k", 2,
                     "--out", tmp_path / "out"] + GA_FAST)
         assert code == 4
@@ -267,7 +267,7 @@ class TestExitCodes:
         # a method compared with itself gives no paired t-test
         data = make_bundle(tmp_path)
         code = run(["evaluate", "--abundance", data / "abundance.csv",
-                    "--function", data / "function.csv", "--no-graph",
+                    "--function", data / "function.csv",
                     "--methods", "baseline,baseline_l1,baseline", "--k", 2,
                     "--mu", 0.01, "--repeats", 2,
                     "--out", tmp_path / "out"] + GA_FAST)
@@ -328,7 +328,7 @@ class TestExitCodes:
                             pytest.fail("evaluate searched"))
         data = make_bundle(tmp_path)
         code = run(["evaluate", "--abundance", data / "abundance.csv",
-                    "--function", data / "function.csv", "--no-graph",
+                    "--function", data / "function.csv",
                     "--methods", methods, "--k", 99, "--mu", 0.01,
                     "--repeats", 2, "--out", tmp_path / "out"] + GA_FAST)
         assert code == 4
@@ -339,9 +339,8 @@ class TestExitCodes:
     def test_k_at_taxon_count_is_accepted(self, tmp_path):
         data = make_bundle(tmp_path)
         common = ["--abundance", data / "abundance.csv",
-                  "--function", data / "function.csv", "--no-graph",
-                  "--k", 12] + GA_FAST
-        assert run(["discover", *common, "--runs", 1,
+                  "--function", data / "function.csv", "--k", 12] + GA_FAST
+        assert run(["discover", *common, "--no-graph", "--runs", 1,
                     "--out", tmp_path / "d"]) == 0
         assert len((tmp_path / "d" / "top_group.csv").read_text()
                    .splitlines()) == 1 + 12
@@ -354,7 +353,7 @@ class TestExitCodes:
         # first only to fail at the test
         data = make_bundle(tmp_path)
         code = run(["evaluate", "--abundance", data / "abundance.csv",
-                    "--function", data / "function.csv", "--no-graph",
+                    "--function", data / "function.csv",
                     "--methods", "baseline,baseline_l1", "--k", 2,
                     "--mu", 0.01, "--repeats", 1,
                     "--out", tmp_path / "out"] + GA_FAST)
@@ -374,7 +373,7 @@ class TestExitCodes:
                             lambda *args, **kwargs: calls.append(args))
         data = make_bundle(tmp_path)
         code = run(["evaluate", "--abundance", data / "abundance.csv",
-                    "--function", data / "function.csv", "--no-graph",
+                    "--function", data / "function.csv",
                     "--methods", methods, "--repeats", 2,
                     "--out", tmp_path / "out"] + GA_FAST)
         assert code == 4
@@ -386,21 +385,24 @@ class TestExitCodes:
     def test_single_repeat_with_one_method_runs(self, tmp_path):
         data = make_bundle(tmp_path)
         code = run(["evaluate", "--abundance", data / "abundance.csv",
-                    "--function", data / "function.csv", "--no-graph",
+                    "--function", data / "function.csv",
                     "--methods", "baseline", "--k", 2, "--repeats", 1,
                     "--out", tmp_path / "out"] + GA_FAST)
         assert code == 0
         assert not (tmp_path / "out" / "ttest.csv").exists()
 
-    def test_no_graph_with_graph_method_exits_4(self, tmp_path, capsys):
-        # the identity operator would run the baseline under the wrong label
+    def test_graph_method_without_adjacency_exits_4(self, tmp_path, capsys):
+        # without a network a graph method would run the baseline under its
+        # own label; the error names the flag that supplies one
         data = make_bundle(tmp_path)
         code = run(["evaluate", "--abundance", data / "abundance.csv",
-                    "--function", data / "function.csv", "--no-graph",
-                    "--methods", "convolved", "--k", 2, "--repeats", 2,
-                    "--out", tmp_path / "out"] + GA_FAST)
+                    "--function", data / "function.csv",
+                    "--methods", "baseline,convolved", "--k", 2,
+                    "--repeats", 2, "--out", tmp_path / "out"] + GA_FAST)
         assert code == 4
-        assert "convolved" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'convolved'" in err and "--adjacency" in err
+        assert "baseline'" not in err and "--no-graph" not in err
         assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_non_numeric_importance_exits_3(self, tmp_path, capsys):
@@ -473,11 +475,78 @@ class TestExitCodes:
         "synth": [],
     }
 
+    # every command's settable values: ingest and infer-net draw nothing,
+    # and only the searching commands take a thread count
+    COMMON = {"out", "config", "delimiter"}
+    SEARCH = {"population_size", "max_generations", "stagnation_limit",
+              "seed", "threads"}
+    OPTIONS = {
+        "ingest": COMMON | {"abundance", "function", "orientation",
+                            "max_zero_fraction", "css_quantile",
+                            "css_scale"},
+        "infer-net": COMMON | {"abundance", "mu1", "mu2", "tolerance"},
+        "select-k": COMMON | SEARCH | {"abundance", "function", "adjacency",
+                                       "no_graph", "k_min", "k_max",
+                                       "repeats"},
+        "discover": COMMON | SEARCH | {"abundance", "function", "adjacency",
+                                       "no_graph", "mode", "k", "mu",
+                                       "mu_grid", "runs", "top_k",
+                                       "display_threshold"},
+        "evaluate": COMMON | SEARCH | {"abundance", "function", "adjacency",
+                                       "methods", "k", "mu", "mu_grid",
+                                       "repeats", "fraction", "strata",
+                                       "inner_repeats"},
+        "analyze": COMMON | {"adjacency", "importance", "top_k",
+                             "resolution", "min_weight", "seed"},
+        "synth": COMMON | {"n_samples", "n_taxa", "n_blocks", "intra",
+                           "inter", "planted", "planted_size",
+                           "noise_sigma", "seed"},
+    }
+    THREADED = sorted(c for c, options in OPTIONS.items()
+                      if "threads" in options)
+
     def test_every_command_is_checked(self):
         assert set(self.REQUIRED) == set(build_parser().subcommands)
 
+    def test_option_sets(self):
+        options = {name: [action.dest for action in sub._actions
+                          if action.dest != "help"]
+                   for name, sub in build_parser().subcommands.items()}
+        sets = {name: set(dests) for name, dests in options.items()}
+        assert sets == self.OPTIONS
+        assert sum(map(len, options.values())) == 90
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--threads=2")
+          for command in ("ingest", "infer-net", "analyze", "synth")),
+        ("ingest", "--seed=1"), ("infer-net", "--seed=1"),
+        ("evaluate", "--no-graph")])
+    def test_removed_flag_exits_2(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([command, *self.REQUIRED[command], flag])
+        assert exc.value.code == 2
+
+    def test_shared_config_keys_still_run(self, tmp_path):
+        # seed, threads and no_graph are read by other commands, so a
+        # config file shared across commands may hold them
+        data = make_bundle(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=7\nthreads=2\nno_graph=true\n")
+        data_flags = ["--abundance", data / "abundance.csv",
+                      "--function", data / "function.csv"]
+        for argv in (["ingest", *data_flags],
+                     ["infer-net", "--abundance", data / "abundance.csv"],
+                     ["evaluate", *data_flags, "--methods", "baseline",
+                      "--k", 2, "--repeats", 2, *GA_FAST]):
+            out = tmp_path / argv[0]
+            assert run([*argv, "--config", config, "--out", out]) == 0
+        snapshot = (tmp_path / "evaluate" / "resolved_config.txt").read_text()
+        assert "seed=7\n" in snapshot and "threads=2\n" in snapshot
+        assert "seed=" not in (tmp_path / "ingest" /
+                               "resolved_config.txt").read_text()
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
-    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    @pytest.mark.parametrize("command", THREADED)
     def test_bad_thread_count_exits_4(self, tmp_path, capsys, command,
                                       threads):
         code = run([command, *self.REQUIRED[command], f"--threads={threads}",
@@ -489,7 +558,8 @@ class TestExitCodes:
     def test_bad_thread_count_from_config_exits_4(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("threads=0\n")
-        code = run(["synth", "--config", config, "--out", tmp_path / "out"])
+        code = run(["select-k", *self.REQUIRED["select-k"], "--config",
+                    config, "--out", tmp_path / "out"])
         assert code == 4
         assert "--threads" in capsys.readouterr().err
 
@@ -835,6 +905,25 @@ class TestPipeline:
                        .splitlines()[1:])
         top = (out / "top_group.csv").read_text().splitlines()[1:]
         assert int(summary["top_k"]) == len(top) >= 1
+
+    @pytest.mark.parametrize("mode, blank, kept", [
+        (["--k", 2, "--mu", 0.5], "mu", ("k", "2")),
+        (["--mode", "l1", "--mu", 0.02, "--k", 5], "k", ("mu", "0.02"))],
+        ids=["size_cap", "l1"])
+    def test_summary_leaves_unused_settings_blank(self, tmp_path, mode, blank,
+                                                  kept):
+        # a capped search uses no mu and an l1 search no k, even when given
+        data = make_bundle(tmp_path)
+        out = tmp_path / "discover"
+        code = run(["discover", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--runs", 2, "--out", out] + mode + GA_FAST)
+        assert code == 0
+        summary = dict(line.split(",", 1) for line in
+                       (out / "discovery_summary.csv").read_text()
+                       .splitlines()[1:])
+        assert summary[blank] == ""
+        assert summary[kept[0]] == kept[1]
 
     def test_chosen_k_minimizes_summary_mean_aic(self, tmp_path):
         data = make_bundle(tmp_path)

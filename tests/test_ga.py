@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coresponse import ga
-from coresponse._kernels import group_terms
+from coresponse._kernels import group_terms, prefers_gathered
 from coresponse.errors import ValidationError
 from coresponse.evaluation import evaluate_method
 from coresponse.ga import (ALPHA, DEGENERATE_QUAD, HISTORY_COLUMNS,
@@ -38,8 +38,10 @@ def centered_problem(seed, n=40, p=10):
 
 def score_one(bits, M0, y0, cfg):
     """Score one chromosome as the search scores a population of one."""
-    objective = Objective(M0, y0, cfg.size_cap)
-    raw, pen, r, size = objective.evaluate(np.asarray(bits)[None], cfg)
+    objective = Objective(M0, y0)
+    gathered = prefers_gathered(objective.n_taxa, cfg.size_cap)
+    raw, pen, r, size = objective.evaluate(np.asarray(bits)[None], cfg,
+                                           gathered)
     return FitnessEvaluation(float(raw[0]), float(r[0]), float(pen[0]),
                              int(size[0]))
 
@@ -127,7 +129,7 @@ class TestFitness:
         pop = (rng.random((30, 10)) < 0.4).astype(np.uint8)
         cfg = OptimizerConfig(mode="size_cap", k_opt=3)
         objective = Objective(M0, y0)
-        raw, pen, r, size = objective.evaluate(pop, cfg)
+        raw, pen, r, size = objective.evaluate(pop, cfg, False)
         for i in range(30):
             ev = score_one(pop[i], M0, y0, cfg)
             np.testing.assert_allclose(
@@ -389,7 +391,8 @@ def _reference_evaluate(objective, population, cfg):
     """Objective.evaluate as masked gathers and scatters, sizes by a uint8 sum."""
     pop = np.ascontiguousarray(population, dtype=np.uint8)
     num, quad, _ = group_terms(pop, objective.gram, objective.cvec,
-                               objective.gathered)
+                               prefers_gathered(objective.n_taxa,
+                                                cfg.size_cap))
     size = pop.sum(axis=1).astype(np.int64)
     ok = (size > 0) & (quad > DEGENERATE_QUAD)
     raw = np.zeros(len(num))
@@ -410,7 +413,7 @@ def _reference_run_ga(M0, y0, cfg, record_populations=False):
     """The genetic search written plainly: rng.choice for the parents,
     np.where crossovers, per-generation history reductions and an archive
     check on every generation.  run_ga must match it bit for bit."""
-    objective = Objective(M0, y0, cfg.size_cap)
+    objective = Objective(M0, y0)
     p = objective.n_taxa
     pop = _initial_population(cfg, p, generator(cfg.seed, 0))
     raw, pen, r, size = _reference_evaluate(objective, pop, cfg)
@@ -599,8 +602,7 @@ class TestRunGaOracle:
                     if case[0] > 60 and "crossover_prob" in case[3]]
         assert len(extremes) == 24
         for p, _, _, kw in extremes:
-            assert Objective(np.zeros((2, p)), np.zeros(2),
-                             OptimizerConfig(**kw).size_cap).gathered
+            assert prefers_gathered(p, OptimizerConfig(**kw).size_cap)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 300),
@@ -641,7 +643,7 @@ class TestRowsScored:
         M0, y0 = oracle_problem(300, 0)
         cfg = OptimizerConfig(mode="size_cap", k_opt=6, max_generations=20,
                               seed=3)
-        assert Objective(M0, y0, cfg.size_cap).gathered
+        assert prefers_gathered(300, cfg.size_cap)
         scored, every = self.rows_scored(monkeypatch, M0, y0, cfg)
         assert scored < every
 
@@ -658,7 +660,7 @@ class TestRowsScored:
         M0, y0 = oracle_problem(60, 0)
         cfg = OptimizerConfig(mode="size_cap", k_opt=6, max_generations=20,
                               seed=3)
-        assert not Objective(M0, y0, cfg.size_cap).gathered
+        assert not prefers_gathered(60, cfg.size_cap)
         scored, every = self.rows_scored(monkeypatch, M0, y0, cfg)
         assert scored == every
 

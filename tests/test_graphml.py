@@ -192,7 +192,7 @@ def signed_importance(p, seed):
         xf = x.astype(np.float64)
         I += r * xf
         L += r * np.outer(xf, xf)
-    return ImportanceResult(I / len(runs), L / len(runs), len(runs), ())
+    return ImportanceResult(I / len(runs), L / len(runs), tuple(runs))
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.12, 1.0])

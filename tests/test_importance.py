@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coresponse.errors import ValidationError
-from coresponse.ga import OptimizerConfig
+from coresponse.ga import GroupChromosome, OptimizerConfig
 from coresponse.importance import (DiscoveryReport, ImportanceResult,
                                    aggregate_importance, discover_importance,
                                    mean_relative_abundance,
@@ -83,28 +83,39 @@ class TestAggregate:
                                    rtol=1e-12)
 
 
+#: the per-run pairs of a hand-built result; they are not checked against I
+ONE_RUN = ((GroupChromosome(np.array([1, 0], dtype=np.uint8)), 0.5),)
+
+
 class TestResultValidation:
+    def test_runs_counts_per_run(self):
+        I = np.array([0.5, 0.0])
+        assert ImportanceResult(I, np.diag(I), ONE_RUN).runs == 1
+        assert ImportanceResult(I, np.diag(I), ONE_RUN * 3).runs == 3
+        with pytest.raises(ValidationError, match="at least one run"):
+            ImportanceResult(I, np.diag(I), ())
+
     def test_forged_diagonal_rejected(self):
         I = np.array([0.5, 0.25])
         L = np.array([[0.4, 0.1], [0.1, 0.25]])
         with pytest.raises(ValidationError, match="diag"):
-            ImportanceResult(I, L, 1, ())
+            ImportanceResult(I, L, ONE_RUN)
 
     def test_asymmetric_rejected(self):
         I = np.array([0.5, 0.25])
         L = np.array([[0.5, 0.1], [0.2, 0.25]])
         with pytest.raises(ValidationError, match="symmetric"):
-            ImportanceResult(I, L, 1, ())
+            ImportanceResult(I, L, ONE_RUN)
 
     def test_out_of_range_rejected(self):
         I = np.array([1.5, 0.0])
         L = np.diag(I)
         with pytest.raises(ValidationError, match="within"):
-            ImportanceResult(I, L, 1, ())
+            ImportanceResult(I, L, ONE_RUN)
 
     def test_top_indices_stable_ties(self):
         I = np.array([0.5, 0.9, 0.5, 0.1])
-        result = ImportanceResult(I, np.diag(I), 1, ())
+        result = ImportanceResult(I, np.diag(I), ONE_RUN)
         np.testing.assert_array_equal(result.top_indices(3), [1, 0, 2])
         with pytest.raises(ValidationError):
             result.top_indices(0)

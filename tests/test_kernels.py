@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coresponse import _kernels, ga
-from coresponse.ga import Objective, OptimizerConfig, run_ga
+from coresponse.ga import OptimizerConfig, run_ga
 
 
 def random_problem(seed, m=40, p=25, n=60):
@@ -135,15 +135,24 @@ class TestFormulationChoice:
         assert _kernels.prefers_gathered(first, cap)
         assert not _kernels.prefers_gathered(first - 1, cap)
 
-    def test_objective_fixes_the_choice_once(self):
+    def test_search_fixes_the_choice_once(self, monkeypatch):
+        # run_ga asks once per search, with its taxon count and its cap
         rng = np.random.default_rng(0)
         M0 = rng.normal(size=(20, 1000))
         y0 = rng.normal(size=20)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=10)
-        assert Objective(M0, y0, cfg.size_cap).gathered
-        assert not Objective(M0, y0, 60).gathered
-        assert Objective(M0, y0, OptimizerConfig(mode="l1").size_cap).gathered
-        assert not Objective(M0[:, :400], y0).gathered
+        asked = []
+
+        def asking(p, cap):
+            asked.append((p, cap))
+            return _kernels.prefers_gathered(p, cap)
+
+        monkeypatch.setattr(ga, "prefers_gathered", asking)
+        for kw in ({"mode": "size_cap", "k_opt": 10},
+                   {"mode": "size_cap", "k_opt": 60}, {"mode": "l1"}):
+            run_ga(M0, y0, OptimizerConfig(max_generations=3, **kw))
+        assert asked == [(1000, 10), (1000, 60), (1000, None)]
+        assert [_kernels.prefers_gathered(*call) for call in asked] == [
+            True, False, True]
 
 
 def scale_problem(seed, p=1000, n=100, planted=10):
@@ -170,7 +179,7 @@ class TestGaSearch:
         M0, y0 = scale_problem(seed)
         cfg = OptimizerConfig(mode="size_cap", k_opt=10, max_generations=80,
                               seed=seed)
-        assert Objective(M0, y0, cfg.size_cap).gathered
+        assert _kernels.prefers_gathered(1000, cfg.size_cap)
         gathered = run_ga(M0, y0, cfg)
         monkeypatch.setattr(ga, "prefers_gathered", lambda p, cap: False)
         dense = run_ga(M0, y0, cfg)
@@ -252,7 +261,7 @@ def kkt_residuals(gram, B, mu1, mu2):
 
 def two_step(gram, mu1, mu2, loose=1e-2, tol=1e-12):
     B0, _, _ = _kernels.enet_coordinate_descent(gram, mu1, mu2, 10000, loose)
-    return _kernels.enet_kkt_finish(gram, B0, mu1, mu2, tol, 1000)[0]
+    return _kernels.enet_kkt_finish(gram, B0, mu1, mu2, tol)[0]
 
 
 class TestKktFinish:
@@ -271,8 +280,7 @@ class TestKktFinish:
             # one of the solution must enter
             B0 = np.full((p, p), float(start == "all"))
             np.fill_diagonal(B0, 0.0)
-        B, rounds = _kernels.enet_kkt_finish(gram, B0, mu1, mu2, 1e-12,
-                                             10 * p)
+        B, rounds = _kernels.enet_kkt_finish(gram, B0, mu1, mu2, 1e-12)
         assert (B >= 0).all()
         assert not np.diag(B).any()
         assert (rounds >= 1).all()
@@ -291,7 +299,7 @@ class TestKktFinish:
         starts.append(np.zeros_like(gram))
         finished = []
         for B0 in starts:
-            B, _ = _kernels.enet_kkt_finish(gram, B0, 0.1, 0.01, 1e-8, 200)
+            B, _ = _kernels.enet_kkt_finish(gram, B0, 0.1, 0.01, 1e-8)
             finished.append(B)
         assert (finished[0] > 0).sum() > 60
         for B in finished[1:]:
@@ -306,7 +314,7 @@ class TestKktFinish:
     def test_full_shrinkage_under_large_l1(self):
         gram = standardized_gram(5, p=6)
         B0 = np.ones((6, 6)) - np.eye(6)
-        B, _ = _kernels.enet_kkt_finish(gram, B0, 1e6, 0.0, 1e-12, 100)
+        B, _ = _kernels.enet_kkt_finish(gram, B0, 1e6, 0.0, 1e-12)
         assert np.array_equal(B, np.zeros_like(B))
 
     def test_singular_support_names_the_column(self):
@@ -317,18 +325,21 @@ class TestKktFinish:
         B0 = np.zeros((4, 4))
         B0[[0, 1], 2] = 0.2
         with pytest.raises(_kernels.FinishError) as exc:
-            _kernels.enet_kkt_finish(gram, B0, 0.01, 0.0, 1e-12, 100)
+            _kernels.enet_kkt_finish(gram, B0, 0.01, 0.0, 1e-12)
         assert (exc.value.column, exc.value.reason) == (2, "singular")
         # a ridge term makes the same system solvable
-        B, _ = _kernels.enet_kkt_finish(gram, B0, 0.01, 0.01, 1e-12, 100)
+        B, _ = _kernels.enet_kkt_finish(gram, B0, 0.01, 0.01, 1e-12)
         assert B[0, 2] > 0
         assert B[1, 2] == pytest.approx(B[0, 2], rel=1e-12)
 
-    def test_round_cap_names_the_column(self):
+    def test_round_cap_names_the_column(self, monkeypatch):
+        # one solve allowed per column instead of 2p + 1
+        finish_column = _kernels._finish_column
+        monkeypatch.setattr(_kernels, "_finish_column",
+                            lambda *args: finish_column(*args[:-1], 1))
         gram = standardized_gram(7, p=5, mix=1.0)
         with pytest.raises(_kernels.FinishError) as exc:
-            _kernels.enet_kkt_finish(gram, np.zeros((5, 5)), 0.0, 0.01, 1e-12,
-                                     1)
+            _kernels.enet_kkt_finish(gram, np.zeros((5, 5)), 0.0, 0.01, 1e-12)
         assert (exc.value.column, exc.value.reason) == (0, "unsettled")
 
 

@@ -508,12 +508,12 @@ class TestInferNetwork:
     def test_unsettled_column_is_named(self, monkeypatch):
         # finish from an empty support with one round allowed; the first
         # active column is t1 because t0 is constant
-        finish = _kernels.enet_kkt_finish
+        finish_column = _kernels._finish_column
 
-        def one_round(gram, B0, mu1, mu2, tol):
-            return finish(gram, np.zeros_like(B0), mu1, mu2, tol, 1)
+        def one_round(gram, j, b0, mu1, mu2, tol, max_rounds):
+            return finish_column(gram, j, np.zeros_like(b0), mu1, mu2, tol, 1)
 
-        monkeypatch.setattr(network, "enet_kkt_finish", one_round)
+        monkeypatch.setattr(_kernels, "_finish_column", one_round)
         values = proportional_taxa()
         values[:, 0] = 1.0
         with pytest.raises(NumericError, match="did not converge on column 't1'"):
