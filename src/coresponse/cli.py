@@ -100,9 +100,9 @@ def _load_dataset(args):
 
 
 def _check_k(args, abundance) -> None:
-    """Reject a --k past the taxon count: every such cap is the all-taxa
-    search."""
-    if args.k is not None and args.k > abundance.n_taxa:
+    """Reject a capped search's --k past the taxon count: every such cap is
+    the all-taxa search."""
+    if args.k > abundance.n_taxa:
         raise ValidationError(f"--k {args.k} exceeds the "
                               f"{abundance.n_taxa} taxa")
 
@@ -165,14 +165,13 @@ def cmd_discover(args) -> None:
     out = _out_dir(args)
     delim = _delimiter(args)
     abundance, function = _load_dataset(args)
-    _check_k(args, abundance)
-    M = convolved_matrix(abundance, _load_network(args, abundance))
-
     if args.mode == "size_cap":
         if args.k is None:
             raise ValidationError("size_cap mode needs --k (run select-k first)")
+        _check_k(args, abundance)
         cfg = _ga_config(args, "size_cap", k_opt=args.k)
-    else:
+    M = convolved_matrix(abundance, _load_network(args, abundance))
+    if args.mode == "l1":
         mu = args.mu
         if mu is None:
             tune_cfg = _ga_config(args, "l1")
@@ -233,10 +232,11 @@ def cmd_evaluate(args) -> None:
         raise ValidationError(
             "the paired t-test between methods needs --repeats >= 2")
     capped = [tag for tag in methods if not tag.endswith("_l1")]
-    if capped and args.k is None:
-        raise ValidationError(
-            f"method(s) {capped} need --k (run select-k first)")
-    _check_k(args, abundance)
+    if capped:
+        if args.k is None:
+            raise ValidationError(
+                f"method(s) {capped} need --k (run select-k first)")
+        _check_k(args, abundance)
     graph_methods = [tag for tag in methods if not tag.startswith("baseline")]
     if graph_methods and args.adjacency is None:
         raise ValidationError(

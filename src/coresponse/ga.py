@@ -32,6 +32,13 @@ DEGENERATE_QUAD = 1e-15
 
 MODES = ("size_cap", "l1")
 
+#: operator rates: each child pair is crossed with CROSSOVER_PROB, each
+#: child mutated with MUTATION_PROB, and ceil(ELITE_FRACTION * m) of the m
+#: rows are copied over as elites
+CROSSOVER_PROB = 0.8
+MUTATION_PROB = 0.1
+ELITE_FRACTION = 0.05
+
 HISTORY_COLUMNS = (
     "generation",
     "max_fitness",
@@ -73,11 +80,8 @@ class OptimizerConfig:
     k_opt: int | None = None
     mu: float = 0.0
     population_size: int = 200
-    crossover_prob: float = 0.8
-    mutation_prob: float = 0.1
     max_generations: int = 500
     stagnation_limit: int = 50
-    elite_fraction: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -90,12 +94,8 @@ class OptimizerConfig:
             raise ValidationError("mu must be finite and >= 0")
         if self.population_size < 2:
             raise ValidationError("population_size must be >= 2")
-        if not 0.0 <= self.crossover_prob <= 1.0 or not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValidationError("probabilities must be in [0, 1]")
         if self.max_generations < 1 or self.stagnation_limit < 1:
             raise ValidationError("max_generations and stagnation_limit must be >= 1")
-        if not 0.0 <= self.elite_fraction < 1.0:
-            raise ValidationError("elite_fraction must be in [0, 1)")
 
     @property
     def size_cap(self) -> int | None:
@@ -124,7 +124,6 @@ class GAResult:
     best: GroupChromosome
     best_eval: FitnessEvaluation
     history: np.ndarray
-    populations: tuple[np.ndarray, ...] | None = None
 
 
 class Objective:
@@ -219,8 +218,7 @@ def _rescore(objective, pop, cfg, scores, source, changed):
     return raw, pen, r, size
 
 
-def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
-           record_populations: bool = False, *,
+def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig, *,
            objective: Objective | None = None) -> GAResult:
     """Run the genetic search on centered data.
 
@@ -242,7 +240,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
     gathered = prefers_gathered(p, cfg.size_cap)
 
     m = cfg.population_size
-    n_elite = math.ceil(cfg.elite_fraction * m)
+    n_elite = math.ceil(ELITE_FRACTION * m)
     n_off = m - n_elite
     n_pairs = (n_off + 1) // 2
     cols = np.arange(p)
@@ -264,7 +262,6 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
 
     archive = None  # (pen, bits_bytes, bits, raw, r, size)
     scores = [(pen, r, size)]
-    populations = [pop.copy()] if record_populations else None
 
     def consider(pop, raw, pen, r, size):
         """Update the best-ever archive; True iff best fitness improved."""
@@ -294,9 +291,8 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
             break
         rng = generator(cfg.seed, gen)
         nxt = buffers[gen % 2]
-        if n_elite:
-            elite_order = np.argsort(-pen, kind="stable")[:n_elite]
-            np.take(pop, elite_order, axis=0, out=nxt[:n_elite])
+        elite_order = np.argsort(-pen, kind="stable")[:n_elite]
+        np.take(pop, elite_order, axis=0, out=nxt[:n_elite])
 
         # linear-rank selection
         probs = np.empty(m)
@@ -307,12 +303,12 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
         # single-point crossover: XOR both parents with the bits where they
         # differ past the cut, which swaps their tails
         cross_points = rng.integers(1, p, size=n_pairs)
-        do_cross = rng.random(n_pairs) < cfg.crossover_prob
+        do_cross = rng.random(n_pairs) < CROSSOVER_PROB
         diff = pairs[:, 0] ^ pairs[:, 1]
         diff &= cols >= np.where(do_cross, cross_points, p)[:, None]
         np.bitwise_xor(pairs, diff[:, None], out=children[gen % 2])
 
-        do_mutate = rng.random(n_off) < cfg.mutation_prob
+        do_mutate = rng.random(n_off) < MUTATION_PROB
         flip_at = rng.integers(0, p, size=n_off)
         rows = np.flatnonzero(do_mutate)
         nxt[n_elite + rows, flip_at[rows]] ^= 1
@@ -322,8 +318,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
         # their scores; a dense product may round a row differently in a
         # smaller batch, so a dense search scores every row
         if gathered:
-            if n_elite:
-                source[:n_elite] = elite_order
+            source[:n_elite] = elite_order
             source[n_elite:] = parents[:n_off]
             changed[n_elite:] = np.repeat(diff.any(axis=1), 2)[:n_off]
             changed[n_elite:] |= do_mutate
@@ -334,8 +329,6 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
         improved = consider(pop, raw, pen, r, size)
         scores.append((pen, r, size))
         stagnation = 0 if improved else stagnation + 1
-        if record_populations:
-            populations.append(pop.copy())
 
     best_pen, _, best_bits, best_raw, best_r, best_size = archive
     if cfg.mode == "size_cap" and best_size > cfg.k_opt:
@@ -349,12 +342,8 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig,
         np.arange(len(scores), dtype=np.float64), pens.max(axis=1),
         pens.mean(axis=1), rs.max(axis=1), rs.mean(axis=1), sizes.mean(axis=1),
     ])
-    return GAResult(
-        best=GroupChromosome(best_bits),
-        best_eval=best_eval,
-        history=history,
-        populations=tuple(populations) if record_populations else None,
-    )
+    return GAResult(best=GroupChromosome(best_bits), best_eval=best_eval,
+                    history=history)
 
 
 def group_r(M: np.ndarray, y: np.ndarray, indices) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .ga import GroupChromosome, OptimizerConfig, group_r, run_many
+from .ga import OptimizerConfig, group_r, run_many
 from .utils import child_int
 
 DEFAULT_RUNS = 10
@@ -80,9 +80,8 @@ class DiscoveryReport:
 
 
 def aggregate_importance(runs) -> ImportanceResult:
-    """Average (chromosome, r) pairs into I and L."""
-    runs = [(x if isinstance(x, GroupChromosome) else GroupChromosome(np.asarray(x)), float(r))
-            for x, r in runs]
+    """Average (GroupChromosome, r) pairs into I and L."""
+    runs = [(x, float(r)) for x, r in runs]
     if not runs:
         raise ValidationError("cannot aggregate an empty run list")
     p = runs[0][0].bits.shape[0]

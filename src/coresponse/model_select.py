@@ -18,8 +18,6 @@ from .errors import ValidationError
 from .ga import GroupChromosome, OptimizerConfig, check_search_data, run_many
 from .utils import child_int
 
-DEFAULT_K_RANGE = (2, 50)
-DEFAULT_REPEATS = 10
 #: candidate l1 penalty weights, strongest first
 DEFAULT_MU_GRID = tuple(1.0 / d for d in range(30, 101, 10))
 
@@ -64,7 +62,7 @@ class ModelSelectionResult:
         object.__setattr__(self, "chosen_mu", mu_row[0])
 
 
-def aic_for_group(x, M: np.ndarray, y: np.ndarray) -> float:
+def aic_for_group(x: GroupChromosome, M: np.ndarray, y: np.ndarray) -> float:
     """AIC of the regression y ~ intercept + slope * (M x).
 
     The group size plays the role of the parameter count: the score is
@@ -72,7 +70,7 @@ def aic_for_group(x, M: np.ndarray, y: np.ndarray) -> float:
     lnL = -(n/2) (ln(2*pi*RSS/n) + 1).  RSS is floored at
     1e-12 * n * var(y) so perfect fits stay finite.
     """
-    bits = x.bits if isinstance(x, GroupChromosome) else GroupChromosome(np.asarray(x)).bits
+    bits = x.bits
     M = np.asarray(M, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if M.ndim != 2 or y.ndim != 1 or M.shape[0] != y.shape[0]:
@@ -100,9 +98,8 @@ def aic_for_group(x, M: np.ndarray, y: np.ndarray) -> float:
     return 2.0 * k - 2.0 * lnl
 
 
-def sweep_k(M: np.ndarray, y: np.ndarray, k_range=DEFAULT_K_RANGE,
-            repeats: int = DEFAULT_REPEATS, cfg: OptimizerConfig | None = None,
-            *, threads: int = 1) -> ModelSelectionResult:
+def sweep_k(M: np.ndarray, y: np.ndarray, k_range, repeats: int,
+            cfg: OptimizerConfig, *, threads: int = 1) -> ModelSelectionResult:
     """Repeat the capped search for every k in ``k_range`` and pick by AIC.
 
     ``k_range`` is an inclusive (low, high) interval.  Each (k, repeat) run
@@ -114,8 +111,6 @@ def sweep_k(M: np.ndarray, y: np.ndarray, k_range=DEFAULT_K_RANGE,
         raise ValidationError("k_range must be an interval with 1 <= low <= high")
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
-    if cfg is None:
-        cfg = OptimizerConfig(mode="size_cap", k_opt=lo)
 
     coords = [(k, rep) for k in range(lo, hi + 1) for rep in range(repeats)]
     jobs = [(replace(cfg, mode="size_cap", k_opt=k,
@@ -133,8 +128,8 @@ def sweep_k(M: np.ndarray, y: np.ndarray, k_range=DEFAULT_K_RANGE,
     return ModelSelectionResult(per_k=tuple(per_k), runs=tuple(runs))
 
 
-def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
-             cfg: OptimizerConfig | None = None, *, n_strata: int = 10,
+def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid,
+             cfg: OptimizerConfig, *, n_strata: int = 10,
              inner_repeats: int = 1, threads: int = 1) -> ModelSelectionResult:
     """Score every mu on inner stratified splits of the training data.
 
@@ -153,8 +148,6 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid=DEFAULT_MU_GRID,
         raise ValidationError("mu values must be finite and >= 0")
     if inner_repeats < 1:
         raise ValidationError("inner_repeats must be >= 1")
-    if cfg is None:
-        cfg = OptimizerConfig(mode="l1")
     M_train, y_train = check_search_data(M_train, y_train)
 
     jobs = []

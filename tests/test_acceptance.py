@@ -21,7 +21,7 @@ from coresponse._kernels import prefers_gathered
 from coresponse.analytics import centralities, louvain, modularity
 from coresponse.cli import main
 from coresponse.evaluation import evaluate_method, paired_t_test
-from coresponse.ga import Objective, OptimizerConfig, run_ga
+from coresponse.ga import GroupChromosome, Objective, OptimizerConfig, run_ga
 from coresponse.importance import aggregate_importance
 from coresponse.ingest import AbundanceMatrix
 from coresponse.model_select import DEFAULT_MU_GRID, mu_sweep, sweep_k
@@ -118,7 +118,8 @@ class TestAcceptanceGate:
         report(1, "convolution oracle", ok,
                f"max abs err {worst:.2e} (tol 1e-12), {elapsed:.2f}s (< 1s)")
 
-    def test_02_zero_graph_pipeline_equals_no_graph_baseline(self, tmp_path):
+    def test_02_zero_graph_pipeline_equals_no_graph_baseline(
+            self, tmp_path, run_recorded):
         """An all-zero graph reproduces the graph-free path bit for bit."""
         start = time.perf_counter()
         spec = recovery_spec(0, n_samples=40, n_taxa=12, n_blocks=3,
@@ -133,14 +134,13 @@ class TestAcceptanceGate:
 
         cfg = OptimizerConfig(mode="size_cap", k_opt=3, seed=42)
         y0 = y - y.mean()
-        ga_conv = run_ga(conv - conv.mean(axis=0), y0, cfg,
-                         record_populations=True)
-        ga_raw = run_ga(H.values - H.values.mean(axis=0), y0, cfg,
-                        record_populations=True)
+        ga_conv, pops_conv = run_recorded(conv - conv.mean(axis=0), y0, cfg)
+        ga_raw, pops_raw = run_recorded(H.values - H.values.mean(axis=0), y0,
+                                        cfg)
         same_pops = (
-            len(ga_conv.populations) == len(ga_raw.populations)
+            len(pops_conv) == len(pops_raw) == len(ga_conv.history)
             and all(np.array_equal(a, b) for a, b in
-                    zip(ga_conv.populations, ga_raw.populations)))
+                    zip(pops_conv, pops_raw)))
         same_history = np.array_equal(ga_conv.history, ga_raw.history)
         same_best = (
             np.array_equal(ga_conv.best.bits, ga_raw.best.bits)
@@ -292,7 +292,8 @@ class TestAcceptanceGate:
                f"max |surrogate - Pearson| {worst:.2e} over 1000 "
                f"chromosomes (tol 1e-10)")
 
-    def test_08_response_scaling_leaves_search_trajectory_identical(self):
+    def test_08_response_scaling_leaves_search_trajectory_identical(
+            self, run_recorded):
         """Scaling y by 10 changes no selection, mutation or outcome."""
         bundle = generate(recovery_spec(
             3, n_samples=40, n_taxa=12, n_blocks=3,
@@ -302,12 +303,11 @@ class TestAcceptanceGate:
         M0 = M - M.mean(axis=0)
         y0 = y - y.mean()
         cfg = OptimizerConfig(mode="size_cap", k_opt=3, seed=5)
-        ga_a = run_ga(M0, y0, cfg, record_populations=True)
-        ga_b = run_ga(M0, y0 * 10.0, cfg, record_populations=True)
+        ga_a, pops_a = run_recorded(M0, y0, cfg)
+        ga_b, pops_b = run_recorded(M0, y0 * 10.0, cfg)
         same_pops = (
-            len(ga_a.populations) == len(ga_b.populations)
-            and all(np.array_equal(a, b) for a, b in
-                    zip(ga_a.populations, ga_b.populations)))
+            len(pops_a) == len(pops_b) == len(ga_a.history)
+            and all(np.array_equal(a, b) for a, b in zip(pops_a, pops_b)))
         same_best = np.array_equal(ga_a.best.bits, ga_b.best.bits)
         # fitness columns scale with y; the correlation columns do not
         r_close = np.allclose(ga_a.history[:, 3:5], ga_b.history[:, 3:5],
@@ -315,7 +315,7 @@ class TestAcceptanceGate:
         ok = same_pops and same_best and r_close
         report(8, "argmax scale invariance", ok,
                f"populations={same_pops} best={same_best} r-history="
-               f"{r_close} over {len(ga_a.populations)} generations")
+               f"{r_close} over {len(pops_a)} generations")
 
     def test_09_importance_matrix_diagonal_equals_vector(self):
         """diag(L) == I bitwise, and the two-run hand example is exact."""
@@ -324,7 +324,7 @@ class TestAcceptanceGate:
         for _ in range(50):
             p = int(rng.integers(1, 40))
             t = int(rng.integers(1, 12))
-            runs = [((rng.random(p) < 0.4).astype(np.uint8),
+            runs = [(GroupChromosome(rng.random(p) < 0.4),
                      float(rng.uniform(-1, 1))) for _ in range(t)]
             agg = aggregate_importance(runs)
             if not np.array_equal(np.diag(agg.pair_importance),
@@ -333,8 +333,8 @@ class TestAcceptanceGate:
                 break
 
         hand = aggregate_importance([
-            (np.array([1, 1, 0], dtype=np.uint8), 0.5),
-            (np.array([0, 1, 1], dtype=np.uint8), 0.3),
+            (GroupChromosome(np.array([1, 1, 0])), 0.5),
+            (GroupChromosome(np.array([0, 1, 1])), 0.3),
         ])
         want_I = np.array([0.25, (0.5 + 0.3) / 2, 0.15])
         want_L = np.array([[0.25, 0.25, 0.0],

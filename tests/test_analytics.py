@@ -406,10 +406,11 @@ class TestLocateGroup:
         np.testing.assert_array_equal(report.degree_ranks, [4, 3])
 
     def test_accepts_importance_result(self):
+        from coresponse.ga import GroupChromosome
         from coresponse.importance import aggregate_importance
 
         net = net_from(two_blocks())
-        runs = [(np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8), 0.9)]
+        runs = [(GroupChromosome(np.array([1, 1, 0, 0, 0, 0, 0, 0])), 0.9)]
         result = aggregate_importance(runs)
         report = locate(net, result.taxon_importance, 2)
         np.testing.assert_array_equal(np.sort(report.top_indices), [0, 1])

@@ -302,7 +302,7 @@ class TestExitCodes:
         assert len((tmp_path / "out" / "sweep.csv").read_text()
                    .splitlines()) == 1 + 2
 
-    @pytest.mark.parametrize("mode", ["size_cap", "l1"])
+    @pytest.mark.parametrize("mode", ["size_cap"])
     def test_discover_k_above_taxon_count_exits_4_before_searching(
             self, tmp_path, capsys, monkeypatch, mode):
         # a cap past the 12 taxa would report every taxon as the group
@@ -320,8 +320,7 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "top_group.csv").exists()
 
     @pytest.mark.parametrize("methods", ["baseline_l1,baseline",
-                                         "baseline,baseline_l1",
-                                         "baseline_l1"])
+                                         "baseline,baseline_l1", "baseline"])
     def test_evaluate_k_above_taxon_count_exits_4_before_searching(
             self, tmp_path, capsys, monkeypatch, methods):
         monkeypatch.setattr(cli, "evaluate_method", lambda *a, **kw:
@@ -335,6 +334,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--k 99" in err and "12 taxa" in err
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["discover", "--mode", "l1", "--runs", 1],
+        ["evaluate", "--methods", "baseline_l1,convolved_l1", "--repeats", 2]])
+    def test_l1_searches_ignore_k(self, tmp_path, command):
+        # no l1 search reads --k, so one past the 12 taxa is no error
+        data = make_bundle(tmp_path)
+        assert run([*command, "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv",
+                    "--adjacency", data / "adjacency.csv", "--mu", 0.05,
+                    "--k", 13, "--out", tmp_path / "out"] + GA_FAST) == 0
 
     def test_k_at_taxon_count_is_accepted(self, tmp_path):
         data = make_bundle(tmp_path)

@@ -6,7 +6,7 @@ import pickle
 import sys
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -150,6 +150,14 @@ class TestChromosome:
 
 
 class TestConfigValidation:
+    # every search setting; the operator rates are the ga module's
+    # constants, so a new setting shows here
+    FIELDS = ("mode", "k_opt", "mu", "population_size", "max_generations",
+              "stagnation_limit", "seed")
+
+    def test_fields(self):
+        assert tuple(f.name for f in fields(OptimizerConfig)) == self.FIELDS
+
     def test_unknown_mode(self):
         with pytest.raises(ValidationError, match="mode"):
             OptimizerConfig(mode="annealing")
@@ -179,10 +187,6 @@ class TestConfigValidation:
     def test_tiny_population(self):
         with pytest.raises(ValidationError):
             OptimizerConfig(mode="l1", population_size=1)
-
-    def test_elite_fraction_below_one(self):
-        with pytest.raises(ValidationError):
-            OptimizerConfig(mode="l1", elite_fraction=1.0)
 
 
 def planted_problem(seed, n=60, p=12, members=(2, 5, 9)):
@@ -267,16 +271,17 @@ class TestRunGA:
         ]
         assert not np.array_equal(runs[0].history, runs[1].history)
 
-    def test_scaling_y_leaves_trajectory_unchanged(self):
+    def test_scaling_y_leaves_trajectory_unchanged(self, run_recorded):
         # selection is rank-based, so a positive rescale of the functional
         # variable must produce the identical search path
         M0, y0 = planted_problem(3)
         cfg = OptimizerConfig(mode="size_cap", k_opt=3, seed=11,
                               max_generations=80)
-        a = run_ga(M0, y0, cfg, record_populations=True)
-        b = run_ga(M0, 10.0 * y0, cfg, record_populations=True)
+        a, pops_a = run_recorded(M0, y0, cfg)
+        b, pops_b = run_recorded(M0, 10.0 * y0, cfg)
         np.testing.assert_array_equal(a.best.bits, b.best.bits)
-        for pa, pb in zip(a.populations, b.populations):
+        assert len(pops_a) == len(pops_b) == len(a.history)
+        for pa, pb in zip(pops_a, pops_b):
             np.testing.assert_array_equal(pa, pb)
         # correlation-scale history columns are scale-invariant too
         np.testing.assert_allclose(a.history[:, 3:], b.history[:, 3:],
@@ -353,16 +358,16 @@ class TestRunGA:
         history = run_ga(M0, y0, cfg).history
         assert history.shape[0] < 501
 
-    def test_history_layout(self):
+    def test_history_layout(self, run_recorded):
         M0, y0 = planted_problem(61)
         cfg = OptimizerConfig(mode="l1", mu=0.05, seed=0, max_generations=20,
                               stagnation_limit=20)
-        result = run_ga(M0, y0, cfg, record_populations=True)
+        result, populations = run_recorded(M0, y0, cfg)
         history = result.history
         assert history.shape[1] == len(HISTORY_COLUMNS)
         np.testing.assert_array_equal(history[:, 0],
                                       np.arange(history.shape[0]))
-        assert len(result.populations) == history.shape[0]
+        assert len(populations) == history.shape[0]
         # penalized max never exceeds raw-correlation max times ||y0||
         assert (history[:, 1] <= history[:, 3] * np.sqrt(y0 @ y0) + 1e-9).all()
 
@@ -409,10 +414,12 @@ def _reference_evaluate(objective, population, cfg):
     return raw, pen, r, size
 
 
-def _reference_run_ga(M0, y0, cfg, record_populations=False):
+def _reference_run_ga(M0, y0, cfg):
     """The genetic search written plainly: rng.choice for the parents,
     np.where crossovers, per-generation history reductions and an archive
-    check on every generation.  run_ga must match it bit for bit."""
+    check on every generation, with the ga module's operator rates.
+    Returns the result and every generation's population; run_ga must
+    match both bit for bit."""
     objective = Objective(M0, y0)
     p = objective.n_taxa
     pop = _initial_population(cfg, p, generator(cfg.seed, 0))
@@ -420,7 +427,7 @@ def _reference_run_ga(M0, y0, cfg, record_populations=False):
 
     archive = None
     history = []
-    populations = [pop.copy()] if record_populations else None
+    populations = [pop.copy()]
 
     def consider(pop, raw, pen, r, size):
         nonlocal archive
@@ -450,7 +457,7 @@ def _reference_run_ga(M0, y0, cfg, record_populations=False):
     consider(pop, raw, pen, r, size)
     record(0, pen, r, size)
 
-    n_elite = math.ceil(cfg.elite_fraction * cfg.population_size)
+    n_elite = math.ceil(ga.ELITE_FRACTION * cfg.population_size)
     n_off = cfg.population_size - n_elite
     n_pairs = (n_off + 1) // 2
     stagnation = 0
@@ -472,7 +479,7 @@ def _reference_run_ga(M0, y0, cfg, record_populations=False):
         mothers = pop[parents[0::2]]
         fathers = pop[parents[1::2]]
         cross_points = rng.integers(1, p, size=n_pairs)
-        do_cross = rng.random(n_pairs) < cfg.crossover_prob
+        do_cross = rng.random(n_pairs) < ga.CROSSOVER_PROB
         tail = np.arange(p)[None, :] >= cross_points[:, None]
         swap = tail & do_cross[:, None]
         child_a = np.where(swap, fathers, mothers).astype(np.uint8)
@@ -482,7 +489,7 @@ def _reference_run_ga(M0, y0, cfg, record_populations=False):
         offspring[1::2] = child_b
         offspring = offspring[:n_off]
 
-        do_mutate = rng.random(n_off) < cfg.mutation_prob
+        do_mutate = rng.random(n_off) < ga.MUTATION_PROB
         flip_at = rng.integers(0, p, size=n_off)
         rows = np.flatnonzero(do_mutate)
         offspring[rows, flip_at[rows]] ^= 1
@@ -492,19 +499,15 @@ def _reference_run_ga(M0, y0, cfg, record_populations=False):
         improved = consider(pop, raw, pen, r, size)
         record(gen, pen, r, size)
         stagnation = 0 if improved else stagnation + 1
-        if record_populations:
-            populations.append(pop.copy())
+        populations.append(pop.copy())
 
     best_pen, _, best_bits, best_raw, best_r, best_size = archive
     best_eval = FitnessEvaluation(
         float(best_raw), float(best_r), float(best_pen), int(best_size)
     )
-    return GAResult(
-        best=GroupChromosome(best_bits),
-        best_eval=best_eval,
-        history=np.array(history),
-        populations=tuple(populations) if record_populations else None,
-    )
+    result = GAResult(best=GroupChromosome(best_bits), best_eval=best_eval,
+                      history=np.array(history))
+    return result, populations
 
 
 def oracle_problem(p, seed, zero_y=False):
@@ -518,8 +521,24 @@ def oracle_problem(p, seed, zero_y=False):
     return M - M.mean(axis=0), y - y.mean()
 
 
+#: the ga module's operator rate that each case keyword sets
+OPERATORS = {"elite_fraction": "ELITE_FRACTION",
+             "crossover_prob": "CROSSOVER_PROB",
+             "mutation_prob": "MUTATION_PROB"}
+
+
+def set_operators(monkeypatch, kw):
+    """Patch the operator rates that ``kw`` names into the ga module and
+    return the other keywords, which are OptimizerConfig's."""
+    for key, name in OPERATORS.items():
+        if key in kw:
+            monkeypatch.setattr(ga, name, kw[key])
+    return {key: value for key, value in kw.items() if key not in OPERATORS}
+
+
 def oracle_cases():
-    """(p, data seed, zero y, OptimizerConfig keywords) for the bitwise oracle."""
+    """(p, data seed, zero y, keywords) for the bitwise oracle: keywords
+    of OptimizerConfig and of ``OPERATORS``."""
     cases = []
     for p in (60, 300, 1000):
         caps = {60: (2, 6, 12, 60), 300: (6, 10, 40, 300),
@@ -578,11 +597,12 @@ class TestRunGaOracle:
             [f"p{case[0]}", f"data{case[1]}"] + ["zero_y"] * case[2]
             + [f"{key}={value}" for key, value in case[3].items()]))
         for case in oracle_cases()])
-    def test_matches_reference_bit_for_bit(self, p, seed, zero_y, kw):
+    def test_matches_reference_bit_for_bit(self, p, seed, zero_y, kw,
+                                           monkeypatch, run_recorded):
         M0, y0 = oracle_problem(p, seed, zero_y)
-        cfg = OptimizerConfig(**kw)
-        got = run_ga(M0, y0, cfg, record_populations=True)
-        want = _reference_run_ga(M0, y0, cfg, record_populations=True)
+        cfg = OptimizerConfig(**set_operators(monkeypatch, kw))
+        got, got_pops = run_recorded(M0, y0, cfg)
+        want, want_pops = _reference_run_ga(M0, y0, cfg)
         np.testing.assert_array_equal(got.best.bits, want.best.bits)
         a, b = got.best_eval, want.best_eval
         np.testing.assert_array_equal(
@@ -592,17 +612,18 @@ class TestRunGaOracle:
         assert got.history.dtype == want.history.dtype
         assert got.history.shape == want.history.shape
         assert got.history.tobytes() == want.history.tobytes()
-        assert len(got.populations) == len(want.populations)
-        for pa, pb in zip(got.populations, want.populations):
+        assert len(got_pops) == len(want_pops) == len(got.history)
+        for pa, pb in zip(got_pops, want_pops):
             assert pa.dtype == pb.dtype and pa.shape == pb.shape
             assert pa.tobytes() == pb.tobytes()
 
-    def test_operator_extremes_above_p60_run_gathered(self):
+    def test_operator_extremes_above_p60_run_gathered(self, monkeypatch):
         extremes = [case for case in oracle_cases()
                     if case[0] > 60 and "crossover_prob" in case[3]]
         assert len(extremes) == 24
         for p, _, _, kw in extremes:
-            assert prefers_gathered(p, OptimizerConfig(**kw).size_cap)
+            cfg = OptimizerConfig(**set_operators(monkeypatch, kw))
+            assert prefers_gathered(p, cfg.size_cap)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 300),
@@ -650,9 +671,9 @@ class TestRowsScored:
     def test_gathered_search_scores_every_changed_row(self, monkeypatch):
         # with no elites and every child mutated, no row is a copy
         M0, y0 = oracle_problem(300, 0)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=6, max_generations=20,
-                              elite_fraction=0.0, crossover_prob=1.0,
-                              mutation_prob=1.0, seed=3)
+        cfg = OptimizerConfig(**set_operators(monkeypatch, dict(
+            mode="size_cap", k_opt=6, max_generations=20, elite_fraction=0.0,
+            crossover_prob=1.0, mutation_prob=1.0, seed=3)))
         scored, every = self.rows_scored(monkeypatch, M0, y0, cfg)
         assert scored == every
 

@@ -16,8 +16,8 @@ from coresponse.importance import (DiscoveryReport, ImportanceResult,
 class TestAggregate:
     def test_hand_example(self):
         # two runs: r=1.0 on {0,1}, r=0.5 on {1,2}
-        runs = [(np.array([1, 1, 0], dtype=np.uint8), 1.0),
-                (np.array([0, 1, 1], dtype=np.uint8), 0.5)]
+        runs = [(GroupChromosome(np.array([1, 1, 0])), 1.0),
+                (GroupChromosome(np.array([0, 1, 1])), 0.5)]
         result = aggregate_importance(runs)
         np.testing.assert_allclose(result.taxon_importance,
                                    [0.5, 0.75, 0.25], rtol=1e-15)
@@ -29,13 +29,13 @@ class TestAggregate:
 
     def test_single_run(self):
         result = aggregate_importance(
-            [(np.array([1, 0, 1, 0], dtype=np.uint8), 0.8)])
+            [(GroupChromosome(np.array([1, 0, 1, 0])), 0.8)])
         np.testing.assert_allclose(result.taxon_importance,
                                    [0.8, 0.0, 0.8, 0.0], rtol=1e-15)
         assert result.runs == 1
 
     def test_negative_r_contributes_signed(self):
-        runs = [(np.array([1, 0], dtype=np.uint8), -0.4)]
+        runs = [(GroupChromosome(np.array([1, 0])), -0.4)]
         result = aggregate_importance(runs)
         assert result.taxon_importance[0] == -0.4
 
@@ -45,7 +45,7 @@ class TestAggregate:
         for _ in range(15):
             bits = (rng.random(6) < 0.5).astype(np.uint8)
             bits[4] = 0
-            runs.append((bits, float(rng.uniform(-1, 1))))
+            runs.append((GroupChromosome(bits), float(rng.uniform(-1, 1))))
         result = aggregate_importance(runs)
         assert result.taxon_importance[4] == 0.0
         assert (result.pair_importance[4] == 0.0).all()
@@ -55,8 +55,8 @@ class TestAggregate:
             aggregate_importance([])
 
     def test_mixed_lengths_rejected(self):
-        runs = [(np.array([1, 0], dtype=np.uint8), 0.5),
-                (np.array([1, 0, 1], dtype=np.uint8), 0.5)]
+        runs = [(GroupChromosome(np.array([1, 0])), 0.5),
+                (GroupChromosome(np.array([1, 0, 1])), 0.5)]
         with pytest.raises(ValidationError, match="length"):
             aggregate_importance(runs)
 
@@ -65,7 +65,7 @@ class TestAggregate:
            p=st.integers(1, 9))
     def test_diagonal_equals_vector_bitwise(self, seed, t, p):
         rng = np.random.default_rng(seed)
-        runs = [((rng.random(p) < 0.5).astype(np.uint8),
+        runs = [(GroupChromosome(rng.random(p) < 0.5),
                  float(rng.uniform(-1, 1))) for _ in range(t)]
         result = aggregate_importance(runs)
         np.testing.assert_array_equal(np.diag(result.pair_importance),
@@ -73,7 +73,7 @@ class TestAggregate:
 
     def test_run_order_permutation_changes_nothing_material(self):
         rng = np.random.default_rng(1)
-        runs = [((rng.random(5) < 0.5).astype(np.uint8),
+        runs = [(GroupChromosome(rng.random(5) < 0.5),
                  float(rng.uniform(0, 1))) for _ in range(8)]
         a = aggregate_importance(runs)
         b = aggregate_importance(runs[::-1])
@@ -84,7 +84,7 @@ class TestAggregate:
 
 
 #: the per-run pairs of a hand-built result; they are not checked against I
-ONE_RUN = ((GroupChromosome(np.array([1, 0], dtype=np.uint8)), 0.5),)
+ONE_RUN = ((GroupChromosome(np.array([1, 0])), 0.5),)
 
 
 class TestResultValidation:
@@ -126,7 +126,7 @@ class TestResultValidation:
 class TestDiscoveryReport:
     def test_top_k_is_the_top_group_size(self):
         result = aggregate_importance(
-            [(np.array([1, 1, 0, 1], dtype=np.uint8), 0.9)])
+            [(GroupChromosome(np.array([1, 1, 0, 1])), 0.9)])
         report = DiscoveryReport(result, np.array([3, 0, 1]), 0.9)
         assert report.top_k == 3
         with pytest.raises(TypeError):
@@ -210,8 +210,8 @@ class TestMeanRelativeAbundance:
 
 class TestExports:
     def make_result(self):
-        runs = [(np.array([1, 1, 0], dtype=np.uint8), 0.9),
-                (np.array([1, 0, 0], dtype=np.uint8), 0.6)]
+        runs = [(GroupChromosome(np.array([1, 1, 0])), 0.9),
+                (GroupChromosome(np.array([1, 0, 0])), 0.6)]
         return aggregate_importance(runs)
 
     def test_tables(self, tmp_path):

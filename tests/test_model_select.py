@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coresponse.errors import ValidationError
-from coresponse.ga import OptimizerConfig
+from coresponse.ga import GroupChromosome, OptimizerConfig
 from coresponse.model_select import (DEFAULT_MU_GRID, RSS_FLOOR, SWEEP_COLUMNS,
                                      ModelSelectionResult, aic_for_group,
                                      mu_sweep, sweep_k, write_sweep)
@@ -32,8 +32,9 @@ class TestAic:
             bits = (rng.random(8) < 0.4).astype(np.uint8)
             if not bits.any():
                 continue
-            np.testing.assert_allclose(aic_for_group(bits, M, y),
-                                       aic_oracle(bits, M, y), rtol=1e-10)
+            np.testing.assert_allclose(
+                aic_for_group(GroupChromosome(bits), M, y),
+                aic_oracle(bits, M, y), rtol=1e-10)
 
     def test_extra_redundant_member_costs_two(self):
         # duplicating a column doubles the effect without changing the fit,
@@ -42,8 +43,8 @@ class TestAic:
         M = rng.uniform(0, 4, size=(40, 5))
         M[:, 1] = M[:, 0]
         y = M[:, 0] + rng.normal(0, 0.3, size=40)
-        one = np.array([1, 0, 0, 0, 0], dtype=np.uint8)
-        two = np.array([1, 1, 0, 0, 0], dtype=np.uint8)
+        one = GroupChromosome(np.array([1, 0, 0, 0, 0]))
+        two = GroupChromosome(np.array([1, 1, 0, 0, 0]))
         diff = aic_for_group(two, M, y) - aic_for_group(one, M, y)
         np.testing.assert_allclose(diff, 2.0, atol=1e-9)
 
@@ -52,7 +53,7 @@ class TestAic:
         M = np.linspace(1, 3, n)[:, None] * np.ones((1, 3))
         y = 2.0 * M[:, 0] + 1.0
         bits = np.array([1, 0, 0], dtype=np.uint8)
-        aic = aic_for_group(bits, M, y)
+        aic = aic_for_group(GroupChromosome(bits), M, y)
         assert math.isfinite(aic)
         y0 = y - y.mean()
         rss = RSS_FLOOR * float(y0 @ y0)
@@ -63,22 +64,22 @@ class TestAic:
         rng = np.random.default_rng(4)
         M = rng.uniform(0, 4, size=(60, 6))
         y = M[:, 0] + rng.normal(0, 0.2, size=60)
-        good = np.array([1, 0, 0, 0, 0, 0], dtype=np.uint8)
-        bad = np.array([0, 0, 0, 1, 0, 0], dtype=np.uint8)
+        good = GroupChromosome(np.array([1, 0, 0, 0, 0, 0]))
+        bad = GroupChromosome(np.array([0, 0, 0, 1, 0, 0]))
         assert aic_for_group(good, M, y) < aic_for_group(bad, M, y)
 
     def test_empty_group_rejected(self):
         M = np.ones((10, 3)) + np.arange(10)[:, None]
         y = np.linspace(0, 1, 10)
         with pytest.raises(ValidationError, match="empty"):
-            aic_for_group(np.zeros(3, dtype=np.uint8), M, y)
+            aic_for_group(GroupChromosome(np.zeros(3)), M, y)
 
     def test_constant_effect_rejected(self):
         M = np.ones((10, 3))
         M[:, 2] = np.arange(10)
         y = np.linspace(0, 1, 10)
         with pytest.raises(ValidationError, match="zero variance"):
-            aic_for_group(np.array([1, 0, 0], dtype=np.uint8), M, y)
+            aic_for_group(GroupChromosome(np.array([1, 0, 0])), M, y)
 
 
 class TestResultValidation:
@@ -211,18 +212,20 @@ class TestTuneMu:
     def test_empty_grid_rejected(self):
         M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
         with pytest.raises(ValidationError, match="grid"):
-            mu_sweep(M, M[:, 0], grid=())
+            mu_sweep(M, M[:, 0], (), quick_cfg(mode="l1", k_opt=None))
 
     def test_inner_fraction_is_not_an_option(self):
         # the inner split is always half the training rows
         M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
         with pytest.raises(TypeError, match="inner_fraction"):
-            mu_sweep(M, M[:, 0], (0.1,), inner_fraction=0.7)
+            mu_sweep(M, M[:, 0], (0.1,), quick_cfg(mode="l1", k_opt=None),
+                     inner_fraction=0.7)
 
     def test_negative_mu_rejected(self):
         M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
         with pytest.raises(ValidationError):
-            mu_sweep(M, M[:, 0], grid=(0.1, -0.2))
+            mu_sweep(M, M[:, 0], (0.1, -0.2),
+                     quick_cfg(mode="l1", k_opt=None))
 
     def test_strong_penalty_yields_singleton(self):
         # with a penalty far above any attainable correlation gain the
