@@ -130,10 +130,10 @@ def bench_table(args) -> None:
 
 #: (samples, taxa, blocks, planted size, OptimizerConfig keywords)
 GA_CASES = (
-    (100, 60, 4, 6, dict(mode="size_cap", k_opt=6)),
-    (100, 60, 4, 6, dict(mode="l1", mu=0.02)),
-    (200, 1000, 8, 10, dict(mode="size_cap", k_opt=10)),
-    (200, 600, 8, 10, dict(mode="l1", mu=0.02)),
+    (100, 60, 4, 6, dict(k_opt=6)),
+    (100, 60, 4, 6, dict(mu=0.02)),
+    (200, 1000, 8, 10, dict(k_opt=10)),
+    (200, 600, 8, 10, dict(mu=0.02)),
 )
 GA_GENERATIONS = 60
 
@@ -174,8 +174,8 @@ def bench_run_ga(args) -> None:
                 took = time.perf_counter() - start
                 if took < best:
                     best, share = took, kernel_s / took
-            search = ("uncapped" if cfg.size_cap is None
-                      else f"capped at {cfg.size_cap}")
+            search = ("uncapped" if cfg.k_opt is None
+                      else f"capped at {cfg.k_opt}")
             print(f"  p={p:5d} {search:14s}: {best / GA_GENERATIONS * 1e3:7.3f} "
                   f"ms per generation, {share:4.0%} in group_terms, "
                   f"{kernel_rows / generations:5.1f} of "

@@ -82,14 +82,13 @@ def _parse_planted(text: str) -> tuple:
         raise ParseError(f"bad --planted value: {exc}") from None
 
 
-def _ga_config(args, mode: str, **overrides) -> OptimizerConfig:
+def _ga_config(args, **penalty) -> OptimizerConfig:
     return OptimizerConfig(
-        mode=mode,
         population_size=args.population_size,
         max_generations=args.max_generations,
         stagnation_limit=args.stagnation_limit,
         seed=args.seed,
-        **overrides,
+        **penalty,
     )
 
 
@@ -149,9 +148,8 @@ def cmd_select_k(args) -> None:
         raise ValidationError(f"--k-max {args.k_max} exceeds the "
                               f"{abundance.n_taxa} taxa")
     M = convolved_matrix(abundance, _load_network(args, abundance))
-    cfg = _ga_config(args, "size_cap", k_opt=args.k_min)
     result = sweep_k(M, function.values, (args.k_min, args.k_max),
-                     args.repeats, cfg, threads=args.threads)
+                     args.repeats, _ga_config(args), threads=args.threads)
     write_sweep(result, out / "sweep.csv", delim)
     write_table(out / "sweep_summary.csv", ["k", "mean_aic"],
                 [[str(k), fmt(mean)] for k, _, mean in result.per_k], delim)
@@ -169,17 +167,15 @@ def cmd_discover(args) -> None:
         if args.k is None:
             raise ValidationError("size_cap mode needs --k (run select-k first)")
         _check_k(args, abundance)
-        cfg = _ga_config(args, "size_cap", k_opt=args.k)
+        cfg = _ga_config(args, k_opt=args.k)
     M = convolved_matrix(abundance, _load_network(args, abundance))
     if args.mode == "l1":
         mu = args.mu
         if mu is None:
-            tune_cfg = _ga_config(args, "l1")
-            tuned = mu_sweep(M, function.values, _parse_mu_grid(args.mu_grid),
-                             replace(tune_cfg, seed=child_int(args.seed, 1)),
-                             threads=args.threads)
-            mu = tuned.chosen_mu
-        cfg = _ga_config(args, "l1", mu=mu)
+            mu = mu_sweep(M, function.values, _parse_mu_grid(args.mu_grid),
+                          replace(_ga_config(args), seed=child_int(args.seed, 1)),
+                          threads=args.threads).chosen_mu
+        cfg = _ga_config(args, mu=mu)
 
     report = discover_importance(M, function.values, cfg, runs=args.runs,
                                  top_k=args.top_k, threads=args.threads)
@@ -201,8 +197,8 @@ def cmd_discover(args) -> None:
         ["mode", args.mode],
         ["runs", str(args.runs)],
         # the settings the search used: a cap or an l1 penalty
-        ["k", "" if cfg.size_cap is None else str(cfg.size_cap)],
-        ["mu", "" if cfg.size_cap is not None else fmt(cfg.mu)],
+        ["k", "" if cfg.k_opt is None else str(cfg.k_opt)],
+        ["mu", "" if cfg.k_opt is not None else fmt(cfg.mu)],
         ["top_k", str(report.top_k)],
         ["top_group_r", fmt(report.top_group_r)],
     ]
@@ -252,13 +248,13 @@ def cmd_evaluate(args) -> None:
 
     reports = []
     for tag in methods:
-        if tag.endswith("_l1"):
-            cfg = _ga_config(args, "l1",
-                             mu=0.0 if args.mu is None else args.mu)
-            grid = None if args.mu is not None else _parse_mu_grid(args.mu_grid)
+        if not tag.endswith("_l1"):
+            cfg, grid = _ga_config(args, k_opt=args.k), None
+        elif args.mu is None:
+            # evaluate_method tunes mu on every training set
+            cfg, grid = _ga_config(args), _parse_mu_grid(args.mu_grid)
         else:
-            cfg = _ga_config(args, "size_cap", k_opt=args.k)
-            grid = None
+            cfg, grid = _ga_config(args, mu=args.mu), None
         reports.append(evaluate_method(
             matrices[tag.startswith("baseline")], function.values, cfg,
             args.repeats, method_tag=tag, fraction=args.fraction,

@@ -149,10 +149,10 @@ def evaluate_method(M: np.ndarray, y: np.ndarray, cfg: OptimizerConfig,
     abundance, or the raw abundance for the identity-graph baseline.  Per
     repeat: split, search on the train rows (centered on train means), then
     correlate the chosen group's effect with y on the test rows.  A
-    degenerate test effect scores 0.0.  In l1 mode a non-None ``mu_grid``
-    re-tunes mu on every training set.  Split seeds depend only on
-    (cfg.seed, repeat), so methods sharing a config seed see identical
-    splits and can be compared pairwise.
+    degenerate test effect scores 0.0.  A non-None ``mu_grid`` re-tunes mu
+    on every training set, which needs an uncapped ``cfg``.  Split seeds
+    depend only on (cfg.seed, repeat), so methods sharing a config seed see
+    identical splits and can be compared pairwise.
     """
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
@@ -164,7 +164,7 @@ def evaluate_method(M: np.ndarray, y: np.ndarray, cfg: OptimizerConfig,
     jobs = []
     for i, plan in enumerate(plans):
         run_cfg = replace(cfg, seed=child_int(cfg.seed, i, 2))
-        if cfg.mode == "l1" and mu_grid is not None:
+        if mu_grid is not None:
             tuned = mu_sweep(M[plan.train_indices], y[plan.train_indices],
                              mu_grid, replace(cfg, seed=child_int(cfg.seed, i, 1)),
                              n_strata=n_strata, inner_repeats=inner_repeats,

@@ -30,8 +30,6 @@ ALPHA = math.sqrt(sys.float_info.max)
 #: groups whose effect has squared norm below this are treated as degenerate
 DEGENERATE_QUAD = 1e-15
 
-MODES = ("size_cap", "l1")
-
 #: operator rates: each child pair is crossed with CROSSOVER_PROB, each
 #: child mutated with MUTATION_PROB, and ceil(ELITE_FRACTION * m) of the m
 #: rows are copied over as elites
@@ -70,13 +68,13 @@ class GroupChromosome:
 
 @dataclass(frozen=True, kw_only=True)
 class OptimizerConfig:
-    """GA hyperparameters and penalty mode.
+    """GA hyperparameters and the size penalty.
 
-    ``size_cap`` subtracts ``ALPHA * max(size - k_opt, 0)``; ``l1``
-    subtracts ``mu * size``.
+    A config is capped exactly when it sets ``k_opt``: the search then
+    subtracts ``ALPHA * max(size - k_opt, 0)``.  An uncapped config
+    subtracts ``mu * size``.  A capped config keeps ``mu`` at 0.
     """
 
-    mode: str
     k_opt: int | None = None
     mu: float = 0.0
     population_size: int = 200
@@ -85,22 +83,23 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown optimizer mode {self.mode!r}")
-        if self.mode == "size_cap":
-            if self.k_opt is None or self.k_opt < 1:
-                raise ValidationError("size_cap mode requires k_opt >= 1")
+        counts = ("population_size", "max_generations", "stagnation_limit",
+                  "seed") + (() if self.k_opt is None else ("k_opt",))
+        for name in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValidationError("mu must be finite and >= 0")
+        if self.k_opt is not None:
+            if self.k_opt < 1:
+                raise ValidationError("k_opt must be >= 1")
+            if self.mu:
+                raise ValidationError("a capped config (k_opt) cannot set mu")
         if self.population_size < 2:
             raise ValidationError("population_size must be >= 2")
         if self.max_generations < 1 or self.stagnation_limit < 1:
             raise ValidationError("max_generations and stagnation_limit must be >= 1")
-
-    @property
-    def size_cap(self) -> int | None:
-        """The hard group-size cap, or None in ``l1`` mode."""
-        return self.k_opt if self.mode == "size_cap" else None
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,10 @@ class Objective:
         # degenerate rows keep raw = 0.0 and so r = 0.0
         raw = np.sqrt(quad, out=np.zeros(len(num)), where=ok)
         np.divide(num, raw, out=raw, where=ok)
-        if cfg.mode == "size_cap":
-            pen = raw - ALPHA * np.maximum(size - cfg.k_opt, 0)
-        else:
+        if cfg.k_opt is None:
             pen = raw - cfg.mu * size
+        else:
+            pen = raw - ALPHA * np.maximum(size - cfg.k_opt, 0)
         pen[~ok] = -ALPHA
         r = raw / self.y_norm if self.y_norm > 0 else np.zeros(len(num))
         return raw, pen, r, size
@@ -170,15 +169,15 @@ class Objective:
 
 def _initial_population(cfg: OptimizerConfig, p: int, rng: np.random.Generator) -> np.ndarray:
     pop = np.zeros((cfg.population_size, p), dtype=np.uint8)
-    if cfg.mode == "size_cap":
+    if cfg.k_opt is None:
+        prob = min(0.5, L1_START_BITS / p)
+        pop[:] = rng.random((cfg.population_size, p)) < prob
+    else:
         k = min(cfg.k_opt, p)
         # k distinct random bits per individual, so generation 0 is feasible
         order = rng.random((cfg.population_size, p)).argsort(axis=1)
         rows = np.repeat(np.arange(cfg.population_size), k)
         pop[rows, order[:, :k].ravel()] = 1
-    else:
-        prob = min(0.5, L1_START_BITS / p)
-        pop[:] = rng.random((cfg.population_size, p)) < prob
     return pop
 
 
@@ -226,7 +225,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig, *,
     toward the lexicographically smallest bit vector), its evaluation, and a
     per-generation history table with columns ``HISTORY_COLUMNS``.
     Deterministic given ``cfg.seed``.  The search picks the dense or
-    gathered formulation once, from the taxon count and ``cfg.size_cap``,
+    gathered formulation once, from the taxon count and ``cfg.k_opt``,
     and scores every population with it.  A gathered search scores only the
     rows that are not exact copies of a row of the previous generation.
     ``objective``, when given, is the :class:`Objective` of ``(M0, y0)``,
@@ -237,7 +236,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig, *,
     p = objective.n_taxa
     if p < 2:
         raise ValidationError("need at least 2 taxa to optimize over")
-    gathered = prefers_gathered(p, cfg.size_cap)
+    gathered = prefers_gathered(p, cfg.k_opt)
 
     m = cfg.population_size
     n_elite = math.ceil(ELITE_FRACTION * m)
@@ -266,7 +265,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig, *,
     def consider(pop, raw, pen, r, size):
         """Update the best-ever archive; True iff best fitness improved."""
         nonlocal archive
-        if cfg.mode == "size_cap":
+        if cfg.k_opt is not None:
             pen = np.where(size <= cfg.k_opt, pen, -np.inf)
         best_pen = pen.max()
         if best_pen == -np.inf:  # no feasible row, possible only without elitism
@@ -331,7 +330,7 @@ def run_ga(M0: np.ndarray, y0: np.ndarray, cfg: OptimizerConfig, *,
         stagnation = 0 if improved else stagnation + 1
 
     best_pen, _, best_bits, best_raw, best_r, best_size = archive
-    if cfg.mode == "size_cap" and best_size > cfg.k_opt:
+    if cfg.k_opt is not None and best_size > cfg.k_opt:
         raise ValidationError("internal error: archived group exceeds the size cap")
     best_eval = FitnessEvaluation(
         float(best_raw), float(best_r), float(best_pen), int(best_size)

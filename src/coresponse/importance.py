@@ -123,11 +123,11 @@ def discover_importance(M: np.ndarray, y: np.ndarray, cfg: OptimizerConfig,
          for result, _ in run_many(M, y, jobs, threads)])
 
     if top_k is None:
-        if cfg.mode == "size_cap":
-            top_k = min(cfg.k_opt, importance.n_taxa)
-        else:
+        if cfg.k_opt is None:
             sizes = [x.size() for x, _ in importance.per_run]
             top_k = max(1, round(float(np.mean(sizes))))
+        else:
+            top_k = min(cfg.k_opt, importance.n_taxa)
     top = importance.top_indices(top_k)
     return DiscoveryReport(importance, top, group_r(M, y, top))
 

@@ -102,6 +102,7 @@ def sweep_k(M: np.ndarray, y: np.ndarray, k_range, repeats: int,
             cfg: OptimizerConfig, *, threads: int = 1) -> ModelSelectionResult:
     """Repeat the capped search for every k in ``k_range`` and pick by AIC.
 
+    Each run is ``cfg`` capped at its k, so ``cfg`` must leave ``mu`` at 0.
     ``k_range`` is an inclusive (low, high) interval.  Each (k, repeat) run
     uses the seed derived from (cfg.seed, k, repeat); the chosen k minimizes
     the mean AIC over repeats, ties going to the smaller k.
@@ -113,8 +114,8 @@ def sweep_k(M: np.ndarray, y: np.ndarray, k_range, repeats: int,
         raise ValidationError("repeats must be >= 1")
 
     coords = [(k, rep) for k in range(lo, hi + 1) for rep in range(repeats)]
-    jobs = [(replace(cfg, mode="size_cap", k_opt=k,
-                     seed=child_int(cfg.seed, k, rep)), None, None)
+    jobs = [(replace(cfg, k_opt=k, seed=child_int(cfg.seed, k, rep)),
+             None, None)
             for k, rep in coords]
     results = run_many(M, y, jobs, threads)
     runs = [SweepRun(k, rep, aic_for_group(result.best, M, y),
@@ -133,11 +134,12 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid,
              inner_repeats: int = 1, threads: int = 1) -> ModelSelectionResult:
     """Score every mu on inner stratified splits of the training data.
 
-    For each inner repeat the training data is split in half once more; the
-    l1 search runs on the inner-train half and each candidate group is
-    scored by the Pearson correlation of its effect with y on the other half
-    (0.0 when the effect is degenerate there).  The chosen mu maximizes the
-    mean validation r, ties going to the larger mu.
+    Each run is ``cfg`` with ``mu`` set to one grid value, so ``cfg`` must
+    be uncapped (no ``k_opt``).  For each inner repeat the training data is
+    split in half once more; the l1 search runs on the inner-train half and
+    each candidate group is scored by the Pearson correlation of its effect
+    with y on the other half (0.0 when the effect is degenerate there).  The
+    chosen mu maximizes the mean validation r, ties going to the larger mu.
     """
     from .evaluation import stratified_split
 
@@ -148,14 +150,15 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid,
         raise ValidationError("mu values must be finite and >= 0")
     if inner_repeats < 1:
         raise ValidationError("inner_repeats must be >= 1")
+    if cfg.k_opt is not None:
+        raise ValidationError("mu_sweep needs an uncapped config (k_opt None)")
     M_train, y_train = check_search_data(M_train, y_train)
 
     jobs = []
     for rep in range(inner_repeats):
         plan = stratified_split(y_train, 0.5, n_strata,
                                 seed=child_int(cfg.seed, rep, 0))
-        jobs.extend((replace(cfg, mode="l1", mu=mu,
-                             seed=child_int(cfg.seed, rep, 1 + j)),
+        jobs.extend((replace(cfg, mu=mu, seed=child_int(cfg.seed, rep, 1 + j)),
                      plan.train_indices, plan.test_indices)
                     for j, mu in enumerate(grid))
 

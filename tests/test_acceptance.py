@@ -132,7 +132,7 @@ class TestAcceptanceGate:
 
         same_matrix = np.array_equal(conv, H.values)
 
-        cfg = OptimizerConfig(mode="size_cap", k_opt=3, seed=42)
+        cfg = OptimizerConfig(k_opt=3, seed=42)
         y0 = y - y.mean()
         ga_conv, pops_conv = run_recorded(conv - conv.mean(axis=0), y0, cfg)
         ga_raw, pops_raw = run_recorded(H.values - H.values.mean(axis=0), y0,
@@ -181,11 +181,11 @@ class TestAcceptanceGate:
             y = bundle.function.values
             M0 = M - M.mean(axis=0)
             y0 = y - y.mean()
-            cfg = OptimizerConfig(mode="size_cap", k_opt=3,
+            cfg = OptimizerConfig(k_opt=3,
                                   seed=child_int(seed, 7))
             found = run_ga(M0, y0, cfg).best_eval.penalized_fitness
             objective = Objective(M0, y0)
-            gathered = prefers_gathered(12, cfg.size_cap)
+            gathered = prefers_gathered(12, cfg.k_opt)
             best = -np.inf
             for size in (1, 2, 3):
                 for combo in itertools.combinations(range(12), size):
@@ -211,7 +211,7 @@ class TestAcceptanceGate:
             bundle = generate(recovery_spec(seed))
             M = convolve(bundle.abundance, bundle.network)
             y = bundle.function.values
-            cfg = OptimizerConfig(mode="l1", seed=child_int(seed, 17))
+            cfg = OptimizerConfig(seed=child_int(seed, 17))
             mu = mu_sweep(M, y, DEFAULT_MU_GRID, cfg).chosen_mu
             result = run_ga(M - M.mean(axis=0), y - y.mean(),
                             replace(cfg, mu=mu))
@@ -236,7 +236,7 @@ class TestAcceptanceGate:
         H = bundle.abundance.values
         M = convolve(bundle.abundance, bundle.network)
         y = bundle.function.values
-        cfg = OptimizerConfig(mode="size_cap", k_opt=6, seed=123)
+        cfg = OptimizerConfig(k_opt=6, seed=123)
         base = evaluate_method(H, y, cfg, repeats=20, fraction=0.5,
                                n_strata=10, method_tag="baseline")
         conv = evaluate_method(M, y, cfg, repeats=20, fraction=0.5,
@@ -258,7 +258,7 @@ class TestAcceptanceGate:
             M = convolve(bundle.abundance, bundle.network)
             result = sweep_k(
                 M, bundle.function.values, (2, 12), repeats=3,
-                cfg=OptimizerConfig(mode="size_cap", k_opt=2,
+                cfg=OptimizerConfig(k_opt=2,
                                     seed=child_int(seed, 29)))
             chosen.append(result.chosen_k)
         in_range = sum(5 <= k <= 8 for k in chosen)
@@ -276,12 +276,12 @@ class TestAcceptanceGate:
         y = rng.normal(size=n)
         M0 = M - M.mean(axis=0)
         y0 = y - y.mean()
-        cfg = OptimizerConfig(mode="size_cap", k_opt=p, seed=0)
+        cfg = OptimizerConfig(k_opt=p, seed=0)
         bits = (rng.random((1000, p)) < 0.3).astype(np.uint8)
         empty = bits.sum(axis=1) == 0
         bits[empty, rng.integers(0, p, size=int(empty.sum()))] = 1
         objective = Objective(M0, y0)
-        gathered = prefers_gathered(p, cfg.size_cap)
+        gathered = prefers_gathered(p, cfg.k_opt)
         worst = 0.0
         for row in bits:
             surrogate = objective.evaluate(row[None], cfg, gathered)[2][0]
@@ -302,7 +302,7 @@ class TestAcceptanceGate:
         y = bundle.function.values
         M0 = M - M.mean(axis=0)
         y0 = y - y.mean()
-        cfg = OptimizerConfig(mode="size_cap", k_opt=3, seed=5)
+        cfg = OptimizerConfig(k_opt=3, seed=5)
         ga_a, pops_a = run_recorded(M0, y0, cfg)
         ga_b, pops_b = run_recorded(M0, y0 * 10.0, cfg)
         same_pops = (

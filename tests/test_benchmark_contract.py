@@ -101,14 +101,14 @@ class TestRepeatedSearchCounts:
 
     def test_sweep_k(self, harness, threads):
         M, y = search_data()
-        cfg = OptimizerConfig(mode="size_cap", k_opt=2, **FAST)
+        cfg = OptimizerConfig(k_opt=2, **FAST)
         metrics = traced(harness[0], lambda: model_select.sweep_k(
             M, y, (2, 4), 2, cfg, threads=threads))
         self.check(metrics, 3 * 2)
 
     def test_mu_sweep(self, harness, threads):
         M, y = search_data()
-        cfg = OptimizerConfig(mode="l1", **FAST)
+        cfg = OptimizerConfig(**FAST)
         metrics = traced(harness[0], lambda: model_select.mu_sweep(
             M, y, (0.1, 0.05, 0.01), cfg, n_strata=4, inner_repeats=2,
             threads=threads))
@@ -116,7 +116,7 @@ class TestRepeatedSearchCounts:
 
     def test_evaluate_method(self, harness, threads):
         M, y = search_data()
-        cfg = OptimizerConfig(mode="l1", **FAST)
+        cfg = OptimizerConfig(**FAST)
         metrics = traced(harness[0], lambda: evaluation.evaluate_method(
             M, y, cfg, 3, method_tag="baseline_l1", n_strata=4,
             mu_grid=(0.1, 0.01), inner_repeats=2, threads=threads))
@@ -125,7 +125,7 @@ class TestRepeatedSearchCounts:
 
     def test_discover_importance(self, harness, threads):
         M, y = search_data()
-        cfg = OptimizerConfig(mode="size_cap", k_opt=2, **FAST)
+        cfg = OptimizerConfig(k_opt=2, **FAST)
         metrics = traced(harness[0], lambda: importance.discover_importance(
             M, y, cfg, 4, threads=threads))
         self.check(metrics, 4)

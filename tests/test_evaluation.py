@@ -296,7 +296,7 @@ def planted(seed, n=60, p=8, col=3, noise=0.1):
 
 
 def tiny_cfg(**kw):
-    base = dict(mode="size_cap", k_opt=1, population_size=40,
+    base = dict(k_opt=1, population_size=40,
                 max_generations=25, stagnation_limit=10, seed=0)
     base.update(kw)
     return OptimizerConfig(**base)
@@ -377,12 +377,19 @@ class TestEvaluateMethod:
 
     def test_l1_with_inner_tuning(self):
         H, y = planted(14)
-        cfg = tiny_cfg(mode="l1", k_opt=None)
+        cfg = tiny_cfg(k_opt=None)
         report = evaluate_method(H, y, cfg, repeats=2,
                                  mu_grid=(0.5, 0.05),
                                  method_tag="baseline_l1")
         assert report.method_tag == "baseline_l1"
         assert np.isfinite(report.per_repeat_test_r).all()
+
+    def test_capped_config_with_mu_grid_rejected(self):
+        # tuning mu needs an uncapped config
+        H, y = planted(14)
+        with pytest.raises(ValidationError, match="uncapped"):
+            evaluate_method(H, y, tiny_cfg(), repeats=2, mu_grid=(0.5, 0.05),
+                            method_tag="baseline")
 
     def test_explicit_tag_respected(self):
         H, y = planted(15)

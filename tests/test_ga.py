@@ -39,7 +39,7 @@ def centered_problem(seed, n=40, p=10):
 def score_one(bits, M0, y0, cfg):
     """Score one chromosome as the search scores a population of one."""
     objective = Objective(M0, y0)
-    gathered = prefers_gathered(objective.n_taxa, cfg.size_cap)
+    gathered = prefers_gathered(objective.n_taxa, cfg.k_opt)
     raw, pen, r, size = objective.evaluate(np.asarray(bits)[None], cfg,
                                            gathered)
     return FitnessEvaluation(float(raw[0]), float(r[0]), float(pen[0]),
@@ -56,7 +56,7 @@ class TestFitness:
     def test_raw_matches_definitional_oracle(self):
         M0, y0 = centered_problem(0)
         rng = np.random.default_rng(1)
-        cfg = OptimizerConfig(mode="l1", mu=0.0)
+        cfg = OptimizerConfig(mu=0.0)
         for _ in range(50):
             bits = (rng.random(10) < 0.4).astype(np.uint8)
             if not bits.any():
@@ -69,7 +69,7 @@ class TestFitness:
         M0, y0 = centered_problem(2)
         bits = np.zeros(10, dtype=np.uint8)
         bits[[1, 4, 7]] = 1
-        ev = score_one(bits, M0, y0, OptimizerConfig(mode="l1"))
+        ev = score_one(bits, M0, y0, OptimizerConfig())
         g = M0 @ bits.astype(np.float64)
         np.testing.assert_allclose(ev.pearson_r, np.corrcoef(g, y0)[0, 1],
                                    rtol=1e-12)
@@ -78,7 +78,7 @@ class TestFitness:
         monkeypatch.setattr(ga, "ALPHA", 100.0)
         M0, y0 = centered_problem(3)
         bits = np.ones(10, dtype=np.uint8)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=4)
+        cfg = OptimizerConfig(k_opt=4)
         ev = score_one(bits, M0, y0, cfg)
         expected = raw_oracle(bits, M0, y0) - 100.0 * (10 - 4)
         np.testing.assert_allclose(ev.penalized_fitness, expected, rtol=1e-12)
@@ -87,7 +87,7 @@ class TestFitness:
         M0, y0 = centered_problem(4)
         bits = np.zeros(10, dtype=np.uint8)
         bits[:3] = 1
-        cfg = OptimizerConfig(mode="size_cap", k_opt=4)
+        cfg = OptimizerConfig(k_opt=4)
         ev = score_one(bits, M0, y0, cfg)
         assert ev.penalized_fitness == ev.raw_objective
 
@@ -95,14 +95,13 @@ class TestFitness:
         M0, y0 = centered_problem(5)
         bits = np.zeros(10, dtype=np.uint8)
         bits[[0, 3, 6, 9]] = 1
-        ev = score_one(bits, M0, y0, OptimizerConfig(mode="l1", mu=0.2))
+        ev = score_one(bits, M0, y0, OptimizerConfig(mu=0.2))
         expected = raw_oracle(bits, M0, y0) - 0.2 * 4
         np.testing.assert_allclose(ev.penalized_fitness, expected, rtol=1e-12)
 
     def test_empty_group_sentinel(self):
         M0, y0 = centered_problem(6)
-        ev = score_one(np.zeros(10, dtype=np.uint8), M0, y0,
-                              OptimizerConfig(mode="l1"))
+        ev = score_one(np.zeros(10, dtype=np.uint8), M0, y0, OptimizerConfig())
         assert ev.raw_objective == 0.0
         assert ev.pearson_r == 0.0
         assert ev.penalized_fitness == -ALPHA
@@ -114,20 +113,19 @@ class TestFitness:
         M0[:, 2] = 0.0  # a centered constant column
         bits = np.zeros(10, dtype=np.uint8)
         bits[2] = 1
-        ev = score_one(bits, M0, y0, OptimizerConfig(mode="l1"))
+        ev = score_one(bits, M0, y0, OptimizerConfig())
         assert ev.penalized_fitness == -ALPHA
 
     def test_length_mismatch(self):
         M0, y0 = centered_problem(8)
         with pytest.raises(ValidationError, match="length"):
-            score_one(np.ones(4, dtype=np.uint8), M0, y0,
-                      OptimizerConfig(mode="l1"))
+            score_one(np.ones(4, dtype=np.uint8), M0, y0, OptimizerConfig())
 
     def test_batch_matches_single(self):
         M0, y0 = centered_problem(9)
         rng = np.random.default_rng(10)
         pop = (rng.random((30, 10)) < 0.4).astype(np.uint8)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=3)
+        cfg = OptimizerConfig(k_opt=3)
         objective = Objective(M0, y0)
         raw, pen, r, size = objective.evaluate(pop, cfg, False)
         for i in range(30):
@@ -152,41 +150,68 @@ class TestChromosome:
 class TestConfigValidation:
     # every search setting; the operator rates are the ga module's
     # constants, so a new setting shows here
-    FIELDS = ("mode", "k_opt", "mu", "population_size", "max_generations",
+    FIELDS = ("k_opt", "mu", "population_size", "max_generations",
               "stagnation_limit", "seed")
 
     def test_fields(self):
         assert tuple(f.name for f in fields(OptimizerConfig)) == self.FIELDS
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValidationError, match="mode"):
-            OptimizerConfig(mode="annealing")
-
-    def test_size_cap_requires_k(self):
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_cap_must_be_positive(self, k):
         with pytest.raises(ValidationError, match="k_opt"):
-            OptimizerConfig(mode="size_cap")
+            OptimizerConfig(k_opt=k)
+
+    @pytest.mark.parametrize("mu", [0.5, 1e-12])
+    def test_cap_and_mu_rejected(self, mu):
+        # a capped search never reads mu
+        with pytest.raises(ValidationError, match="mu"):
+            OptimizerConfig(k_opt=3, mu=mu)
+
+    def test_capped_exactly_when_k_opt_is_set(self):
+        assert OptimizerConfig(k_opt=3, mu=0.0).k_opt == 3
+        assert OptimizerConfig(mu=0.5).k_opt is None
+        assert OptimizerConfig().mu == 0.0
+
+    @pytest.mark.parametrize("name, value", [
+        (name, value)
+        for name in ("k_opt", "population_size", "max_generations",
+                     "stagnation_limit", "seed")
+        for value in (20.0, 2.5, True, np.bool_(True), "20", None)
+        # an unset k_opt is an uncapped config
+        if not (name == "k_opt" and value is None)])
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            OptimizerConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = OptimizerConfig(k_opt=np.int64(3), population_size=np.int32(20),
+                              max_generations=np.uint16(5),
+                              stagnation_limit=np.int8(2),
+                              seed=np.uint32(2**31))
+        result = run_ga(*centered_problem(11), cfg)
+        assert 1 <= result.best.size() <= 3
 
     def test_negative_mu(self):
         with pytest.raises(ValidationError):
-            OptimizerConfig(mode="l1", mu=-0.1)
+            OptimizerConfig(mu=-0.1)
 
     @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
     def test_non_finite_mu(self, mu):
         with pytest.raises(ValidationError, match="mu"):
-            OptimizerConfig(mode="l1", mu=mu)
+            OptimizerConfig(mu=mu)
 
     def test_alpha_is_not_an_option(self):
         with pytest.raises(TypeError, match="alpha"):
-            OptimizerConfig(mode="size_cap", k_opt=2, alpha=100.0)
+            OptimizerConfig(k_opt=2, alpha=100.0)
 
     def test_positional_arguments_rejected(self):
-        # mode, k_opt, alpha, mu was the old order: 0.5 must not become mu
+        # k_opt, mu is the field order: 0.5 must not become mu
         with pytest.raises(TypeError):
-            OptimizerConfig("size_cap", 2, 0.5)
+            OptimizerConfig(2, 0.5)
 
     def test_tiny_population(self):
         with pytest.raises(ValidationError):
-            OptimizerConfig(mode="l1", population_size=1)
+            OptimizerConfig(population_size=1)
 
 
 def planted_problem(seed, n=60, p=12, members=(2, 5, 9)):
@@ -248,7 +273,7 @@ class TestLexicographicBest:
 class TestRunGA:
     def test_recovers_planted_group(self):
         M0, y0 = planted_problem(0)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=3, seed=0,
+        cfg = OptimizerConfig(k_opt=3, seed=0,
                               max_generations=120, stagnation_limit=40)
         result = run_ga(M0, y0, cfg)
         np.testing.assert_array_equal(result.best.indices(), [2, 5, 9])
@@ -256,7 +281,7 @@ class TestRunGA:
 
     def test_deterministic(self):
         M0, y0 = planted_problem(1)
-        cfg = OptimizerConfig(mode="l1", mu=0.05, seed=7, max_generations=60)
+        cfg = OptimizerConfig(mu=0.05, seed=7, max_generations=60)
         a = run_ga(M0, y0, cfg)
         b = run_ga(M0, y0, cfg)
         np.testing.assert_array_equal(a.best.bits, b.best.bits)
@@ -265,7 +290,7 @@ class TestRunGA:
     def test_seed_changes_trajectory(self):
         M0, y0 = planted_problem(2)
         runs = [
-            run_ga(M0, y0, OptimizerConfig(mode="l1", mu=0.05, seed=s,
+            run_ga(M0, y0, OptimizerConfig(mu=0.05, seed=s,
                                            max_generations=30))
             for s in (0, 1)
         ]
@@ -275,7 +300,7 @@ class TestRunGA:
         # selection is rank-based, so a positive rescale of the functional
         # variable must produce the identical search path
         M0, y0 = planted_problem(3)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=3, seed=11,
+        cfg = OptimizerConfig(k_opt=3, seed=11,
                               max_generations=80)
         a, pops_a = run_recorded(M0, y0, cfg)
         b, pops_b = run_recorded(M0, 10.0 * y0, cfg)
@@ -289,7 +314,7 @@ class TestRunGA:
 
     def test_brute_force_optimum_size_cap(self):
         M0, y0 = centered_problem(20, n=30, p=7)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=2, seed=3,
+        cfg = OptimizerConfig(k_opt=2, seed=3,
                               max_generations=150, stagnation_limit=60)
         result = run_ga(M0, y0, cfg)
         best_pen, best_bits = -np.inf, None
@@ -307,7 +332,7 @@ class TestRunGA:
     def test_brute_force_optimum_l1(self):
         M0, y0 = centered_problem(21, n=30, p=7)
         mu = 0.05
-        cfg = OptimizerConfig(mode="l1", mu=mu, seed=4,
+        cfg = OptimizerConfig(mu=mu, seed=4,
                               max_generations=150, stagnation_limit=60)
         result = run_ga(M0, y0, cfg)
         best_pen = -np.inf
@@ -322,7 +347,7 @@ class TestRunGA:
     def test_elitism_keeps_max_fitness_monotone(self):
         for seed in range(3):
             M0, y0 = planted_problem(30 + seed)
-            cfg = OptimizerConfig(mode="size_cap", k_opt=3, seed=seed,
+            cfg = OptimizerConfig(k_opt=3, seed=seed,
                                   max_generations=40)
             history = run_ga(M0, y0, cfg).history
             max_fit = history[:, 1]
@@ -330,7 +355,7 @@ class TestRunGA:
 
     def test_size_cap_respected(self):
         M0, y0 = planted_problem(40)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=2, seed=0,
+        cfg = OptimizerConfig(k_opt=2, seed=0,
                               max_generations=60)
         result = run_ga(M0, y0, cfg)
         assert result.best.size() <= 2
@@ -346,21 +371,21 @@ class TestRunGA:
         M0 = M - M.mean(axis=0)
         M0[:, 1] = M0[:, 0]
         y0 = y - y.mean()
-        cfg = OptimizerConfig(mode="size_cap", k_opt=1, seed=0,
+        cfg = OptimizerConfig(k_opt=1, seed=0,
                               max_generations=60)
         result = run_ga(M0, y0, cfg)
         np.testing.assert_array_equal(result.best.indices(), [1])
 
     def test_stagnation_stops_early(self):
         M0, y0 = planted_problem(60)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=3, seed=0,
+        cfg = OptimizerConfig(k_opt=3, seed=0,
                               max_generations=500, stagnation_limit=5)
         history = run_ga(M0, y0, cfg).history
         assert history.shape[0] < 501
 
     def test_history_layout(self, run_recorded):
         M0, y0 = planted_problem(61)
-        cfg = OptimizerConfig(mode="l1", mu=0.05, seed=0, max_generations=20,
+        cfg = OptimizerConfig(mu=0.05, seed=0, max_generations=20,
                               stagnation_limit=20)
         result, populations = run_recorded(M0, y0, cfg)
         history = result.history
@@ -375,7 +400,7 @@ class TestRunGA:
         M0 = np.zeros((10, 1))
         y0 = np.linspace(-1, 1, 10)
         with pytest.raises(ValidationError, match="at least 2"):
-            run_ga(M0, y0, OptimizerConfig(mode="l1"))
+            run_ga(M0, y0, OptimizerConfig())
 
 
 def raw_problem(seed, n=50, p=10, members=(1, 4, 6)):
@@ -397,16 +422,16 @@ def _reference_evaluate(objective, population, cfg):
     pop = np.ascontiguousarray(population, dtype=np.uint8)
     num, quad, _ = group_terms(pop, objective.gram, objective.cvec,
                                prefers_gathered(objective.n_taxa,
-                                                cfg.size_cap))
+                                                cfg.k_opt))
     size = pop.sum(axis=1).astype(np.int64)
     ok = (size > 0) & (quad > DEGENERATE_QUAD)
     raw = np.zeros(len(num))
     raw[ok] = num[ok] / np.sqrt(quad[ok])
-    if cfg.mode == "size_cap":
+    if cfg.k_opt is None:
+        pen = raw - cfg.mu * size.astype(np.float64)
+    else:
         excess = np.maximum(size - cfg.k_opt, 0).astype(np.float64)
         pen = raw - ALPHA * excess
-    else:
-        pen = raw - cfg.mu * size.astype(np.float64)
     pen[~ok] = -ALPHA
     r = np.zeros(len(num))
     if objective.y_norm > 0:
@@ -431,12 +456,12 @@ def _reference_run_ga(M0, y0, cfg):
 
     def consider(pop, raw, pen, r, size):
         nonlocal archive
-        if cfg.mode == "size_cap":
+        if cfg.k_opt is None:
+            feasible = np.arange(len(pen))
+        else:
             feasible = np.flatnonzero(size <= cfg.k_opt)
             if feasible.size == 0:
                 return False
-        else:
-            feasible = np.arange(len(pen))
         best_pen = pen[feasible].max()
         cand = feasible[pen[feasible] == best_pen]
         idx = lexicographic_best_loop(pop, cand)
@@ -547,39 +572,36 @@ def oracle_cases():
             gens = 30 if p == 60 else 12
             for k in caps:
                 cases.append((p, seed, False, dict(
-                    mode="size_cap", k_opt=k, population_size=31 if seed else 200,
+                    k_opt=k, population_size=31 if seed else 200,
                     max_generations=gens, seed=seed)))
             for mu in (0.0, 0.02):
                 cases.append((p, seed, False, dict(
-                    mode="l1", mu=mu, population_size=17 if seed else 200,
+                    mu=mu, population_size=17 if seed else 200,
                     max_generations=gens, seed=seed + 5)))
     # population, elitism and operator extremes at p=60
     for m in (2, 3, 17, 31):
         for elite in (0.0, 0.3):
             for cross, mut in ((0.0, 0.0), (1.0, 1.0), (0.8, 0.1)):
-                for mode in (dict(mode="size_cap", k_opt=6),
-                             dict(mode="l1", mu=0.02)):
+                for penalty in (dict(k_opt=6), dict(mu=0.02)):
                     cases.append((60, m, False, dict(
-                        mode, population_size=m, elite_fraction=elite,
+                        penalty, population_size=m, elite_fraction=elite,
                         crossover_prob=cross, mutation_prob=mut,
                         max_generations=40, stagnation_limit=15, seed=m)))
     # the same extremes for gathered searches, whose copied rows keep their
     # scores: every child a copy (0/0) or every child changed (1/1)
-    for p, mode in ((300, dict(mode="size_cap", k_opt=6)),
-                    (1000, dict(mode="l1", mu=0.02))):
+    for p, penalty in ((300, dict(k_opt=6)), (1000, dict(mu=0.02))):
         for m in (2, 3, 17):
             for elite in (0.0, 0.3):
                 for cross, mut in ((0.0, 0.0), (1.0, 1.0)):
                     cases.append((p, m, False, dict(
-                        mode, population_size=m, elite_fraction=elite,
+                        penalty, population_size=m, elite_fraction=elite,
                         crossover_prob=cross, mutation_prob=mut,
                         max_generations=25, stagnation_limit=15, seed=m)))
     # a stagnation stop, and a functional variable that is all zero
-    cases.append((60, 2, False, dict(mode="size_cap", k_opt=3,
+    cases.append((60, 2, False, dict(k_opt=3,
                                      stagnation_limit=3, seed=1)))
-    for mode in (dict(mode="size_cap", k_opt=4), dict(mode="l1", mu=0.0),
-                 dict(mode="l1", mu=0.02)):
-        cases.append((60, 3, True, dict(mode, population_size=31,
+    for penalty in (dict(k_opt=4), dict(mu=0.0), dict(mu=0.02)):
+        cases.append((60, 3, True, dict(penalty, population_size=31,
                                         max_generations=20, seed=2)))
     return cases
 
@@ -623,7 +645,7 @@ class TestRunGaOracle:
         assert len(extremes) == 24
         for p, _, _, kw in extremes:
             cfg = OptimizerConfig(**set_operators(monkeypatch, kw))
-            assert prefers_gathered(p, cfg.size_cap)
+            assert prefers_gathered(p, cfg.k_opt)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 300),
@@ -662,9 +684,9 @@ class TestRowsScored:
 
     def test_gathered_search_skips_copied_rows(self, monkeypatch):
         M0, y0 = oracle_problem(300, 0)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=6, max_generations=20,
+        cfg = OptimizerConfig(k_opt=6, max_generations=20,
                               seed=3)
-        assert prefers_gathered(300, cfg.size_cap)
+        assert prefers_gathered(300, cfg.k_opt)
         scored, every = self.rows_scored(monkeypatch, M0, y0, cfg)
         assert scored < every
 
@@ -672,23 +694,22 @@ class TestRowsScored:
         # with no elites and every child mutated, no row is a copy
         M0, y0 = oracle_problem(300, 0)
         cfg = OptimizerConfig(**set_operators(monkeypatch, dict(
-            mode="size_cap", k_opt=6, max_generations=20, elite_fraction=0.0,
+            k_opt=6, max_generations=20, elite_fraction=0.0,
             crossover_prob=1.0, mutation_prob=1.0, seed=3)))
         scored, every = self.rows_scored(monkeypatch, M0, y0, cfg)
         assert scored == every
 
     def test_dense_search_scores_every_row(self, monkeypatch):
         M0, y0 = oracle_problem(60, 0)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=6, max_generations=20,
+        cfg = OptimizerConfig(k_opt=6, max_generations=20,
                               seed=3)
-        assert not prefers_gathered(60, cfg.size_cap)
+        assert not prefers_gathered(60, cfg.k_opt)
         scored, every = self.rows_scored(monkeypatch, M0, y0, cfg)
         assert scored == every
 
 
 class TestRunMany:
     def fast_cfg(self, seed, **kw):
-        kw.setdefault("mode", "size_cap")
         kw.setdefault("k_opt", 3)
         return OptimizerConfig(population_size=40, max_generations=25,
                                stagnation_limit=10, seed=seed, **kw)
@@ -704,7 +725,7 @@ class TestRunMany:
     def test_row_subset_equals_direct_run_and_scores_test_rows(self):
         M, y = raw_problem(71)
         train, test = np.arange(0, 50, 2), np.arange(1, 50, 2)
-        cfg = self.fast_cfg(4, mode="l1", k_opt=None, mu=0.05)
+        cfg = self.fast_cfg(4, k_opt=None, mu=0.05)
         [(result, score)] = run_many(M, y, [(cfg, train, test)])
         Mt, yt = M[train], y[train]
         direct = run_ga(Mt - Mt.mean(axis=0), yt - yt.mean(), cfg)
@@ -755,7 +776,7 @@ class TestRunMany:
 
     def test_evaluate_l1_with_mu_grid_is_thread_independent(self):
         M, y = raw_problem(74, n=60, p=8)
-        cfg = self.fast_cfg(5, mode="l1", k_opt=None)
+        cfg = self.fast_cfg(5, k_opt=None)
         reports = [evaluate_method(M, y, cfg, repeats=3, method_tag="baseline",
                                    mu_grid=(0.2, 0.05, 0.01), n_strata=5,
                                    threads=threads)
@@ -825,7 +846,6 @@ class TestSharedObjective:
 
     @staticmethod
     def fast(**kw):
-        kw.setdefault("mode", "size_cap")
         kw.setdefault("seed", 9)
         return OptimizerConfig(population_size=30, max_generations=12,
                                stagnation_limit=6, **kw)
@@ -865,16 +885,16 @@ class TestSharedObjective:
     def test_mu_sweep(self, builds):
         M, y = raw_problem(84, n=40, p=12)
         self.check(builds, lambda threads: mu_sweep(
-            M, y, (0.1, 0.05, 0.01), self.fast(mode="l1"), n_strata=4,
+            M, y, (0.1, 0.05, 0.01), self.fast(), n_strata=4,
             inner_repeats=3, threads=threads), 3)
 
-    @pytest.mark.parametrize("mode, mu_grid, expected", [
-        ("size_cap", None, 3),
+    @pytest.mark.parametrize("k_opt, mu_grid, expected", [
+        (3, None, 3),
         # per split, one build for its inner split and one for its own run
-        ("l1", (0.1, 0.01), 3 * 2)])
-    def test_evaluate_method(self, builds, mode, mu_grid, expected):
+        (None, (0.1, 0.01), 3 * 2)], ids=["size_cap", "l1"])
+    def test_evaluate_method(self, builds, k_opt, mu_grid, expected):
         M, y = raw_problem(85, n=40, p=12)
-        cfg = self.fast(mode=mode, k_opt=3 if mode == "size_cap" else None)
+        cfg = self.fast(k_opt=k_opt)
         self.check(builds, lambda threads: evaluate_method(
             M, y, cfg, 3, method_tag="m", n_strata=4, mu_grid=mu_grid,
             threads=threads), expected)

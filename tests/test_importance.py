@@ -141,7 +141,7 @@ class TestDiscover:
         return H, y
 
     def cfg(self, **kw):
-        base = dict(mode="size_cap", k_opt=2, population_size=80,
+        base = dict(k_opt=2, population_size=80,
                     max_generations=40, stagnation_limit=15, seed=0)
         base.update(kw)
         return OptimizerConfig(**base)
@@ -169,7 +169,7 @@ class TestDiscover:
 
     def test_l1_top_k_from_mean_size(self):
         H, y = self.planted(3)
-        cfg = self.cfg(mode="l1", k_opt=None, mu=0.05)
+        cfg = self.cfg(k_opt=None, mu=0.05)
         report = discover_importance(H, y, cfg, runs=3)
         sizes = [x.size() for x, _ in report.importance.per_run]
         assert report.top_k == max(1, round(float(np.mean(sizes))))

@@ -147,8 +147,7 @@ class TestFormulationChoice:
             return _kernels.prefers_gathered(p, cap)
 
         monkeypatch.setattr(ga, "prefers_gathered", asking)
-        for kw in ({"mode": "size_cap", "k_opt": 10},
-                   {"mode": "size_cap", "k_opt": 60}, {"mode": "l1"}):
+        for kw in ({"k_opt": 10}, {"k_opt": 60}, {}):
             run_ga(M0, y0, OptimizerConfig(max_generations=3, **kw))
         assert asked == [(1000, 10), (1000, 60), (1000, None)]
         assert [_kernels.prefers_gathered(*call) for call in asked] == [
@@ -170,16 +169,16 @@ class TestGaSearch:
         M0 -= M0.mean(0)
         y0 = M0[:, 2] + 0.01 * rng.normal(size=30)
         y0 -= y0.mean()
-        res = run_ga(M0, y0, OptimizerConfig(mode="size_cap", k_opt=1,
+        res = run_ga(M0, y0, OptimizerConfig(k_opt=1,
                                              max_generations=60, seed=1))
         assert res.best.indices().tolist() == [2]
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_gathered_search_matches_dense_search(self, seed, monkeypatch):
         M0, y0 = scale_problem(seed)
-        cfg = OptimizerConfig(mode="size_cap", k_opt=10, max_generations=80,
+        cfg = OptimizerConfig(k_opt=10, max_generations=80,
                               seed=seed)
-        assert _kernels.prefers_gathered(1000, cfg.size_cap)
+        assert _kernels.prefers_gathered(1000, cfg.k_opt)
         gathered = run_ga(M0, y0, cfg)
         monkeypatch.setattr(ga, "prefers_gathered", lambda p, cap: False)
         dense = run_ga(M0, y0, cfg)

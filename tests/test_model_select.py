@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coresponse import model_select
 from coresponse.errors import ValidationError
 from coresponse.ga import GroupChromosome, OptimizerConfig
 from coresponse.model_select import (DEFAULT_MU_GRID, RSS_FLOOR, SWEEP_COLUMNS,
@@ -105,13 +106,20 @@ class TestResultValidation:
 
 
 def quick_cfg(**kw):
-    base = dict(mode="size_cap", k_opt=2, population_size=60,
+    base = dict(k_opt=2, population_size=60,
                 max_generations=40, stagnation_limit=15, seed=0)
     base.update(kw)
     return OptimizerConfig(**base)
 
 
 class TestSweepK:
+    def test_penalized_config_rejected_before_any_search(self, monkeypatch):
+        # each run sets k_opt on cfg, and a capped config cannot set mu
+        M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
+        monkeypatch.setattr(model_select, "run_many", None)
+        with pytest.raises(ValidationError, match="mu"):
+            sweep_k(M, M[:, 0], (1, 2), 1, quick_cfg(k_opt=None, mu=0.1))
+
     def test_recovers_planted_size(self):
         rng = np.random.default_rng(10)
         M = rng.uniform(0, 3, size=(50, 10))
@@ -183,7 +191,7 @@ class TestTuneMu:
         M = rng.uniform(0, 3, size=(60, 8))
         y = M[:, 3] + rng.normal(0, 0.1, size=60)
         grid = (1.0 / 30, 1.0 / 60, 1.0 / 100)
-        cfg = quick_cfg(mode="l1", k_opt=None, seed=5)
+        cfg = quick_cfg(k_opt=None, seed=5)
         mu = mu_sweep(M, y, grid, cfg).chosen_mu
         assert mu in grid
 
@@ -192,7 +200,7 @@ class TestTuneMu:
         M = rng.uniform(0, 3, size=(60, 8))
         y = M[:, 3] + rng.normal(0, 0.1, size=60)
         grid = (1.0 / 30, 1.0 / 100)
-        cfg = quick_cfg(mode="l1", k_opt=None, seed=5)
+        cfg = quick_cfg(k_opt=None, seed=5)
         result = mu_sweep(M, y, grid, cfg)
         assert [row[0] for row in result.per_mu] == list(grid)
         assert all(math.isfinite(row[1]) for row in result.per_mu)
@@ -204,7 +212,7 @@ class TestTuneMu:
         M = rng.uniform(0, 3, size=(60, 8))
         y = M[:, 3] + rng.normal(0, 0.1, size=60)
         grid = (1.0 / 30, 1.0 / 100)
-        cfg = quick_cfg(mode="l1", k_opt=None, seed=5)
+        cfg = quick_cfg(k_opt=None, seed=5)
         a = mu_sweep(M, y, grid, cfg)
         b = mu_sweep(M, y, grid, cfg, threads=3)
         assert a.per_mu == b.per_mu and a.chosen_mu == b.chosen_mu
@@ -212,20 +220,28 @@ class TestTuneMu:
     def test_empty_grid_rejected(self):
         M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
         with pytest.raises(ValidationError, match="grid"):
-            mu_sweep(M, M[:, 0], (), quick_cfg(mode="l1", k_opt=None))
+            mu_sweep(M, M[:, 0], (), quick_cfg(k_opt=None))
+
+    def test_capped_config_rejected_before_any_search(self, monkeypatch):
+        # a capped search never reads mu, so the sweep would score one
+        # capped search per grid value
+        M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
+        monkeypatch.setattr(model_select, "run_many", None)
+        with pytest.raises(ValidationError, match="uncapped"):
+            mu_sweep(M, M[:, 0], (0.1, 0.05), quick_cfg(k_opt=2))
 
     def test_inner_fraction_is_not_an_option(self):
         # the inner split is always half the training rows
         M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
         with pytest.raises(TypeError, match="inner_fraction"):
-            mu_sweep(M, M[:, 0], (0.1,), quick_cfg(mode="l1", k_opt=None),
+            mu_sweep(M, M[:, 0], (0.1,), quick_cfg(k_opt=None),
                      inner_fraction=0.7)
 
     def test_negative_mu_rejected(self):
         M = np.random.default_rng(0).uniform(0, 1, size=(20, 4))
         with pytest.raises(ValidationError):
             mu_sweep(M, M[:, 0], (0.1, -0.2),
-                     quick_cfg(mode="l1", k_opt=None))
+                     quick_cfg(k_opt=None))
 
     def test_strong_penalty_yields_singleton(self):
         # with a penalty far above any attainable correlation gain the
@@ -236,7 +252,7 @@ class TestTuneMu:
         y0 = (y - y.mean())
         mu = 2.0 * float(np.sqrt(y0 @ y0))
         from coresponse.ga import run_ga
-        cfg = quick_cfg(mode="l1", k_opt=None, mu=mu, seed=3,
+        cfg = quick_cfg(k_opt=None, mu=mu, seed=3,
                         max_generations=80, stagnation_limit=30)
         result = run_ga(M - M.mean(axis=0), y0, cfg)
         assert result.best.size() == 1
@@ -259,7 +275,7 @@ class TestSearchDataChecks:
     def test_mu_sweep_rejects_misaligned_rows(self):
         M, y = self.data()
         with pytest.raises(ValidationError, match="sample counts"):
-            mu_sweep(M, y[:-1], (0.1, 0.05), quick_cfg(mode="l1", k_opt=None),
+            mu_sweep(M, y[:-1], (0.1, 0.05), quick_cfg(k_opt=None),
                      n_strata=4)
 
     def test_sweep_k_rejects_nan_in_M(self):
@@ -271,10 +287,10 @@ class TestSearchDataChecks:
         M, y = self.data()
         with pytest.raises(ValidationError, match="non-finite"):
             mu_sweep(M, self.with_nan(y, 5), (0.1, 0.05),
-                     quick_cfg(mode="l1", k_opt=None), n_strata=4)
+                     quick_cfg(k_opt=None), n_strata=4)
 
     def test_mu_sweep_rejects_2d_y_before_splitting(self):
         M, y = self.data()
         with pytest.raises(ValidationError, match="sample counts"):
-            mu_sweep(M, y[:, None], (0.1,), quick_cfg(mode="l1", k_opt=None),
+            mu_sweep(M, y[:, None], (0.1,), quick_cfg(k_opt=None),
                      n_strata=4)
