@@ -7,7 +7,8 @@ take a ``--threads`` cap, so reruns with the same configuration are
 byte-identical at any thread count.  Options may also come from a plain
 ``key=value`` config file; explicit flags win.
 
-Exit codes: 0 success, 2 usage, 3 parse/input, 4 validation, 5 numeric.
+Exit codes: 0 success, 2 usage, 3 missing file, else the raised error
+class's ``exit_code`` (``errors.py``): 3 parse, 4 validation, 5 numeric.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .analytics import (centralities, locate_group, louvain, write_annotated_graph,
                         write_centralities, write_clusters, write_location)
-from .errors import CoresponseError, NumericError, ParseError, ValidationError
+from .errors import CoresponseError, ParseError, ValidationError
 from .evaluation import (convolved_matrix, evaluate_method, write_reports,
                          write_t_tests)
 from .ga import OptimizerConfig
@@ -47,10 +48,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _delimiter(args) -> str:
-    return _DELIMITERS[args.delimiter]
-
-
 def _snapshot(args, out: Path) -> None:
     """Write ``resolved_config.txt``.
 
@@ -65,21 +62,12 @@ def _snapshot(args, out: Path) -> None:
                                              errors="surrogateescape")
 
 
-def _parse_mu_grid(text: str) -> tuple:
+def _parse_list(text: str, kind, flag: str) -> tuple:
+    """The non-blank items of a comma list, each converted by ``kind``."""
     try:
-        grid = tuple(float(part) for part in text.split(",") if part.strip())
+        return tuple(kind(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ParseError(f"bad --mu-grid value: {exc}") from None
-    if not grid:
-        raise ParseError("--mu-grid must list at least one value")
-    return grid
-
-
-def _parse_planted(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad --planted value: {exc}") from None
+        raise ParseError(f"bad {flag} value: {exc}") from None
 
 
 def _ga_config(args, **penalty) -> OptimizerConfig:
@@ -92,18 +80,32 @@ def _ga_config(args, **penalty) -> OptimizerConfig:
     )
 
 
+def _search_config(args, capped: bool):
+    """The config of a capped (``--k``) or an l1 search, and the grid to tune
+    mu over when an l1 search has no fixed ``--mu`` (else None)."""
+    if capped:
+        return _ga_config(args, k_opt=args.k), None
+    if args.mu is not None:
+        return _ga_config(args, mu=args.mu), None
+    grid = _parse_list(args.mu_grid, float, "--mu-grid")
+    if not grid:
+        raise ParseError("--mu-grid must list at least one value")
+    return _ga_config(args), grid
+
+
 def _load_dataset(args):
     abundance = load_abundance(args.abundance)
     function = load_function(args.function, abundance)
     return abundance, function
 
 
-def _check_k(args, abundance) -> None:
-    """Reject a capped search's --k past the taxon count: every such cap is
-    the all-taxa search."""
-    if args.k > abundance.n_taxa:
-        raise ValidationError(f"--k {args.k} exceeds the "
-                              f"{abundance.n_taxa} taxa")
+def _check_size(flag: str, k: int, n_taxa: int) -> None:
+    """Reject a size flag outside 1..n_taxa before any search runs; a cap
+    past the taxon count would repeat the all-taxa search."""
+    if k < 1:
+        raise ValidationError(f"{flag} must be >= 1")
+    if k > n_taxa:
+        raise ValidationError(f"{flag} {k} exceeds the {n_taxa} taxa")
 
 
 def _load_network(args, abundance):
@@ -114,9 +116,7 @@ def _load_network(args, abundance):
     return load_adjacency(args.adjacency, abundance.taxon_labels)
 
 
-def cmd_ingest(args) -> None:
-    out = _out_dir(args)
-    delim = _delimiter(args)
+def cmd_ingest(args, out, delim) -> None:
     abundance = load_abundance(args.abundance, args.orientation)
     abundance = filter_sparse_taxa(abundance, args.max_zero_fraction)
     abundance = css_normalize(abundance, args.css_quantile, args.css_scale)
@@ -124,29 +124,20 @@ def cmd_ingest(args) -> None:
     write_abundance(abundance, out / "abundance_normalized.csv", delim)
     write_function(function, abundance.sample_ids,
                    out / "function_aligned.csv", delim)
-    _snapshot(args, out)
 
 
-def cmd_infer_net(args) -> None:
-    out = _out_dir(args)
-    delim = _delimiter(args)
+def cmd_infer_net(args, out, delim) -> None:
     abundance = load_abundance(args.abundance)
     cfg = NetworkInferenceConfig(mu1=args.mu1, mu2=args.mu2,
                                  tolerance=args.tolerance)
     net = infer_network(abundance, cfg)
     write_adjacency(net, out / "adjacency.csv", delim)
     write_edge_list(net, out / "edge_list.csv", delimiter=delim)
-    _snapshot(args, out)
 
 
-def cmd_select_k(args) -> None:
-    out = _out_dir(args)
-    delim = _delimiter(args)
+def cmd_select_k(args, out, delim) -> None:
     abundance, function = _load_dataset(args)
-    if args.k_max > abundance.n_taxa:
-        # every k past p would repeat the all-taxa search
-        raise ValidationError(f"--k-max {args.k_max} exceeds the "
-                              f"{abundance.n_taxa} taxa")
+    _check_size("--k-max", args.k_max, abundance.n_taxa)
     M = convolved_matrix(abundance, _load_network(args, abundance))
     result = sweep_k(M, function.values, (args.k_min, args.k_max),
                      args.repeats, _ga_config(args), threads=args.threads)
@@ -154,27 +145,25 @@ def cmd_select_k(args) -> None:
     write_table(out / "sweep_summary.csv", ["k", "mean_aic"],
                 [[str(k), fmt(mean)] for k, _, mean in result.per_k], delim)
     (out / "chosen_k.txt").write_text(f"{result.chosen_k}\n", encoding="utf-8")
-    _snapshot(args, out)
 
 
-def cmd_discover(args) -> None:
+def cmd_discover(args, out, delim) -> None:
     if not math.isfinite(args.display_threshold):
         raise ValidationError("--display-threshold must be finite")
-    out = _out_dir(args)
-    delim = _delimiter(args)
     abundance, function = _load_dataset(args)
-    if args.mode == "size_cap":
+    capped = args.mode == "size_cap"
+    if capped:
         if args.k is None:
             raise ValidationError("size_cap mode needs --k (run select-k first)")
-        _check_k(args, abundance)
-        cfg = _ga_config(args, k_opt=args.k)
+        _check_size("--k", args.k, abundance.n_taxa)
+    if args.top_k is not None:
+        _check_size("--top-k", args.top_k, abundance.n_taxa)
+    cfg, grid = _search_config(args, capped)
     M = convolved_matrix(abundance, _load_network(args, abundance))
-    if args.mode == "l1":
-        mu = args.mu
-        if mu is None:
-            mu = mu_sweep(M, function.values, _parse_mu_grid(args.mu_grid),
-                          replace(_ga_config(args), seed=child_int(args.seed, 1)),
-                          threads=args.threads).chosen_mu
+    if grid is not None:
+        mu = mu_sweep(M, function.values, grid,
+                      replace(cfg, seed=child_int(args.seed, 1)),
+                      threads=args.threads).chosen_mu
         cfg = _ga_config(args, mu=mu)
 
     report = discover_importance(M, function.values, cfg, runs=args.runs,
@@ -203,17 +192,14 @@ def cmd_discover(args) -> None:
         ["top_group_r", fmt(report.top_group_r)],
     ]
     write_table(out / "discovery_summary.csv", ["key", "value"], summary, delim)
-    _snapshot(args, out)
 
 
 _METHOD_TAGS = ("baseline", "baseline_l1", "convolved", "convolved_l1")
 
 
-def cmd_evaluate(args) -> None:
-    out = _out_dir(args)
-    delim = _delimiter(args)
+def cmd_evaluate(args, out, delim) -> None:
     abundance, function = _load_dataset(args)
-    methods = tuple(tag.strip() for tag in args.methods.split(",") if tag.strip())
+    methods = _parse_list(args.methods, str.strip, "--methods")
     unknown = [tag for tag in methods if tag not in _METHOD_TAGS]
     if unknown:
         raise ValidationError(
@@ -232,7 +218,7 @@ def cmd_evaluate(args) -> None:
         if args.k is None:
             raise ValidationError(
                 f"method(s) {capped} need --k (run select-k first)")
-        _check_k(args, abundance)
+        _check_size("--k", args.k, abundance.n_taxa)
     graph_methods = [tag for tag in methods if not tag.startswith("baseline")]
     if graph_methods and args.adjacency is None:
         raise ValidationError(
@@ -248,13 +234,8 @@ def cmd_evaluate(args) -> None:
 
     reports = []
     for tag in methods:
-        if not tag.endswith("_l1"):
-            cfg, grid = _ga_config(args, k_opt=args.k), None
-        elif args.mu is None:
-            # evaluate_method tunes mu on every training set
-            cfg, grid = _ga_config(args), _parse_mu_grid(args.mu_grid)
-        else:
-            cfg, grid = _ga_config(args, mu=args.mu), None
+        # evaluate_method tunes mu on every training set when given a grid
+        cfg, grid = _search_config(args, not tag.endswith("_l1"))
         reports.append(evaluate_method(
             matrices[tag.startswith("baseline")], function.values, cfg,
             args.repeats, method_tag=tag, fraction=args.fraction,
@@ -265,15 +246,11 @@ def cmd_evaluate(args) -> None:
     write_reports(reports, out / "per_repeat.csv", out / "summary.csv", delim)
     if len(reports) > 1:
         write_t_tests(reports, out / "ttest.csv", delim)
-    _snapshot(args, out)
 
 
-def cmd_analyze(args) -> None:
+def cmd_analyze(args, out, delim) -> None:
     if not math.isfinite(args.min_weight):
         raise ValidationError("--min-weight must be finite")
-    out = _out_dir(args)
-    delim = _delimiter(args)
-
     header, rows, _ = read_table(args.importance)
     if header[:2] != ["taxon", "importance"]:
         raise ParseError(
@@ -290,6 +267,8 @@ def cmd_analyze(args) -> None:
     mra = (column(2)
            if len(header) > 2 and header[2] == "mean_relative_abundance"
            else None)
+    if args.top_k is not None:
+        _check_size("--top-k", args.top_k, len(labels))
 
     net = load_adjacency(args.adjacency, labels)
     clusters = louvain(net, args.resolution, seed=args.seed)
@@ -313,20 +292,17 @@ def cmd_analyze(args) -> None:
         ["common_neighbors", str(report.n_common_neighbors)],
     ]
     write_table(out / "analysis_summary.csv", ["key", "value"], summary, delim)
-    _snapshot(args, out)
 
 
-def cmd_synth(args) -> None:
-    out = _out_dir(args)
-    planted = (_parse_planted(args.planted) if args.planted
+def cmd_synth(args, out, delim) -> None:
+    planted = (_parse_list(args.planted, int, "--planted") if args.planted
                else tuple(range(args.planted_size)))
     spec = SynthSpec(
         n_samples=args.n_samples, n_taxa=args.n_taxa, n_blocks=args.n_blocks,
         intra_block_weight=args.intra, inter_block_weight=args.inter,
         planted_group=planted, noise_sigma=args.noise_sigma, seed=args.seed,
     )
-    write_bundle(generate(spec), out, _delimiter(args))
-    _snapshot(args, out)
+    write_bundle(generate(spec), out, delim)
 
 
 def _add_common(sub) -> None:
@@ -542,22 +518,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
-        args.func(args)
-    except ParseError as exc:
+        out = _out_dir(args)
+        args.func(args, out, _DELIMITERS[args.delimiter])
+        _snapshot(args, out)
+    except CoresponseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return 3
-    except CoresponseError as exc:  # fallback for the base class
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     return 0
 
 

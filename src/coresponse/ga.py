@@ -89,6 +89,9 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.mu, bool) or not isinstance(
+                self.mu, (int, float, np.integer, np.floating)):
+            raise ValidationError(f"mu must be a real number, got {self.mu!r}")
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValidationError("mu must be finite and >= 0")
         if self.k_opt is not None:

@@ -288,26 +288,16 @@ def _xml_attr(text: str) -> str:
 def write_graphml(path, nodes, edges) -> None:
     """Write an undirected graph as GraphML.
 
-    ``nodes`` yields ``(label, attrs)`` and ``edges`` ``(u, v, attrs)``
-    between labels of ``nodes``; attribute values are ints or floats.  The
-    file holds exactly the bytes networkx 3.x's ``write_graphml`` writes
-    for the ``nx.Graph`` built by adding them in order.  So a repeated
-    label or pair updates the attributes of its first occurrence, edges
-    come in node order, each from the endpoint that comes first, and key
-    ids number the (name, type, scope) triples in order of first use over
-    the nodes, then the edges.
+    ``nodes`` lists ``(label, attrs)`` with distinct labels, and ``edges``
+    ``(u, v, attrs)`` between labels of ``nodes``, each pair once, in
+    row-major order of the node indices with ``u`` the lower; attribute
+    values are ints or floats.  Nodes and edges are written in the order
+    given.  For such input the file holds exactly the bytes networkx 3.x's
+    ``write_graphml`` writes for the ``nx.Graph`` built by adding them in
+    order: key ids number the (name, type, scope) triples in order of first
+    use over the nodes, then the edges.
     """
-    node_attrs = {}
-    for label, attrs in nodes:
-        node_attrs.setdefault(label, {}).update(attrs)
-    adj = {label: {} for label in node_attrs}
-    for u, v, attrs in edges:
-        data = adj[u].get(v)
-        if data is None:
-            data = adj[u][v] = adj[v][u] = {}
-        data.update(attrs)
-
-    ids = {label: _xml_attr(str(label)) for label in node_attrs}
+    ids = {label: _xml_attr(str(label)) for label, _ in nodes}
     keys = {}  # (name, attr.type, scope) -> key id
 
     def element(tag, ident, attrs):
@@ -322,15 +312,10 @@ def write_graphml(path, nodes, edges) -> None:
         return lines
 
     body = []
-    for label, attrs in node_attrs.items():
+    for label, attrs in nodes:
         body += element("node", f'id="{ids[label]}"', attrs)
-    seen = set()
-    for u, row in adj.items():
-        for v, attrs in row.items():
-            if v not in seen:
-                body += element("edge", f'source="{ids[u]}" target="{ids[v]}"',
-                                attrs)
-        seen.add(u)
+    for u, v, attrs in edges:
+        body += element("edge", f'source="{ids[u]}" target="{ids[v]}"', attrs)
 
     # networkx inserts each new key before the others: newest key first
     head = [_GRAPHML_HEAD]

@@ -473,6 +473,39 @@ class TestExitCodes:
         assert "display-threshold" in capsys.readouterr().err
         assert not (tmp_path / "out" / "group_graph.graphml").exists()
 
+    BAD_TOP_K = [(0, "--top-k must be >= 1"),
+                 (13, "--top-k 13 exceeds the 12 taxa")]
+
+    @pytest.mark.parametrize("mode", ["size_cap", "l1"])
+    @pytest.mark.parametrize("top_k, message", BAD_TOP_K)
+    def test_discover_bad_top_k_exits_4_before_searching(
+            self, tmp_path, capsys, monkeypatch, mode, top_k, message):
+        for name in ("discover_importance", "mu_sweep"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail(
+                "discover searched"))
+        data = make_bundle(tmp_path)
+        code = run(["discover", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv", "--no-graph",
+                    "--mode", mode, "--k", 2, "--top-k", top_k,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "top_group.csv").exists()
+
+    @pytest.mark.parametrize("top_k, message", BAD_TOP_K)
+    def test_analyze_bad_top_k_exits_4_before_clustering(
+            self, tmp_path, capsys, monkeypatch, top_k, message):
+        for name in ("louvain", "centralities"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail(
+                "analyze clustered"))
+        data = make_bundle(tmp_path)
+        code = run(["analyze", "--adjacency", data / "adjacency.csv",
+                    "--importance", self.importance_table(tmp_path, data),
+                    "--top-k", top_k, "--out", tmp_path / "out"])
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "analysis_summary.csv").exists()
+
     # every command's required options; the files need not exist, because
     # the thread count is checked before anything is read
     REQUIRED = {

@@ -200,6 +200,18 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="mu"):
             OptimizerConfig(mu=mu)
 
+    @pytest.mark.parametrize("mu", [True, False, np.bool_(True), "0.5", None,
+                                    [0.5]])
+    def test_non_real_mu_rejected(self, mu):
+        # a bool would run as a penalty of 0 or 1 per taxon
+        with pytest.raises(ValidationError, match="mu"):
+            OptimizerConfig(mu=mu)
+
+    @pytest.mark.parametrize("mu", [0, 1, 0.5, np.int64(1), np.float32(0.5),
+                                    np.float64(0.25)])
+    def test_int_and_float_mu_accepted(self, mu):
+        assert OptimizerConfig(mu=mu).mu == mu
+
     def test_alpha_is_not_an_option(self):
         with pytest.raises(TypeError, match="alpha"):
             OptimizerConfig(k_opt=2, alpha=100.0)

@@ -58,22 +58,6 @@ def test_writer_matches_networkx_on_awkward_labels_and_floats(tmp_path):
     assert_same_graph(path, graph)
 
 
-def test_writer_merges_repeats_as_networkx_graph_does(tmp_path):
-    # a repeated label or pair updates its first occurrence; edges follow
-    # node order and start at the endpoint that comes first
-    nodes = [("b", {"x": 1.0}), ("a", {}), ("b", {"x": 2.0, "y": 3})]
-    edges = [("a", "b", {"weight": 0.5}), ("b", "a", {"weight": 0.25}),
-             ("a", "a", {"weight": 1.0}), ("b", "b", {})]
-    graph = nx.Graph()
-    for label, attrs in nodes:
-        graph.add_node(label, **attrs)
-    for u, v, attrs in edges:
-        graph.add_edge(u, v, **attrs)
-    path = tmp_path / "ours.graphml"
-    write_graphml(path, nodes, edges)
-    assert path.read_bytes() == oracle_bytes(graph, tmp_path)
-
-
 # a lone surrogate cannot be encoded; both writers put a character reference
 @pytest.mark.parametrize("nodes", [[], [("a", {}), ("lone \ud800", {})]])
 def test_writer_without_attributes_or_edges(tmp_path, nodes):
