@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import CoOccurrenceNetwork
+from .tables import fmt, write_graphml, write_table
 from .utils import child_int
 
 LOUVAIN_RESTARTS = 10
@@ -372,8 +373,6 @@ def locate_group(net: CoOccurrenceNetwork, importance: np.ndarray,
 
 def write_clusters(result: ClusterResult, labels, path,
                    delimiter: str = ",") -> None:
-    from .tables import write_table
-
     rows = [[str(label), str(int(c))]
             for label, c in zip(labels, result.assignment)]
     write_table(path, list(CLUSTER_COLUMNS), rows, delimiter)
@@ -381,8 +380,6 @@ def write_clusters(result: ClusterResult, labels, path,
 
 def write_centralities(report: CentralityReport, labels, path,
                        delimiter: str = ",") -> None:
-    from .tables import fmt, write_table
-
     rows = [[str(label), fmt(d), fmt(c)]
             for label, d, c in zip(labels, report.degree, report.closeness)]
     write_table(path, list(CENTRALITY_COLUMNS), rows, delimiter)
@@ -391,8 +388,6 @@ def write_centralities(report: CentralityReport, labels, path,
 def write_location(report: LocationReport, labels, importance: np.ndarray,
                    path, delimiter: str = ",") -> None:
     """One row per top taxon; the aggregate counts live in the report."""
-    from .tables import fmt, write_table
-
     rows = [
         [str(labels[i]), fmt(importance[i]), str(int(report.cluster_ids[pos])),
          str(int(report.degree_ranks[pos])),
@@ -411,8 +406,6 @@ def write_annotated_graph(net: CoOccurrenceNetwork, path, *,
 
     The mean relative abundance is left out when ``mean_abundance`` is None.
     """
-    from .tables import write_graphml
-
     labels = net.taxon_labels
     nodes = []
     for i, label in enumerate(labels):

@@ -17,8 +17,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analytics import (centralities, locate_group, louvain, write_annotated_graph,
                         write_centralities, write_clusters, write_location)
@@ -27,25 +25,23 @@ from .evaluation import (convolved_matrix, evaluate_method, write_reports,
                          write_t_tests)
 from .ga import OptimizerConfig
 from .importance import (DISPLAY_THRESHOLD, discover_importance,
-                         write_group_network)
-from .ingest import (css_normalize, filter_sparse_taxa, load_abundance,
-                     load_function, write_abundance, write_function)
+                         read_importance, write_group_network)
+from .ingest import (ORIENTATIONS, css_normalize, filter_sparse_taxa,
+                     load_abundance, load_function, write_abundance,
+                     write_function)
 from .model_select import (DEFAULT_MU_GRID, mu_sweep, sweep_k, write_sweep)
 from .network import (NetworkInferenceConfig, infer_network, load_adjacency,
                       write_adjacency, write_edge_list)
 from .synth import SynthSpec, generate, write_bundle
-from .tables import fmt, parse_cell, read_table, read_text, write_table
+from .tables import fmt, read_text, write_table
 from .utils import child_int
 
 FORMAT_VERSION = 1
 
 _DELIMITERS = {"comma": ",", "tab": "\t"}
 
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+#: the default ``--mu-grid``, which parses back to DEFAULT_MU_GRID bit for bit
+_MU_GRID = ",".join(map(repr, DEFAULT_MU_GRID))
 
 
 def _snapshot(args, out: Path) -> None:
@@ -138,6 +134,9 @@ def cmd_infer_net(args, out, delim) -> None:
 def cmd_select_k(args, out, delim) -> None:
     abundance, function = _load_dataset(args)
     _check_size("--k-max", args.k_max, abundance.n_taxa)
+    if not 1 <= args.k_min <= args.k_max:
+        raise ValidationError("--k-min must lie in 1..--k-max, got "
+                              f"{args.k_min} with --k-max {args.k_max}")
     M = convolved_matrix(abundance, _load_network(args, abundance))
     result = sweep_k(M, function.values, (args.k_min, args.k_max),
                      args.repeats, _ga_config(args), threads=args.threads)
@@ -251,22 +250,7 @@ def cmd_evaluate(args, out, delim) -> None:
 def cmd_analyze(args, out, delim) -> None:
     if not math.isfinite(args.min_weight):
         raise ValidationError("--min-weight must be finite")
-    header, rows, _ = read_table(args.importance)
-    if header[:2] != ["taxon", "importance"]:
-        raise ParseError(
-            f"{args.importance}: expected an importance node table "
-            "(taxon, importance, ...)")
-    labels = tuple(row[0] for row in rows)
-
-    def column(j):
-        return np.array([parse_cell(row[j], args.importance, row=i + 2,
-                                    col=j + 1)
-                         for i, row in enumerate(rows)])
-
-    ivec = column(1)
-    mra = (column(2)
-           if len(header) > 2 and header[2] == "mean_relative_abundance"
-           else None)
+    labels, ivec, mra = read_importance(args.importance)
     if args.top_k is not None:
         _check_size("--top-k", args.top_k, len(labels))
 
@@ -341,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--abundance", required=True)
     sub.add_argument("--function", required=True)
     sub.add_argument("--orientation", default="samples-as-rows",
-                     choices=("samples-as-rows", "taxa-as-rows"))
+                     choices=ORIENTATIONS)
     sub.add_argument("--max-zero-fraction", type=float, default=0.80)
     sub.add_argument("--css-quantile", type=float, default=0.50)
     sub.add_argument("--css-scale", type=float, default=1000.0,
@@ -384,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="group size cap (size_cap mode)")
     sub.add_argument("--mu", type=float, default=None,
                      help="fixed l1 penalty; omit to tune over --mu-grid")
-    sub.add_argument("--mu-grid",
-                     default=",".join(fmt(m) for m in DEFAULT_MU_GRID))
+    sub.add_argument("--mu-grid", default=_MU_GRID)
     sub.add_argument("--runs", type=int, default=10)
     sub.add_argument("--top-k", type=int, default=None)
     sub.add_argument("--display-threshold", type=float,
@@ -401,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--methods", default="baseline,convolved")
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--mu", type=float, default=None)
-    sub.add_argument("--mu-grid",
-                     default=",".join(fmt(m) for m in DEFAULT_MU_GRID))
+    sub.add_argument("--mu-grid", default=_MU_GRID)
     sub.add_argument("--repeats", type=int, default=100)
     sub.add_argument("--fraction", type=float, default=0.5)
     sub.add_argument("--strata", type=int, default=10)
@@ -472,14 +454,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
     if unknown:
         raise ParseError(f"unknown config key(s): {unknown}")
     for sub in parser.subcommands.values():
-        updates = {}
-        for action in sub._actions:
-            if action.dest not in overrides:
-                continue
-            raw = overrides[action.dest]
-            updates[action.dest] = _convert_config_value(path, action, raw)
-        if updates:
-            sub.set_defaults(**updates)
+        sub.set_defaults(**{
+            action.dest: _convert_config_value(path, action,
+                                               overrides[action.dest])
+            for action in sub._actions if action.dest in overrides})
     return argv
 
 
@@ -518,7 +496,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
-        out = _out_dir(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         args.func(args, out, _DELIMITERS[args.delimiter])
         _snapshot(args, out)
     except CoresponseError as exc:

@@ -22,6 +22,7 @@ from .ga import OptimizerConfig, check_search_data, run_many
 from .ingest import AbundanceMatrix
 from .model_select import mu_sweep
 from .network import CoOccurrenceNetwork, convolution_operator
+from .tables import fmt, write_table
 from .utils import child_int, generator
 
 SIGNIFICANCE_LEVEL = 0.05
@@ -251,8 +252,6 @@ def paired_t_test(a, b) -> TTestResult:
 def write_reports(reports, per_repeat_path, summary_path,
                   delimiter: str = ",") -> None:
     """Export long-format per-repeat correlations plus per-method summaries."""
-    from .tables import fmt, write_table
-
     long_rows = []
     summary_rows = []
     for report in reports:
@@ -274,8 +273,6 @@ def write_t_tests(reports, path, delimiter: str = ",") -> None:
     ``significant`` set from the constant difference (``no`` for a zero
     gap, ``yes`` for a nonzero one, where the t statistic diverges).
     """
-    from .tables import fmt, write_table
-
     rows = []
     for i, ra in enumerate(reports):
         for rb in reports[i + 1:]:

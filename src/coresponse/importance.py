@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .ga import OptimizerConfig, group_r, run_many
+from .tables import fmt, parse_cell, read_table, write_graphml, write_table
 from .utils import child_int
 
 DEFAULT_RUNS = 10
@@ -152,8 +153,6 @@ def write_group_network(importance: ImportanceResult, labels, values,
     ``values`` is the samples x taxa abundance array behind the node
     tables' mean relative abundance.
     """
-    from .tables import fmt, write_graphml, write_table
-
     labels = tuple(str(label) for label in labels)
     if len(labels) != importance.n_taxa:
         raise ValidationError("label count does not match importance length")
@@ -174,3 +173,26 @@ def write_group_network(importance: ImportanceResult, labels, values,
              for i, j, w in zip(ia.tolist(), ja.tolist(), L[ia, ja].tolist())
              if abs(w) >= display_threshold]
     write_graphml(graph_path, nodes, edges)
+
+
+def read_importance(path):
+    """(labels, importance, mean relative abundance) of a node table as
+    :func:`write_group_network` writes it; the last is None unless the
+    third column is ``mean_relative_abundance``, and further columns are
+    ignored.
+
+    Raises:
+        ParseError: the first two columns are not ``taxon, importance``,
+            or a cell is not numeric (named by its 1-based row and column).
+    """
+    header, rows, _ = read_table(path)
+    if header[:2] != list(NODE_COLUMNS[:2]):
+        raise ParseError(f"{path}: expected an importance node table "
+                         "(taxon, importance, ...)")
+
+    def column(j):
+        return np.array([parse_cell(row[j], path, row=i + 2, col=j + 1)
+                         for i, row in enumerate(rows)])
+
+    return (tuple(row[0] for row in rows), column(1),
+            column(2) if header[2:3] == [NODE_COLUMNS[2]] else None)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ga import GroupChromosome, OptimizerConfig, check_search_data, run_many
+from .tables import fmt, write_table
 from .utils import child_int
 
 #: candidate l1 penalty weights, strongest first
@@ -171,8 +172,6 @@ def mu_sweep(M_train: np.ndarray, y_train: np.ndarray, grid,
 
 def write_sweep(result: ModelSelectionResult, path, delimiter: str = ",") -> None:
     """Export per-run sweep detail as a (k, repeat, aic, r, group_bits) table."""
-    from .tables import fmt, write_table
-
     rows = [
         [str(run.k), str(run.repeat), fmt(run.aic), fmt(run.pearson_r),
          "".join(str(int(b)) for b in run.bits)]

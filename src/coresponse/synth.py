@@ -15,12 +15,14 @@ platforms.
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .ingest import AbundanceMatrix, FunctionalVariable, css_normalize, write_abundance, write_function
 from .network import CoOccurrenceNetwork, convolve, write_adjacency
+from .tables import fmt, write_table
 from .utils import seed_sequence
 
 GROUND_TRUTH_COLUMNS = ("planted_index", "taxon_label", "expected_r")
@@ -132,10 +134,6 @@ def write_bundle(bundle: SynthBundle, outdir, delimiter: str = ",") -> dict:
     (filter + normalization) reproduces ``bundle.abundance`` exactly.
     Returns the mapping of logical names to paths.
     """
-    from pathlib import Path
-
-    from .tables import fmt, write_table
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {

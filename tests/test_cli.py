@@ -11,6 +11,8 @@ import pytest
 import coresponse
 from coresponse import cli
 from coresponse.cli import build_parser, main
+from coresponse.importance import read_importance
+from coresponse.model_select import DEFAULT_MU_GRID
 
 GA_FAST = ["--population-size", "60", "--max-generations", "30",
            "--stagnation-limit", "12"]
@@ -302,6 +304,24 @@ class TestExitCodes:
         assert len((tmp_path / "out" / "sweep.csv").read_text()
                    .splitlines()) == 1 + 2
 
+    @pytest.mark.parametrize("k_min, k_max", [(0, 3), (-1, 3), (5, 3)])
+    def test_bad_k_min_exits_4_before_the_network_loads(
+            self, tmp_path, capsys, monkeypatch, k_min, k_max):
+        # the adjacency file is missing, which would exit 3 had it loaded
+        for name in ("load_adjacency", "sweep_k"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail(
+                "select-k loaded the network or searched"))
+        data = make_bundle(tmp_path)
+        code = run(["select-k", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv",
+                    "--adjacency", tmp_path / "missing.csv",
+                    "--k-min", k_min, "--k-max", k_max,
+                    "--out", tmp_path / "out"] + GA_FAST)
+        assert code == 4
+        assert (f"--k-min must lie in 1..--k-max, got {k_min} with "
+                f"--k-max {k_max}") in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     @pytest.mark.parametrize("mode", ["size_cap"])
     def test_discover_k_above_taxon_count_exits_4_before_searching(
             self, tmp_path, capsys, monkeypatch, mode):
@@ -427,6 +447,22 @@ class TestExitCodes:
                     "--importance", table, "--out", tmp_path / "out"])
         assert code == 3
         assert "'high' at row 5, column 2" in capsys.readouterr().err
+
+    def test_importance_table_without_abundance_column(self, tmp_path):
+        table = tmp_path / "importance.csv"
+        table.write_text("taxon,importance\nA,0.5\nB,0\n")
+        labels, importance, mean_abundance = read_importance(table)
+        assert labels == ("A", "B")
+        assert importance.tolist() == [0.5, 0.0]
+        assert mean_abundance is None
+
+    @pytest.mark.parametrize("command", ["discover", "evaluate"])
+    def test_default_mu_grid_is_the_library_grid(self, command):
+        args = build_parser().parse_args(
+            [command, "--abundance", "a.csv", "--function", "f.csv"])
+        _, grid = cli._search_config(args, capped=False)
+        # bit for bit, so a command reproduces a library run over the grid
+        assert grid == DEFAULT_MU_GRID
 
 
     @staticmethod
