@@ -124,8 +124,7 @@ def cmd_ingest(args, out, delim) -> None:
 
 def cmd_infer_net(args, out, delim) -> None:
     abundance = load_abundance(args.abundance)
-    cfg = NetworkInferenceConfig(mu1=args.mu1, mu2=args.mu2,
-                                 tolerance=args.tolerance)
+    cfg = NetworkInferenceConfig(mu1=args.mu1, mu2=args.mu2)
     net = infer_network(abundance, cfg)
     write_adjacency(net, out / "adjacency.csv", delim)
     write_edge_list(net, out / "edge_list.csv", delimiter=delim)
@@ -338,9 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--abundance", required=True)
     sub.add_argument("--mu1", type=float, default=0.1)
     sub.add_argument("--mu2", type=float, default=0.01)
-    sub.add_argument("--tolerance", type=float, default=1e-8,
-                     help="KKT violation the exact finish allows off a "
-                          "column's support")
     _add_common(sub)
     sub.set_defaults(func=cmd_infer_net)
 

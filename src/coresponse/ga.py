@@ -22,7 +22,8 @@ import numpy as np
 
 from ._kernels import L1_START_BITS, group_terms, prefers_gathered
 from .errors import ValidationError
-from .utils import exactly_symmetric, generator, parallel_map, pearson
+from .utils import (exactly_symmetric, generator, parallel_map, pearson,
+                    symmetrize)
 
 #: hard-cap penalty weight: sqrt of the largest finite double
 ALPHA = math.sqrt(sys.float_info.max)
@@ -144,7 +145,9 @@ class Objective:
         gram = M0.T @ M0
         # numpy's M0.T @ M0 is exactly symmetric, and then its
         # symmetrization is the same array
-        self.gram = gram if exactly_symmetric(gram) else (gram + gram.T) / 2.0
+        if not exactly_symmetric(gram):
+            symmetrize(gram)
+        self.gram = gram
         self.cvec = M0.T @ y0
         self.y_norm = float(np.sqrt(y0 @ y0))
         self.n_taxa = M0.shape[1]

@@ -91,6 +91,24 @@ def check_unique(labels, kind: str, path=None) -> None:
         seen.add(label)
 
 
+def check_match(expected, found, kind: str, path) -> None:
+    """Reject a file whose labels are not the expected set.
+
+    The message lists, each sorted, the expected labels missing from the
+    file at ``path`` and the file's labels that were not expected.
+    """
+    expected, found = set(expected), set(found)
+    missing = sorted(expected - found)
+    extra = sorted(found - expected)
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append(f"missing from file: {missing}")
+        if extra:
+            parts.append(f"unknown in file: {extra}")
+        raise ValidationError(f"{path}: {kind} mismatch; " + "; ".join(parts))
+
+
 def load_abundance(path, orientation: str = "samples-as-rows") -> AbundanceMatrix:
     """Load a labeled abundance table.
 
@@ -184,15 +202,7 @@ def load_function(path, abundance: AbundanceMatrix) -> FunctionalVariable:
     check_unique([sid for sid, _ in rows], "sample id", path)
     by_id = {sid: parse_cell(cell, path, row=i + 2, col=2)
              for i, (sid, cell) in enumerate(rows)}
-    missing = [sid for sid in abundance.sample_ids if sid not in by_id]
-    extra = [sid for sid in by_id if sid not in set(abundance.sample_ids)]
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing from {path}: {missing}")
-        if extra:
-            parts.append(f"not in abundance matrix: {extra}")
-        raise ValidationError("unmatched sample ids; " + "; ".join(parts))
+    check_match(abundance.sample_ids, by_id, "sample id", path)
     values = np.array([by_id[sid] for sid in abundance.sample_ids])
     return FunctionalVariable(values, name)
 

@@ -16,16 +16,15 @@ import numpy as np
 
 from ._kernels import FinishError, enet_coordinate_descent, enet_kkt_finish
 from .errors import NumericError, ParseError, ValidationError
-from .ingest import AbundanceMatrix, check_unique
+from .ingest import AbundanceMatrix, check_match, check_unique
 from .tables import (fmt, parse_cell, read_header, read_matrix, read_table,
                      write_table)
-from .utils import exactly_symmetric
+from .utils import ROW_BLOCK, asymmetry, exactly_symmetric, symmetrize
 
 SYMMETRY_TOL = 1e-12
 
-#: rows per block of the passes that rewrite a p x p array in place; each
-#: block's temporaries hold ROW_BLOCK x p floats
-ROW_BLOCK = 32
+#: KKT violation the exact finish allows off a column's support
+KKT_TOLERANCE = 1e-8
 
 #: sweep tolerance of the coordinate-descent pass that finds each column's
 #: support before the exact finish.  At p=600 it takes 6-8 sweeps (1e-3
@@ -64,7 +63,7 @@ class CoOccurrenceNetwork:
             raise ValidationError("adjacency contains non-finite weights")
         if (adj < 0).any():
             raise ValidationError("adjacency contains negative weights")
-        if not exactly_symmetric(adj) and _asymmetry(adj) > SYMMETRY_TOL:
+        if not exactly_symmetric(adj) and asymmetry(adj) > SYMMETRY_TOL:
             raise ValidationError("adjacency is not symmetric within 1e-12")
         if np.abs(np.diag(adj)).max(initial=0.0) != 0.0:
             raise ValidationError("adjacency has nonzero diagonal entries")
@@ -76,21 +75,14 @@ class CoOccurrenceNetwork:
 
 @dataclass(frozen=True, kw_only=True)
 class NetworkInferenceConfig:
-    """Penalties and stopping rule for network inference.
-
-    ``tolerance`` is the KKT violation the exact finish allows off a
-    column's support.
-    """
+    """Penalties of network inference."""
 
     mu1: float = 0.1
     mu2: float = 0.01
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if not all(math.isfinite(mu) and mu >= 0 for mu in (self.mu1, self.mu2)):
             raise ValidationError("penalties mu1 and mu2 must be finite and >= 0")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValidationError("tolerance must be finite and > 0")
 
 
 def load_adjacency(path, labels) -> CoOccurrenceNetwork:
@@ -111,9 +103,9 @@ def load_adjacency(path, labels) -> CoOccurrenceNetwork:
         adj = _adjacency_from_matrix(path, labels)
     # an exactly symmetric file is its own symmetrization
     if not exactly_symmetric(adj):
-        if _asymmetry(adj) > SYMMETRY_TOL:
+        if asymmetry(adj) > SYMMETRY_TOL:
             warnings.warn(f"{path}: asymmetric adjacency symmetrized as (A+A^T)/2")
-        _symmetrize(adj)
+        symmetrize(adj)
     if np.abs(np.diag(adj)).max(initial=0.0) > 0.0:
         warnings.warn(f"{path}: nonzero diagonal zeroed (no self-loops)")
         np.fill_diagonal(adj, 0.0)
@@ -128,7 +120,7 @@ def _adjacency_from_matrix(path, labels) -> np.ndarray:
         raise ParseError(f"{path}: matrix row labels do not match column labels")
     # before the reordering below, where the last of two rows would win
     check_unique(file_cols, "taxon label", path)
-    _check_label_match(path, file_cols, labels)
+    check_match(labels, file_cols, "label", path)
     if tuple(file_cols) != labels:
         # a repeated label is an error CoOccurrenceNetwork would raise;
         # raised here, because then labels are not a reordering of the file's
@@ -160,30 +152,6 @@ def _permute(A: np.ndarray, perm: list[int]) -> None:
         A[r:r + ROW_BLOCK] = A[r:r + ROW_BLOCK, perm]
 
 
-def _asymmetry(A: np.ndarray):
-    """``np.abs(A - A.T).max(initial=0.0)``, a block of rows at a time.
-
-    A NaN anywhere gives NaN, as the one-pass form does.
-    """
-    return np.max([np.abs(A[r:r + ROW_BLOCK] - A[:, r:r + ROW_BLOCK].T).max()
-                   for r in range(0, A.shape[0], ROW_BLOCK)], initial=0.0)
-
-
-def _symmetrize(A: np.ndarray) -> None:
-    """``A[...] = (A + A.T) / 2.0`` in place, bit for bit.
-
-    Each block of rows and the matching block of columns get the average
-    of the block and its mirror from the diagonal on; ``a + b`` and
-    ``b + a`` are the same float, so both halves are the one-pass bits.
-    """
-    for r in range(0, A.shape[0], ROW_BLOCK):
-        rows = slice(r, r + ROW_BLOCK)
-        block = A[rows, r:] + A[r:, rows].T
-        block /= 2.0
-        A[rows, r:] = block
-        A[r:, rows] = block.T
-
-
 def _adjacency_from_edges(path, rows, labels) -> np.ndarray:
     index = {lab: i for i, lab in enumerate(labels)}
     unknown = sorted({c for cells in rows for c in cells[:2] if c not in index})
@@ -203,18 +171,6 @@ def _adjacency_from_edges(path, rows, labels) -> np.ndarray:
         seen.add(key)
         adj[i, j] = adj[j, i] = weight
     return adj
-
-
-def _check_label_match(path, file_labels, labels) -> None:
-    missing = sorted(set(labels) - set(file_labels))
-    extra = sorted(set(file_labels) - set(labels))
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing from file: {missing}")
-        if extra:
-            parts.append(f"unknown in file: {extra}")
-        raise ValidationError(f"{path}: label mismatch; " + "; ".join(parts))
 
 
 def write_adjacency(net: CoOccurrenceNetwork, path, delimiter: str = ",") -> None:
@@ -256,8 +212,8 @@ def infer_network(m: AbundanceMatrix, cfg: NetworkInferenceConfig = NetworkInfer
     solved exactly: a coordinate-descent pass to ``LOOSE_TOLERANCE`` (at
     most ``LOOSE_MAX_SWEEPS`` sweeps) finds each column's support, and an
     active-set finish solves the column on it until no coefficient off the
-    support violates the KKT conditions by more than ``cfg.tolerance``.
-    The coefficient matrix is symmetrized as (B + B^T)/2.
+    support violates the KKT conditions by more than ``KKT_TOLERANCE``.
+    The coefficient matrix is symmetrized as (B + B^T)/2 in place.
 
     Columns are standardized (zero mean, unit variance) first so the
     penalties act on partial-correlation scale regardless of the data's
@@ -277,14 +233,15 @@ def infer_network(m: AbundanceMatrix, cfg: NetworkInferenceConfig = NetworkInfer
     active_labels = [lab for lab, a in zip(m.taxon_labels, active) if a]
     Xs = (X[:, active] - X[:, active].mean(axis=0)) / sd[active]
     gram = Xs.T @ Xs / n
-    gram = (gram + gram.T) / 2.0
+    if not exactly_symmetric(gram):
+        symmetrize(gram)
     B_act = _solve_columns(gram, cfg, active_labels)
     B = np.zeros((p, p))
     idx = np.flatnonzero(active)
     B[np.ix_(idx, idx)] = B_act
-    W = (B + B.T) / 2.0
-    np.fill_diagonal(W, 0.0)
-    return CoOccurrenceNetwork(W, m.taxon_labels)
+    symmetrize(B)
+    np.fill_diagonal(B, 0.0)
+    return CoOccurrenceNetwork(B, m.taxon_labels)
 
 
 def _solve_columns(gram, cfg: NetworkInferenceConfig, labels) -> np.ndarray:
@@ -297,7 +254,7 @@ def _solve_columns(gram, cfg: NetworkInferenceConfig, labels) -> np.ndarray:
         gram, cfg.mu1, cfg.mu2, LOOSE_MAX_SWEEPS, LOOSE_TOLERANCE
     )
     try:
-        B, _ = enet_kkt_finish(gram, B_loose, cfg.mu1, cfg.mu2, cfg.tolerance)
+        B, _ = enet_kkt_finish(gram, B_loose, cfg.mu1, cfg.mu2, KKT_TOLERANCE)
     except FinishError as exc:
         label = labels[exc.column]
         if exc.reason == "singular":

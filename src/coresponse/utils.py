@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: rows per block of the passes that rewrite a p x p array in place; each
+#: block's temporaries hold ROW_BLOCK x p floats
+ROW_BLOCK = 32
+
 
 def seed_sequence(master: int, *key: int) -> np.random.SeedSequence:
     if master < 0:
@@ -52,6 +56,30 @@ def exactly_symmetric(A: np.ndarray) -> bool:
         return False
     bits = A.view(np.uint64)
     return bool(np.array_equal(bits, bits.T))
+
+
+def asymmetry(A: np.ndarray):
+    """``np.abs(A - A.T).max(initial=0.0)``, a block of rows at a time.
+
+    A NaN anywhere gives NaN, as the one-pass form does.
+    """
+    return np.max([np.abs(A[r:r + ROW_BLOCK] - A[:, r:r + ROW_BLOCK].T).max()
+                   for r in range(0, A.shape[0], ROW_BLOCK)], initial=0.0)
+
+
+def symmetrize(A: np.ndarray) -> None:
+    """``A[...] = (A + A.T) / 2.0`` in place, bit for bit.
+
+    Each block of rows and the matching block of columns get the average
+    of the block and its mirror from the diagonal on; ``a + b`` and
+    ``b + a`` are the same float, so both halves are the one-pass bits.
+    """
+    for r in range(0, A.shape[0], ROW_BLOCK):
+        rows = slice(r, r + ROW_BLOCK)
+        block = A[rows, r:] + A[r:, rows].T
+        block /= 2.0
+        A[rows, r:] = block
+        A[r:, rows] = block.T
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:

@@ -171,18 +171,21 @@ class TestExitCodes:
         assert not (out / "abundance_normalized.csv").exists()
 
     def test_max_iterations_is_not_an_option(self, tmp_path):
-        # the loose pass's sweep cap is fixed: the finish's result does
-        # not depend on where the pass stopped
+        # the loose pass's sweep cap and the finish's KKT tolerance are
+        # fixed: the finish's result does not depend on where the pass
+        # stopped, and 1e-8 is the tolerance of an exact solve
         ab = self.abundance_file(
             tmp_path, np.random.default_rng(0).uniform(1, 5, (30, 3)))
-        with pytest.raises(SystemExit) as exc:
-            run(["infer-net", "--abundance", ab, "--max-iterations", 1,
-                 "--out", tmp_path / "out"])
-        assert exc.value.code == 2
         config = tmp_path / "run.cfg"
-        config.write_text("max_iterations=1\n")
-        assert run(["infer-net", "--abundance", ab, "--config", config,
-                    "--out", tmp_path / "out"]) == 3
+        for key, value in (("max_iterations", 1), ("tolerance", 1e-6)):
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                run(["infer-net", "--abundance", ab, flag, value,
+                     "--out", tmp_path / "out"])
+            assert exc.value.code == 2
+            config.write_text(f"{key}={value}\n")
+            assert run(["infer-net", "--abundance", ab, "--config", config,
+                        "--out", tmp_path / "out"]) == 3
 
     @staticmethod
     def abundance_file(tmp_path, values):
@@ -218,7 +221,7 @@ class TestExitCodes:
         assert "--mu2 > 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "adjacency.csv").exists()
 
-    @pytest.mark.parametrize("flag", ["--mu1", "--mu2", "--tolerance"])
+    @pytest.mark.parametrize("flag", ["--mu1", "--mu2"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_inference_setting_exits_4(self, tmp_path, capsys,
                                                    flag, value):
@@ -563,7 +566,7 @@ class TestExitCodes:
         "ingest": COMMON | {"abundance", "function", "orientation",
                             "max_zero_fraction", "css_quantile",
                             "css_scale"},
-        "infer-net": COMMON | {"abundance", "mu1", "mu2", "tolerance"},
+        "infer-net": COMMON | {"abundance", "mu1", "mu2"},
         "select-k": COMMON | SEARCH | {"abundance", "function", "adjacency",
                                        "no_graph", "k_min", "k_max",
                                        "repeats"},
@@ -593,7 +596,7 @@ class TestExitCodes:
                    for name, sub in build_parser().subcommands.items()}
         sets = {name: set(dests) for name, dests in options.items()}
         assert sets == self.OPTIONS
-        assert sum(map(len, options.values())) == 90
+        assert sum(map(len, options.values())) == 89
 
     @pytest.mark.parametrize("command, flag", [
         *((command, "--threads=2")

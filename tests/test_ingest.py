@@ -1,5 +1,7 @@
 """Abundance/function loading, sparsity filtering and normalization."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,20 @@ class TestRoundTrip:
         path.write_text("sample_id,pmn\ns1,10\ns2,20\ns3,30\nzz,40\n")
         with pytest.raises(ValidationError, match="zz"):
             load_function(path, m)
+
+    def test_function_join_is_linear_in_samples(self, tmp_path):
+        # one set per side, not one abundance id set per function row
+        n = 20_000
+        ids = tuple(f"s{i}" for i in range(n))
+        m = AbundanceMatrix(np.ones((n, 2)), ids, ("t1", "t2"))
+        path = tmp_path / "f.csv"
+        write_function(FunctionalVariable(np.arange(float(n)), "pmn"),
+                       ids[::-1], path)
+        start = time.perf_counter()
+        fv = load_function(path, m)
+        elapsed = time.perf_counter() - start
+        np.testing.assert_array_equal(fv.values, np.arange(float(n))[::-1])
+        assert elapsed < 2.0
 
     def test_function_repeated_sample_id_named(self, tmp_path):
         m = small_matrix()

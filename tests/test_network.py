@@ -14,8 +14,10 @@ from coresponse.network import (CoOccurrenceNetwork, NetworkInferenceConfig,
                                 convolution_operator, convolve, infer_network,
                                 load_adjacency, write_adjacency,
                                 write_edge_list)
+from coresponse.synth import SynthSpec, generate
 from coresponse.tables import fmt, read_matrix, write_table
 from coresponse.utils import exactly_symmetric
+from test_utils import bit_cases, bits
 
 
 def toy_abundance(values):
@@ -69,23 +71,6 @@ def operator_oracle(A):
     a_tilde = A + np.eye(A.shape[0])
     inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
     return a_tilde * np.outer(inv_sqrt, inv_sqrt)
-
-
-def bit_cases():
-    """p x p arrays for the in-place passes: random, all-zero and with -0.0
-    entries, at p = 1, 2 and 65 (two whole row blocks and one row)."""
-    rng = np.random.default_rng(7)
-    for p in (1, 2, 2 * network.ROW_BLOCK + 1):
-        A = rng.uniform(0, 1, (p, p))
-        signed = A.copy()
-        signed[rng.uniform(size=(p, p)) < 0.3] = -0.0
-        yield pytest.param(A, id=f"random-{p}")
-        yield pytest.param(np.zeros((p, p)), id=f"zero-{p}")
-        yield pytest.param(signed, id=f"signed-zero-{p}")
-
-
-def bits(A):
-    return A.view(np.uint64)
 
 
 def network_checks_oracle(adj, labels):
@@ -274,20 +259,6 @@ class TestInPlacePasses:
             network._permute(permuted, perm)
             assert np.array_equal(bits(permuted), bits(expected))
 
-    @pytest.mark.parametrize("A", bit_cases())
-    def test_symmetrize_matches_formula(self, A):
-        expected = (A + A.T) / 2.0
-        symmetrized = A.copy()
-        network._symmetrize(symmetrized)
-        assert np.array_equal(bits(symmetrized), bits(expected))
-        assert (network._asymmetry(A)
-                == np.abs(A - A.T).max(initial=0.0))
-
-    def test_asymmetry_of_nan_is_nan(self):
-        A = np.zeros((70, 70))
-        A[69, 3] = np.nan
-        assert np.isnan(network._asymmetry(A))
-
 
 class TestAdjacencyIO:
     def test_matrix_round_trip(self, tmp_path):
@@ -444,14 +415,14 @@ class TestExactSymmetryFastPaths:
 
 
 class TestInferenceConfig:
-    @pytest.mark.parametrize("field", ["mu1", "mu2", "tolerance"])
+    @pytest.mark.parametrize("field", ["mu1", "mu2"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             NetworkInferenceConfig(**{field: value})
 
     def test_positional_arguments_rejected(self):
-        # a positional third value must not silently become the tolerance
+        # positional values must not silently bind to fields
         with pytest.raises(TypeError):
             NetworkInferenceConfig(0.1, 0.01, 500)
 
@@ -531,7 +502,9 @@ def peak_bytes(fn):
 
 
 class TestMemory:
-    """Each p x p pass holds at most one new p x p array (p=400)."""
+    """Each p x p pass holds at most one new p x p array (p=400), and
+    network inference at most its Gram matrix and two coefficient
+    arrays (p=600)."""
 
     P = 400
 
@@ -569,3 +542,12 @@ class TestMemory:
         # the read's peak (np.loadtxt grows its result by a quarter at a
         # time) plus the slack of test_tables.TestMemory
         assert peak <= 1.25 * A.nbytes + 256 * 1024
+
+    def test_infer_network_holds_three_arrays(self):
+        p = 600
+        m = generate(SynthSpec(n_samples=200, n_taxa=p, n_blocks=8)).abundance
+        _, peak = peak_bytes(lambda: infer_network(m))
+        # the Gram matrix, the loose pass and the finish are alive
+        # together; with the standardized columns and the finish's
+        # temporaries the peak is 3.49 p x p arrays
+        assert peak <= 3.75 * 8 * p * p

@@ -1,5 +1,5 @@
-"""Seed derivation, order-preserving parallel map, correlation and the
-exact-symmetry test."""
+"""Seed derivation, order-preserving parallel map, correlation, the
+exact-symmetry test and the blocked (A + A^T)/2 passes."""
 
 import sys
 
@@ -7,8 +7,26 @@ import numpy as np
 import pytest
 
 from coresponse.errors import ValidationError
-from coresponse.utils import (child_int, exactly_symmetric, generator,
-                              parallel_map, pearson, seed_sequence)
+from coresponse.utils import (ROW_BLOCK, asymmetry, child_int,
+                              exactly_symmetric, generator, parallel_map,
+                              pearson, seed_sequence, symmetrize)
+
+
+def bit_cases():
+    """p x p arrays for the in-place passes: random, all-zero and with -0.0
+    entries, at p = 1, 2 and 65 (two whole row blocks and one row)."""
+    rng = np.random.default_rng(7)
+    for p in (1, 2, 2 * ROW_BLOCK + 1):
+        A = rng.uniform(0, 1, (p, p))
+        signed = A.copy()
+        signed[rng.uniform(size=(p, p)) < 0.3] = -0.0
+        yield pytest.param(A, id=f"random-{p}")
+        yield pytest.param(np.zeros((p, p)), id=f"zero-{p}")
+        yield pytest.param(signed, id=f"signed-zero-{p}")
+
+
+def bits(A):
+    return A.view(np.uint64)
 
 
 class TestSeeds:
@@ -124,3 +142,20 @@ class TestExactlySymmetric:
         assert exactly_symmetric(A)
         A[0, 1] = np.nextafter(A[0, 1], np.inf)
         assert not exactly_symmetric(A)
+
+
+class TestInPlacePasses:
+    """The blocked passes give the bits of the formulas they replace."""
+
+    @pytest.mark.parametrize("A", bit_cases())
+    def test_symmetrize_matches_formula(self, A):
+        expected = (A + A.T) / 2.0
+        symmetrized = A.copy()
+        symmetrize(symmetrized)
+        assert np.array_equal(bits(symmetrized), bits(expected))
+        assert asymmetry(A) == np.abs(A - A.T).max(initial=0.0)
+
+    def test_asymmetry_of_nan_is_nan(self):
+        A = np.zeros((70, 70))
+        A[69, 3] = np.nan
+        assert np.isnan(asymmetry(A))
