@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from coresponse.errors import ValidationError
-from coresponse.ingest import (AbundanceMatrix, FunctionalVariable, css_normalize,
-                               filter_sparse_taxa, load_abundance, load_function,
-                               write_abundance, write_function)
+from coresponse.ingest import (AbundanceMatrix, FunctionalVariable, check_match,
+                               css_normalize, filter_sparse_taxa, load_abundance,
+                               load_function, write_abundance, write_function)
 from coresponse.tables import fmt, write_table
 
 
@@ -116,6 +116,22 @@ def abundance_writer_oracle(m, path, delimiter):
     write_table(path, ["sample_id", *m.taxon_labels], rows, delimiter)
 
 
+class TestCheckMatch:
+    def test_same_set_in_any_order_passes(self):
+        check_match(("a", "b", "c"), ["c", "a", "b"], "label", "x.csv")
+
+    @pytest.mark.parametrize("expected, found, tail", [
+        (("a", "b", "c"), ("a",), "missing from file: ['b', 'c']"),
+        (("a",), ("z", "a", "y"), "unknown in file: ['y', 'z']"),
+        (("b", "a"), ("d", "c"),
+         "missing from file: ['a', 'b']; unknown in file: ['c', 'd']"),
+    ], ids=["missing", "unknown", "both"])
+    def test_message_lists_each_side_sorted(self, expected, found, tail):
+        with pytest.raises(ValidationError) as exc:
+            check_match(expected, found, "label", "x.csv")
+        assert str(exc.value) == f"x.csv: label mismatch; {tail}"
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("delimiter", [",", "\t"])
     def test_writer_matches_per_cell_writer(self, tmp_path, delimiter):
@@ -172,6 +188,16 @@ class TestRoundTrip:
         path.write_text("sample_id,pmn\ns1,10\ns2,20\ns3,30\nzz,40\n")
         with pytest.raises(ValidationError, match="zz"):
             load_function(path, m)
+
+    def test_function_mismatch_message(self, tmp_path):
+        m = small_matrix()
+        path = tmp_path / "f.csv"
+        path.write_text("sample_id,pmn\nzz,1\ns1,10\ns3,30\nyy,40\n")
+        with pytest.raises(ValidationError) as exc:
+            load_function(path, m)
+        assert str(exc.value) == (
+            f"{path}: sample id mismatch; missing from file: ['s2', 's4']; "
+            "unknown in file: ['yy', 'zz']")
 
     def test_function_join_is_linear_in_samples(self, tmp_path):
         # one set per side, not one abundance id set per function row

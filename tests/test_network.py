@@ -421,6 +421,12 @@ class TestInferenceConfig:
         with pytest.raises(ValidationError, match=field):
             NetworkInferenceConfig(**{field: value})
 
+    def test_tolerance_is_not_a_setting(self):
+        # the finish's KKT tolerance is the constant KKT_TOLERANCE
+        assert network.KKT_TOLERANCE == 1e-8
+        with pytest.raises(TypeError):
+            NetworkInferenceConfig(tolerance=1e-6)
+
     def test_positional_arguments_rejected(self):
         # positional values must not silently bind to fields
         with pytest.raises(TypeError):
