@@ -24,9 +24,15 @@ in ``group_terms`` and the rows it scores per generation.  Times one
 ``Objective`` build at p=600 and p=1000, against the build it replaced
 (kept below), which formed ``(G + G^T)/2`` even from an exactly symmetric
 ``G``, and the builds of a paper-scale ``select-k`` (k = 2..50, 10
-repeats) with one build per run against one shared build.  Pin BLAS to one
-thread (for example ``OPENBLAS_NUM_THREADS=1``) for numbers comparable
-with the rules.
+repeats) with one build per run against one shared build.  Times
+``analyze``'s all-pairs shortest paths (``analytics._shortest_paths``) on
+the network ``infer-net`` finds on the inferred workload's data and on
+complete 8-block graphs at p=300 and p=1000, at each budget in
+``PATH_BUDGETS``, against scipy's ``dijkstra(directed=False)`` when scipy
+imports, with whether the two agree bit for bit: the table that
+``PATH_BLOCK_FLOATS`` in ``coresponse/analytics.py`` is fitted to.  Pin
+BLAS to one thread (for example ``OPENBLAS_NUM_THREADS=1``) for numbers
+comparable with the rules.
 
 Run from the repository root:
 
@@ -351,6 +357,77 @@ def bench_blocks(args) -> None:
         k.CD_BLOCK = kept
 
 
+#: the shortest-path table's graphs: the network ``infer-net`` finds on
+#: the inferred workload's data (seed 1), and complete 8-block graphs
+PATH_CASES = (("inferred", 600), ("complete", 300), ("complete", 1000))
+#: values of ``analytics.PATH_BLOCK_FLOATS`` the table tries
+PATH_BUDGETS = (2 ** 12, 2 ** 14, 2 ** 16, 2 ** 18, 2 ** 20)
+
+
+def path_graph(kind: str, p: int, samples: int) -> np.ndarray:
+    """The adjacency of one shortest-path case."""
+    from coresponse.synth import SynthSpec, block_adjacency, generate
+
+    if kind == "complete":
+        return block_adjacency(p, 8, 0.5, 0.05)
+    from coresponse.ingest import css_normalize, filter_sparse_taxa
+    from coresponse.network import infer_network
+
+    bundle = generate(SynthSpec(
+        n_samples=samples, n_taxa=p, n_blocks=8, intra_block_weight=0.5,
+        planted_group=tuple(range(10)), noise_sigma=0.05, seed=1))
+    return infer_network(css_normalize(filter_sparse_taxa(
+        bundle.raw_abundance))).adjacency
+
+
+def scipy_paths(A):
+    """``analyze``'s shortest paths as scipy computes them, or None."""
+    try:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+    except ImportError:
+        return None
+    ia, ja = np.nonzero(A)
+    lengths = csr_matrix((1.0 / A[ia, ja], (ia, ja)), shape=A.shape)
+    return dijkstra(lengths, directed=False)
+
+
+def bench_paths(args) -> None:
+    from coresponse import analytics
+
+    kept = analytics.PATH_BLOCK_FLOATS
+    print("all-pairs shortest paths, s, by PATH_BLOCK_FLOATS (sources per "
+          f"block in brackets; the constant is 2^{kept.bit_length() - 1})")
+    print(f"  {'graph':<30s}" + "".join(f"2^{f.bit_length() - 1:<12d}"
+                                        for f in PATH_BUDGETS)
+          + "scipy    bitwise equal")
+    try:
+        for kind, p in PATH_CASES:
+            A = path_graph(kind, p, args.samples)
+            widest = max(int(np.count_nonzero(A, axis=1).max()), 1)
+            cells = []
+            for floats in PATH_BUDGETS:
+                analytics.PATH_BLOCK_FLOATS = floats  # read at each call
+                block = min(p, max(1, floats // widest))
+                t = best_of(lambda: analytics._shortest_paths(A),
+                            args.repeats)
+                cells.append(f"{t:<6.3f}[{block}]".ljust(14))
+            analytics.PATH_BLOCK_FLOATS = kept
+            dist = analytics._shortest_paths(A)
+            ref = scipy_paths(A)
+            if ref is None:
+                t_scipy, same = "-", "no scipy"
+            else:
+                t = best_of(lambda: scipy_paths(A), args.repeats)
+                t_scipy = f"{t:.3f}"
+                same = str(np.array_equal(dist.view(np.uint64),
+                                          ref.view(np.uint64)))
+            name = f"{kind} p={p} ({np.count_nonzero(A)} nz)"
+            print(f"  {name:<30s}" + "".join(cells) + f"{t_scipy:<9s}{same}")
+    finally:
+        analytics.PATH_BLOCK_FLOATS = kept
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=200,
@@ -370,6 +447,7 @@ def main() -> None:
     bench_objective(args)
     bench_enet(args)
     bench_blocks(args)
+    bench_paths(args)
 
 
 if __name__ == "__main__":

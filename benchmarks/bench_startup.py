@@ -3,12 +3,14 @@
 Runs the quickstart chain (``synth``, ``ingest``, ``infer-net``,
 ``select-k``, ``discover``, ``evaluate``, ``analyze``, with the README's
 arguments) in a temporary directory, each in a fresh interpreter that
-runs ``coresponse.cli`` as ``python -m`` would, ``--repeats`` times, and prints per command the best and
-median wall time and the child's own largest resident set (``ru_maxrss``
-from ``os.wait4``), plus whether the command loaded scipy.  So the cost a
-command pays for what it imports shows next to its work.  The children
-import the same ``coresponse`` as this script and run with one BLAS
-thread.
+runs ``coresponse.cli`` as ``python -m`` would, ``--repeats`` times, and
+prints per command the best and median wall time and the child's own
+largest resident set (``ru_maxrss`` from ``os.wait4``), plus whether the
+command loaded scipy.  So the cost a command pays for what it imports
+shows next to its work.  The package needs numpy alone, so the scipy
+column should read "no" throughout; scipy is only the tests' oracle.  The
+children import the same ``coresponse`` as this script and run with one
+BLAS thread.
 
 Run from the repository root:
 

@@ -1,23 +1,27 @@
 """Clustering, centralities and group-location summaries on the network."""
 
 import random
+import warnings
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+from coresponse import analytics
 from coresponse.analytics import (LOUVAIN_RESTARTS, CentralityReport,
                                   ClusterResult, LocationReport, _Louvain,
-                                  centralities, locate_group, louvain,
-                                  modularity, write_annotated_graph,
-                                  write_centralities, write_clusters,
-                                  write_location)
+                                  _shortest_paths, centralities,
+                                  locate_group, louvain, modularity,
+                                  write_annotated_graph, write_centralities,
+                                  write_clusters, write_location)
 from coresponse.errors import ValidationError
 from coresponse.ingest import css_normalize, filter_sparse_taxa
 from coresponse.network import CoOccurrenceNetwork, infer_network
-from coresponse.synth import SynthSpec, generate
+from coresponse.synth import SynthSpec, block_adjacency, generate
 from coresponse.utils import child_int
 
 
@@ -67,6 +71,40 @@ def closeness_oracle(A):
                     if j != i and np.isfinite(d[i, j]))
         out[i] = total / (p - 1)
     return out
+
+
+def dijkstra_oracle(A):
+    """(distances, closeness) as ``centralities`` computed them with scipy:
+    lengths 1/A over A's nonzero entries, ``dijkstra(directed=False)``."""
+    p = A.shape[0]
+    ia, ja = np.nonzero(A)
+    with np.errstate(over="ignore"):
+        lengths = csr_matrix((1.0 / A[ia, ja], (ia, ja)), shape=(p, p))
+    dist = dijkstra(lengths, directed=False)
+    off = dist.copy()
+    np.fill_diagonal(off, np.inf)
+    with np.errstate(divide="ignore"):
+        inv = np.where(np.isfinite(off), 1.0 / off, 0.0)
+    return dist, inv.sum(axis=1) / (p - 1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def inferred_p600():
+    """The network ``infer-net`` finds on the inferred workload's data."""
+    bundle = generate(SynthSpec(
+        n_samples=200, n_taxa=600, n_blocks=8, intra_block_weight=0.5,
+        planted_group=tuple(range(10)), noise_sigma=0.05, seed=1))
+    return infer_network(css_normalize(filter_sparse_taxa(
+        bundle.raw_abundance)))
+
+
+@pytest.fixture(scope="module")
+def inferred_net():
+    return inferred_p600()
 
 
 class TestModularity:
@@ -274,12 +312,8 @@ class TestLouvainMatchesNetworkx:
             np.testing.assert_array_equal(result.assignment, assignment)
             assert result.modularity_q == q
 
-    def test_inferred_p600_matches_networkx(self):
-        bundle = generate(SynthSpec(
-            n_samples=200, n_taxa=600, n_blocks=8, intra_block_weight=0.5,
-            planted_group=tuple(range(10)), noise_sigma=0.05, seed=1))
-        net = infer_network(css_normalize(filter_sparse_taxa(
-            bundle.raw_abundance)))
+    def test_inferred_p600_matches_networkx(self, inferred_net):
+        net = inferred_net
         assert np.count_nonzero(net.adjacency) > 10 * net.n_taxa
         result = louvain(net, seed=1)
         q, assignment = nx_louvain(net, seed=1)
@@ -360,6 +394,93 @@ class TestCentralities:
         after = centralities(net_from(A_ext)).closeness
         np.testing.assert_allclose(after[:6], before * 5.0 / 6.0, rtol=1e-12)
         assert after[6] == 0.0
+
+
+def sparse_graph(seed, p, density, components=1):
+    """Symmetric weights from 1e-6 to 1e3 (log-uniform) on a random
+    pattern, split into ``components`` groups; nodes left without an
+    edge are isolated."""
+    rng = np.random.default_rng(seed)
+    A = (rng.random((p, p)) < density) * 10.0 ** rng.uniform(-6, 3, (p, p))
+    group = rng.integers(0, components, size=p)
+    A *= group[:, None] == group[None, :]
+    A = np.triu(A, k=1)
+    return A + A.T
+
+
+class TestShortestPathsMatchDijkstra:
+    """``centralities`` equals scipy's Dijkstra bit for bit."""
+
+    def check(self, net):
+        dist, closeness = dijkstra_oracle(net.adjacency)
+        assert same_bits(_shortest_paths(net.adjacency), dist)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = centralities(net)
+        assert same_bits(report.closeness, closeness)
+
+    def test_inferred_p600(self, inferred_net):
+        self.check(inferred_net)
+
+    def test_complete_block_graph(self):
+        self.check(net_from(block_adjacency(120, 8, 0.5, 0.05)))
+
+    def test_complete_graph_with_random_weights(self):
+        rng = np.random.default_rng(4)
+        A = np.triu(rng.uniform(0.05, 1.0, (120, 120)), k=1)
+        self.check(net_from(A + A.T))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_weights_over_nine_decades(self, seed):
+        self.check(net_from(sparse_graph(seed, 40 + 30 * seed, 0.08)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_components_and_isolated_nodes(self, seed):
+        A = sparse_graph(seed, 90, 0.1, components=4)
+        A[:, 7] = A[7, :] = 0.0
+        A[:, 30] = A[30, :] = 0.0
+        dist = dijkstra_oracle(A)[0]
+        assert np.isinf(dist).any()
+        self.check(net_from(A))
+
+    def test_near_symmetric_network(self):
+        A = sparse_graph(11, 60, 0.15)
+        rng = np.random.default_rng(12)
+        i, j = np.nonzero(np.triu(A, k=1))
+        pick = rng.random(i.shape[0]) < 0.3
+        A[i[pick], j[pick]] += rng.uniform(-1, 1, pick.sum()) * 9e-13
+        A[0, :] = A[:, 0] = 0.0
+        A[0, 5] = 4e-13  # an edge present in one direction only
+        A[2, 3], A[3, 2] = 0.25, 0.25 + 5e-13
+        net = CoOccurrenceNetwork(A, tuple(f"t{k}" for k in range(60)))
+        assert not np.array_equal(net.adjacency, net.adjacency.T)
+        assert np.isfinite(dijkstra_oracle(net.adjacency)[0][0]).any()
+        self.check(net)
+
+    def test_subnormal_weight_is_an_infinite_length(self):
+        A = two_triangles(bridge=0.3)
+        A[0, 5] = A[5, 0] = 5e-324
+        A_ext = np.zeros((7, 7))
+        A_ext[:6, :6] = A
+        A_ext[:, 6] = A_ext[6, :] = 0.0
+        A_ext[6, 0] = A_ext[0, 6] = 1e-310
+        net = net_from(A_ext)
+        dist = dijkstra_oracle(net.adjacency)[0]
+        assert np.isinf(dist[6]).sum() == 6
+        self.check(net)
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_source_blocks_give_the_same_bits(self, monkeypatch, block):
+        # the default budget runs both graphs in one block
+        for A in (sparse_graph(3, 80, 0.1, components=2),
+                  block_adjacency(40, 4, 0.5, 0.05)):
+            whole = _shortest_paths(A)
+            widest = int(np.count_nonzero(A, axis=1).max())
+            monkeypatch.setattr(analytics, "PATH_BLOCK_FLOATS",
+                                block * widest)
+            assert same_bits(_shortest_paths(A), whole)
+            self.check(net_from(A))
+            monkeypatch.undo()
 
 
 def locate(net, importance, top_k):

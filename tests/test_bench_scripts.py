@@ -47,3 +47,14 @@ def test_bench_run_ga_runs_its_configs(monkeypatch, capsys):
     assert len(lines) == 2
     assert f"capped at {capped['k_opt']}" in lines[0]
     assert "uncapped" in lines[1]
+
+
+def test_bench_paths_checks_every_graph_against_scipy(monkeypatch, capsys):
+    bench = load_script("bench_kernels.py")
+    monkeypatch.setattr(bench, "PATH_CASES",
+                        (("inferred", 40), ("complete", 24)))
+    bench.bench_paths(argparse.Namespace(samples=60, repeats=1))
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if " p=" in line]
+    assert len(rows) == 2
+    assert all(row.endswith("True") for row in rows)

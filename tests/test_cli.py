@@ -52,25 +52,29 @@ class TestVersionAndUsage:
         assert exc.value.code == 2
 
 
+def run_child(code, cwd):
+    """Run ``code`` in a fresh interpreter on this checkout's package."""
+    src = str(Path(coresponse.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+
+
 def optional_modules_after(code, cwd):
     """The scipy and networkx modules a fresh interpreter holds after ``code``."""
     script = (code + "\nimport sys\nprint(sorted(m for m in sys.modules "
               "if m.split('.')[0] in ('scipy', 'networkx')))")
-    src = str(Path(coresponse.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", script], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, check=True)
-    return done.stdout.strip().splitlines()[-1]
+    return run_child(script, cwd).stdout.strip().splitlines()[-1]
 
 
 class TestStartUp:
-    """Start-up needs numpy alone; scipy loads only in analyze."""
+    """Every command runs on numpy alone: none loads scipy or networkx."""
 
     def test_import_loads_neither_scipy_nor_networkx(self, tmp_path):
         assert optional_modules_after(
             "import coresponse, coresponse.cli", tmp_path) == "[]"
 
-    def test_numpy_only_commands_load_no_scipy(self, tmp_path):
+    def test_no_command_loads_scipy_or_networkx(self, tmp_path):
         fast = ", ".join(repr(a) for a in GA_FAST)
         data = "'--abundance', 'd/abundance.csv', '--function', 'd/function.csv'"
         code = f"""
@@ -90,8 +94,30 @@ run('discover', {data}, '--adjacency', 'd/adjacency.csv', '--mode', 'l1',
 run('evaluate', {data}, '--adjacency', 'd/adjacency.csv',
     '--methods', 'baseline,convolved', '--k', '2', '--repeats', '3',
     '--out', 'e', {fast})
+run('analyze', '--adjacency', 'd/adjacency.csv',
+    '--importance', 'k/importance_nodes.csv', '--out', 'a')
 """
         assert optional_modules_after(code, tmp_path) == "[]"
+
+    def test_analyze_runs_where_scipy_cannot_load(self, tmp_path):
+        data = make_bundle(tmp_path)
+        assert run(["discover", "--abundance", data / "abundance.csv",
+                    "--function", data / "function.csv",
+                    "--adjacency", data / "adjacency.csv", "--k", 2,
+                    "--runs", 2, "--out", tmp_path / "k"] + GA_FAST) == 0
+        argv = ["analyze", "--adjacency", str(data / "adjacency.csv"),
+                "--importance", str(tmp_path / "k" / "importance_nodes.csv"),
+                "--out", "out"]
+        outputs = {}
+        for name, prologue in (("plain", ""),
+                               ("blocked", "sys.modules['scipy'] = None; ")):
+            (tmp_path / name).mkdir()
+            run_child(f"import sys; {prologue}from coresponse.cli import "
+                      f"main; sys.exit(main({argv!r}))", tmp_path / name)
+            outputs[name] = {f.name: f.read_bytes()
+                             for f in (tmp_path / name / "out").iterdir()}
+        assert "centralities.csv" in outputs["plain"]
+        assert outputs["blocked"] == outputs["plain"]
 
 
 class TestExitCodes:
